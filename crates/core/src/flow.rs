@@ -166,7 +166,8 @@ pub struct FlowTableStats {
     /// zero when the ingest path carries in-order payload chunks rather
     /// than TCP segments). The [`ReassemblyStats::bytes_held`] gauge is
     /// table-wide: it drops when flows drain *and* when buffered flows
-    /// are evicted, removed, or idle-retired.
+    /// are evicted, removed, or idle-retired — the bytes those flows
+    /// drop are counted in [`ReassemblyStats::evicted_bytes`].
     pub reassembly: ReassemblyStats,
 }
 
@@ -422,8 +423,7 @@ impl<S: FlowState + Clone> FlowTable<S> {
                 self.stats.evictions += 1;
                 // The victim's buffered reassembly bytes leave the table
                 // with it — keep the held-bytes gauge honest.
-                let held = self.slots[victim].state.held_bytes();
-                self.stats.reassembly.bytes_held -= held as u64;
+                self.drop_held(victim);
                 (victim, FlowLookup::Evicted(self.slots[victim].key))
             }
         };
@@ -455,8 +455,7 @@ impl<S: FlowState + Clone> FlowTable<S> {
         let base = set * self.ways;
         for i in base..base + self.ways {
             if self.slots[i].occupied && self.slots[i].key == key {
-                let held = self.slots[i].state.held_bytes();
-                self.stats.reassembly.bytes_held -= held as u64;
+                self.drop_held(i);
                 self.slots[i].occupied = false;
                 self.occupied -= 1;
                 return true;
@@ -483,18 +482,25 @@ impl<S: FlowState + Clone> FlowTable<S> {
     pub fn evict_idle(&mut self, max_idle: u64) -> usize {
         let deadline = self.tick.saturating_sub(max_idle);
         let mut evicted = 0usize;
-        let mut held_retired = 0usize;
-        for slot in &mut self.slots {
-            if slot.occupied && slot.last_used < deadline {
-                slot.occupied = false;
-                held_retired += slot.state.held_bytes();
+        for i in 0..self.slots.len() {
+            if self.slots[i].occupied && self.slots[i].last_used < deadline {
+                self.drop_held(i);
+                self.slots[i].occupied = false;
                 evicted += 1;
             }
         }
         self.occupied -= evicted;
         self.stats.idle_evictions += evicted as u64;
-        self.stats.reassembly.bytes_held -= held_retired as u64;
         evicted
+    }
+
+    /// Accounts the out-of-order bytes slot `index` holds as leaving
+    /// the table with its flow: off the held gauge, onto the evicted
+    /// counter.
+    fn drop_held(&mut self, index: usize) {
+        let held = self.slots[index].state.held_bytes() as u64;
+        self.stats.reassembly.bytes_held -= held;
+        self.stats.reassembly.evicted_bytes += held;
     }
 
     /// The packet-batch ingest path: routes every packet to its flow's
@@ -957,6 +963,51 @@ mod tests {
         // at offset 0 and finds she/he/hers within itself.
         assert_eq!(a_matches.len(), 2 + 3);
         assert!(table.stats().evictions >= 2);
+    }
+
+    #[test]
+    fn evicted_out_of_order_bytes_balance_the_ledger() {
+        use crate::reassembly::{ReassemblyConfig, StreamFlow};
+        // One 8-way set: a ninth live flow must evict, and every flow
+        // holds 20 reordered bytes when it goes.
+        let template = StreamFlow::new(ReassemblyConfig::new(4096), ScanState::fresh());
+        let mut table = FlowTable::with_ways(8, 8, template);
+        let (mut admitted, mut delivered, mut now) = (0u64, 0u64, 0u64);
+        let mut out = Vec::new();
+        let mut ingest = |table: &mut FlowTable<StreamFlow<ScanState>>, key, seq, len| {
+            admitted += len as u64;
+            now += 1;
+            let payload = vec![b'x'; len];
+            let segment = FlowSegment {
+                key: FlowKey(key),
+                seq,
+                payload: &payload,
+            };
+            let count =
+                |_: &mut ScanState, c: &[u8], _: &mut Vec<Match>| delivered += c.len() as u64;
+            table.ingest_segment_at(segment, now, false, count, &mut out);
+        };
+        // Round 1: nine flows each buffer bytes 10..30 (the ninth
+        // evicts flow 0). Round 2: bytes 0..10 for each flow miss again
+        // and evict, cyclically, the eight flows still holding bytes.
+        for key in 0..9 {
+            ingest(&mut table, key, 10, 20);
+        }
+        for key in 0..9 {
+            ingest(&mut table, key, 0, 10);
+        }
+        // The other two drop sites: remove and idle retirement.
+        ingest(&mut table, 100, 10, 20);
+        assert!(table.remove(FlowKey(100)));
+        ingest(&mut table, 101, 10, 20);
+        table.touch_at(FlowKey(2), 1_000);
+        assert_eq!(table.evict_idle(500), 7, "all but the flow just touched");
+        let stats = table.stats();
+        assert_eq!(stats.evictions, 11);
+        assert_eq!(stats.reassembly.evicted_bytes, 9 * 20 + 20 + 20);
+        assert_eq!(stats.reassembly.bytes_held, 0);
+        assert_eq!(stats.reassembly.dup_bytes, 0);
+        assert_eq!(delivered + stats.reassembly.evicted_bytes, admitted);
     }
 
     #[test]

@@ -197,6 +197,10 @@ pub struct ReassemblyStats {
     /// Bytes currently held in out-of-order buffers (gauge; table-level
     /// aggregation subtracts a flow's held bytes when it is evicted).
     pub bytes_held: u64,
+    /// Out-of-order bytes dropped with flows the table evicted, removed
+    /// or idle-retired while they still held them (monotonic; only
+    /// table-level aggregation counts here).
+    pub evicted_bytes: u64,
     /// High-water mark of [`bytes_held`](ReassemblyStats::bytes_held).
     pub bytes_held_peak: u64,
     /// Bytes clipped as retransmitted / duplicate (at or below the

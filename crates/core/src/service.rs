@@ -39,7 +39,7 @@
 //!   boundary-local loss, counted, instead of a dead core.
 //!
 //! Two drivers share the same `WorkerCore` logic: [`Service`] runs
-//! real threads with blocking queues and wall-clock latency histograms;
+//! real threads with swap inboxes and wall-clock latency histograms;
 //! [`ServiceSim`] runs the identical per-worker state machine in
 //! lockstep on one thread, driven by a seeded [`FaultPlan`] so every
 //! recovery path above is deterministic and property-testable.
@@ -50,7 +50,7 @@
 //! |------|--------|----------|
 //! | [`Exact`](FidelityTier::Exact) | sharded full-set matcher | exact: every occurrence of every pattern |
 //! | [`TwoStage`](FidelityTier::TwoStage) | stage-1 sweep + windowed exact replay | exact (byte-equivalent to `Exact`), cheaper on clean traffic, dearer on flag-dense traffic |
-//! | [`FlagOnly`](FidelityTier::FlagOnly) | stage-1 sweep only | reported matches all true; windowed-family occurrences missed but **counted** as [`suspect_flags`](TwoStageStats::suspect_flags) |
+//! | [`FlagOnly`](FidelityTier::FlagOnly) | stage-1 sweep only | reported matches all true; windowed-family occurrences missed but **counted** as [`suspect_flags`](crate::two_stage::TwoStageStats::suspect_flags) |
 //!
 //! # Example
 //!
@@ -74,7 +74,8 @@
 use std::collections::HashSet;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
 use dpi_automaton::{Match, PatternSet, ShardPlanError};
@@ -83,7 +84,7 @@ use crate::flow::{FlowConfigError, FlowKey, FlowMatch, FlowSegment, FlowState, F
 use crate::protocol::{ProtoConfig, ProtoFlow, ProtocolStats};
 use crate::reassembly::{ReassemblyConfig, ReassemblyConfigError, StreamFlow};
 use crate::sharded::{ShardedMatcher, ShardedScanState, ShardedScratch};
-use crate::two_stage::{TwoStageConfig, TwoStageMatcher, TwoStageScratch, TwoStageState, TwoStageStats};
+use crate::two_stage::{TwoStageConfig, TwoStageMatcher, TwoStageScratch, TwoStageState};
 
 // ---------------------------------------------------------------------------
 // Configuration
@@ -512,8 +513,12 @@ impl WorkerStats {
 /// Whole-service counters: the steering/shedding side plus every
 /// worker's [`WorkerStats`] absorbed. The load-shedding identity
 /// `offered == admitted + shed` holds for both packets and bytes at all
-/// times; after a full drain with in-order traffic,
-/// `admitted_bytes == scanned_bytes() + dup/hole/panic losses`.
+/// times. After a full drain of traffic whose segments never overlap
+/// buffered data (overlaps are counted in `reassembly.overlap_bytes`),
+/// the byte ledger `scanned + dup + panic_lost + evicted == admitted`
+/// holds: [`scanned_bytes()`](ServiceStats::scanned_bytes) plus
+/// `reassembly.dup_bytes`, `workers.panic_lost_bytes` and
+/// `reassembly.evicted_bytes` equals `admitted_bytes`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServiceStats {
     /// Packets presented to [`Service::offer`] / [`ServiceSim::offer`].
@@ -546,7 +551,8 @@ pub struct ServiceStats {
     /// [`panic_lost_bytes`](WorkerStats::panic_lost_bytes) instead).
     /// This is the other half of the zero-silent-drops ledger: admitted
     /// bytes not delivered to a scanner show up here as duplicates,
-    /// skipped holes, or buffered residue — never as nothing.
+    /// bytes dropped with evicted flows, or buffered residue — never as
+    /// nothing.
     pub reassembly: crate::reassembly::ReassemblyStats,
     /// Every worker's counters, absorbed.
     pub workers: WorkerStats,
@@ -574,6 +580,7 @@ fn add_reassembly(
         dst.bytes_held += src.bytes_held;
     }
     dst.bytes_held_peak = dst.bytes_held_peak.max(src.bytes_held_peak);
+    dst.evicted_bytes += src.evicted_bytes;
     dst.dup_bytes += src.dup_bytes;
     dst.overlap_bytes += src.overlap_bytes;
     dst.overlap_conflicts += src.overlap_conflicts;
@@ -621,7 +628,7 @@ impl Item {
 struct WorkerCore {
     arena: Arc<RulesetArena>,
     tier: FidelityTier,
-    table: FlowTable<StreamFlow<ProtoFlow<TierScan>>>,
+    table: FlowTable<Flow>,
     sharded_scratch: ShardedScratch,
     two_scratch: TwoStageScratch,
     ladder: LadderConfig,
@@ -724,66 +731,46 @@ impl WorkerCore {
 
     fn ingest(&mut self, key: FlowKey, seq: u64, time: u64, resync: bool, payload: &[u8]) {
         self.stats.packets += 1;
-        let tier = self.tier;
-        // A flow scanned while degraded to FlagOnly bypasses
-        // normalization permanently (counted `tier_bypassed`): the
-        // cheap tier exists to shed work, and a later upgrade must not
-        // resume a parser that missed bytes.
-        let bypass = tier == FidelityTier::FlagOnly;
-        let arena = Arc::clone(&self.arena);
-        let generation = arena.generation;
-        let mut rebuilds = 0u64;
-        let mut tier_bytes = [0u64; 3];
-        let mut suspects = 0u64;
-        let mut proto_stats = ProtocolStats::default();
-        let sharded_scratch = &mut self.sharded_scratch;
-        let two_scratch = &mut self.two_scratch;
+        self.stats.resyncs += u64::from(resync);
+        self.scan_with(|table, sink, matches| {
+            table.ingest_segment_at(
+                FlowSegment { key, seq, payload },
+                time,
+                resync,
+                |flow, chunk, out| sink.deliver(flow, chunk, out),
+                matches,
+            );
+        });
+    }
+
+    /// Runs `drive` over the flow table with the tier sink, then folds
+    /// the call's counters and new matches into the worker's totals.
+    /// The sink borrows the arena and scratches field-disjointly from
+    /// the table that calls it.
+    fn scan_with(
+        &mut self,
+        drive: impl FnOnce(&mut FlowTable<Flow>, &mut TierSink<'_>, &mut Vec<FlowMatch>),
+    ) {
         let before = self.matches.len();
-        let _outcome = self.table.ingest_segment_at(
-            FlowSegment { key, seq, payload },
-            time,
-            resync,
-            |proto: &mut ProtoFlow<TierScan>, chunk: &[u8], out: &mut Vec<Match>| {
-                tier_bytes[tier.index()] += chunk.len() as u64;
-                // Every lane maps to the same full-ruleset tier engine:
-                // the service's normalization win is decode (catching
-                // boundary-split signatures), not scoping.
-                proto.deliver(
-                    chunk,
-                    bypass,
-                    &mut proto_stats,
-                    |_lane, scan: &mut TierScan, bytes: &[u8], out: &mut Vec<Match>| {
-                        materialize(&arena, generation, tier, scan, &mut rebuilds);
-                        match (&mut scan.kind, tier) {
-                            (TierKind::Exact(state), _) => {
-                                arena.exact.scan_chunk_into(state, bytes, sharded_scratch, out);
-                            }
-                            (TierKind::Two(state), FidelityTier::FlagOnly) => {
-                                let s0 = flow_stats(state).suspect_flags;
-                                arena.two.scan_chunk_flag_only(state, bytes, two_scratch, out);
-                                suspects += flow_stats(state).suspect_flags - s0;
-                            }
-                            (TierKind::Two(state), _) => {
-                                arena.two.scan_chunk_into(state, bytes, two_scratch, out);
-                            }
-                            (TierKind::Fresh { .. }, _) => unreachable!("materialized above"),
-                        }
-                    },
-                    out,
-                );
-            },
-            &mut self.matches,
-        );
-        if resync {
-            self.stats.resyncs += 1;
-        }
-        self.stats.state_rebuilds += rebuilds;
-        for (total, batch) in self.stats.tier_bytes.iter_mut().zip(tier_bytes) {
-            *total += batch;
-        }
-        self.stats.suspect_flags += suspects;
-        self.stats.protocol.absorb(&proto_stats);
+        let mut sink = TierSink {
+            arena: &self.arena,
+            tier: self.tier,
+            sharded_scratch: &mut self.sharded_scratch,
+            two_scratch: &mut self.two_scratch,
+            tally: WorkerStats::default(),
+        };
+        drive(&mut self.table, &mut sink, &mut self.matches);
+        self.stats.absorb(&sink.tally);
         self.stats.matches += (self.matches.len() - before) as u64;
+    }
+
+    /// Adds this worker's counters and flow-table gauges into `stats`.
+    fn stats_into(&self, stats: &mut ServiceStats) {
+        stats.workers.absorb(&self.stats);
+        stats.flows_resident += self.table.len() as u64;
+        stats.buffered_bytes += self.table.buffered_bytes() as u64;
+        add_reassembly(&mut stats.reassembly, &self.table.stats().reassembly, true);
+        add_reassembly(&mut stats.reassembly, &self.retired_reassembly, false);
     }
 
     fn install(&mut self, arena: Arc<RulesetArena>) {
@@ -822,95 +809,110 @@ impl WorkerCore {
     /// scanner at the current tier, then drain two-stage pending
     /// windows, appending everything to the worker's match log.
     fn finish(&mut self) {
-        let tier = self.tier;
-        let bypass = tier == FidelityTier::FlagOnly;
-        let arena = Arc::clone(&self.arena);
-        let generation = arena.generation;
-        let mut rebuilds = 0u64;
-        let mut tier_bytes = [0u64; 3];
-        let mut suspects = 0u64;
-        let mut proto_stats = ProtocolStats::default();
-        let sharded_scratch = &mut self.sharded_scratch;
-        let two_scratch = &mut self.two_scratch;
-        let before = self.matches.len();
-        let mut flushed = Vec::new();
-        self.table.flush_flows(
-            |proto: &mut ProtoFlow<TierScan>, chunk: &[u8], out: &mut Vec<Match>| {
-                tier_bytes[tier.index()] += chunk.len() as u64;
-                proto.deliver(
-                    chunk,
-                    bypass,
-                    &mut proto_stats,
-                    |_lane, scan: &mut TierScan, bytes: &[u8], out: &mut Vec<Match>| {
-                        materialize(&arena, generation, tier, scan, &mut rebuilds);
-                        match (&mut scan.kind, tier) {
-                            (TierKind::Exact(state), _) => {
-                                arena.exact.scan_chunk_into(state, bytes, sharded_scratch, out);
-                            }
-                            (TierKind::Two(state), FidelityTier::FlagOnly) => {
-                                let s0 = flow_stats(state).suspect_flags;
-                                arena.two.scan_chunk_flag_only(state, bytes, two_scratch, out);
-                                suspects += flow_stats(state).suspect_flags - s0;
-                            }
-                            (TierKind::Two(state), _) => {
-                                arena.two.scan_chunk_into(state, bytes, two_scratch, out);
-                            }
-                            (TierKind::Fresh { .. }, _) => unreachable!("materialized above"),
-                        }
-                    },
-                    out,
-                );
-            },
-            &mut flushed,
-        );
-        self.matches.append(&mut flushed);
-        // Two-stage states may hold verified matches behind the merge
-        // watermark; drain them per flow.
-        let mut tail = Vec::new();
-        let matches = &mut self.matches;
-        self.table.for_each_flow(|key, flow| {
-            if let TierKind::Two(state) = &mut flow.scan.scan.kind {
-                tail.clear();
-                arena.two.finish_flow(state, &mut tail);
-                matches.extend(tail.iter().map(|&m| FlowMatch { key, matched: m }));
-            }
+        self.scan_with(|table, sink, matches| {
+            let mut flushed = Vec::new();
+            table.flush_flows(
+                |flow, chunk, out| sink.deliver(flow, chunk, out),
+                &mut flushed,
+            );
+            matches.append(&mut flushed);
+            // Two-stage states may hold verified matches behind the
+            // merge watermark; drain them per flow.
+            let mut tail = Vec::new();
+            table.for_each_flow(|key, flow| {
+                if let TierKind::Two(state) = &mut flow.scan.scan.kind {
+                    tail.clear();
+                    sink.arena.two.finish_flow(state, &mut tail);
+                    matches.extend(tail.iter().map(|&m| FlowMatch { key, matched: m }));
+                }
+            });
         });
-        self.stats.state_rebuilds += rebuilds;
-        for (total, batch) in self.stats.tier_bytes.iter_mut().zip(tier_bytes) {
-            *total += batch;
-        }
-        self.stats.suspect_flags += suspects;
-        self.stats.protocol.absorb(&proto_stats);
-        self.stats.matches += (self.matches.len() - before) as u64;
     }
 }
 
-/// Shorthand: a flow's cumulative two-stage counters.
-fn flow_stats(state: &TwoStageState) -> TwoStageStats {
-    state.stats()
+/// A worker's per-flow state: reassembler, protocol stage, tier scan.
+type Flow = StreamFlow<ProtoFlow<TierScan>>;
+
+/// The scan stage both ingest paths feed: the worker's arena, tier and
+/// scratches, plus this call's counters. The counters reach the
+/// worker's totals only when the call returns, so an item that panics
+/// mid-scan contributes nothing but its counted loss.
+struct TierSink<'a> {
+    arena: &'a RulesetArena,
+    tier: FidelityTier,
+    sharded_scratch: &'a mut ShardedScratch,
+    two_scratch: &'a mut TwoStageScratch,
+    tally: WorkerStats,
+}
+
+impl TierSink<'_> {
+    /// Delivers one reassembled chunk through the flow's protocol stage
+    /// into the tier engine, materializing the flow's scan state for
+    /// the current arena and tier first.
+    fn deliver(&mut self, flow: &mut ProtoFlow<TierScan>, chunk: &[u8], out: &mut Vec<Match>) {
+        let (arena, tier) = (self.arena, self.tier);
+        self.tally.tier_bytes[tier.index()] += chunk.len() as u64;
+        // A flow scanned while degraded to FlagOnly bypasses
+        // normalization permanently (counted `tier_bypassed`): the
+        // cheap tier exists to shed work, and a later upgrade must not
+        // resume a parser that missed bytes. Every lane maps to the
+        // same full-ruleset tier engine: the service's normalization
+        // win is decode (catching boundary-split signatures), not
+        // scoping.
+        let bypass = tier == FidelityTier::FlagOnly;
+        flow.deliver(
+            chunk,
+            bypass,
+            &mut self.tally.protocol,
+            |_lane, scan: &mut TierScan, bytes: &[u8], out: &mut Vec<Match>| {
+                materialize(arena, tier, scan, &mut self.tally.state_rebuilds);
+                match (&mut scan.kind, tier) {
+                    (TierKind::Exact(state), _) => {
+                        arena
+                            .exact
+                            .scan_chunk_into(state, bytes, self.sharded_scratch, out);
+                    }
+                    (TierKind::Two(state), FidelityTier::FlagOnly) => {
+                        let s0 = state.stats().suspect_flags;
+                        arena
+                            .two
+                            .scan_chunk_flag_only(state, bytes, self.two_scratch, out);
+                        self.tally.suspect_flags += state.stats().suspect_flags - s0;
+                    }
+                    (TierKind::Two(state), _) => {
+                        arena
+                            .two
+                            .scan_chunk_into(state, bytes, self.two_scratch, out);
+                    }
+                    (TierKind::Fresh { .. }, _) => unreachable!("materialized above"),
+                }
+            },
+            out,
+        );
+    }
 }
 
 /// Ensures `scan` holds a state for (`arena`, `tier`): rebuilds it at
 /// the flow's current stream offset when the generation or the engine
 /// family changed. `TwoStage` and `FlagOnly` share the `Two` state, so
 /// ladder moves between them rebuild nothing.
-fn materialize(
-    arena: &RulesetArena,
-    generation: u64,
-    tier: FidelityTier,
-    scan: &mut TierScan,
-    rebuilds: &mut u64,
-) {
-    let wants_exact = tier == FidelityTier::Exact;
-    let compatible = scan.generation == generation
+fn materialize(arena: &RulesetArena, tier: FidelityTier, scan: &mut TierScan, rebuilds: &mut u64) {
+    let compatible = scan.generation == arena.generation
         && match &scan.kind {
             TierKind::Fresh { .. } => false,
-            TierKind::Exact(_) => wants_exact,
-            TierKind::Two(_) => !wants_exact,
+            TierKind::Exact(_) => tier == FidelityTier::Exact,
+            TierKind::Two(_) => tier != FidelityTier::Exact,
         };
-    if compatible {
-        return;
+    if !compatible {
+        rebuild(arena, tier, scan, rebuilds);
     }
+}
+
+/// The rare half of [`materialize`], kept out of line so the per-chunk
+/// check stays small in the scan loop.
+#[cold]
+fn rebuild(arena: &RulesetArena, tier: FidelityTier, scan: &mut TierScan, rebuilds: &mut u64) {
+    let wants_exact = tier == FidelityTier::Exact;
     let at = scan.offset();
     let was_live = !matches!(scan.kind, TierKind::Fresh { .. });
     scan.kind = if wants_exact {
@@ -926,7 +928,7 @@ fn materialize(
         }
         TierKind::Two(Box::new(state))
     };
-    scan.generation = generation;
+    scan.generation = arena.generation;
     if was_live {
         *rebuilds += 1;
     }
@@ -1356,11 +1358,7 @@ impl ServiceSim {
         let mut stats = ServiceStats::default();
         self.steer.stats_into(&mut stats);
         for worker in &self.workers {
-            stats.workers.absorb(&worker.stats);
-            stats.flows_resident += worker.table.len() as u64;
-            stats.buffered_bytes += worker.table.buffered_bytes() as u64;
-            add_reassembly(&mut stats.reassembly, &worker.table.stats().reassembly, true);
-            add_reassembly(&mut stats.reassembly, &worker.retired_reassembly, false);
+            worker.stats_into(&mut stats);
         }
         stats
     }
@@ -1369,28 +1367,39 @@ impl ServiceSim {
     /// report. The simulator is spent afterwards.
     pub fn finish(mut self) -> ServiceReport {
         self.pump();
+        let mut report = ServiceReport::open(&self.steer);
         for worker in &mut self.workers {
             worker.finish();
+            report.absorb(worker);
         }
+        report
+    }
+}
+
+impl ServiceReport {
+    /// An empty report carrying the producer side's counters.
+    fn open(steer: &Steer) -> ServiceReport {
         let mut stats = ServiceStats::default();
-        self.steer.stats_into(&mut stats);
-        let mut matches = Vec::new();
-        let mut final_tiers = Vec::with_capacity(self.workers.len());
-        for worker in &mut self.workers {
-            stats.workers.absorb(&worker.stats);
-            stats.flows_resident += worker.table.len() as u64;
-            stats.buffered_bytes += worker.table.buffered_bytes() as u64;
-            add_reassembly(&mut stats.reassembly, &worker.table.stats().reassembly, true);
-            add_reassembly(&mut stats.reassembly, &worker.retired_reassembly, false);
-            matches.append(&mut worker.matches);
-            final_tiers.push(worker.tier);
-        }
+        steer.stats_into(&mut stats);
         ServiceReport {
             stats,
-            matches,
-            final_tiers,
+            matches: Vec::new(),
+            final_tiers: Vec::new(),
             latency: LatencyHistogram::new(),
         }
+    }
+
+    /// Adds one finished worker: its counters, its final tier, and its
+    /// match log — moved rather than copied while the report holds none
+    /// yet, so a one-worker report never copies the log.
+    fn absorb(&mut self, core: &mut WorkerCore) {
+        core.stats_into(&mut self.stats);
+        if self.matches.is_empty() {
+            self.matches = std::mem::take(&mut core.matches);
+        } else {
+            self.matches.append(&mut core.matches);
+        }
+        self.final_tiers.push(core.tier);
     }
 }
 
@@ -1464,68 +1473,134 @@ impl LatencyHistogram {
 // Threaded runtime
 // ---------------------------------------------------------------------------
 
-struct QueueInner {
-    items: VecDeque<(Item, Instant)>,
+/// Items stamped with their enqueue time, as the inbox holds them.
+type Stamped = Vec<(Item, Instant)>;
+
+struct InboxState {
+    items: Stamped,
+    /// The worker found the inbox empty and is parked on `ready`.
+    asleep: bool,
     closed: bool,
 }
 
-/// A bounded MPSC channel with condvar wakeup. The producer side never
-/// blocks — capacity pressure is resolved by the shed gate *before*
-/// push — and the consumer blocks only when empty.
-struct SharedQueue {
-    inner: Mutex<QueueInner>,
+/// One worker's swap inbox. The producer appends under a lock the
+/// worker holds only for a `Vec` swap, so it is uncontended in
+/// practice, and it signals the condvar only when the worker has
+/// parked: one sleep costs exactly one wake, and a busy worker costs
+/// the producer no syscall. The worker takes the whole inbox at once,
+/// handing back its drained spare, so both buffers are recycled and
+/// the steady state allocates nothing. `pending` counts items from
+/// push until the worker has finished them — including items already
+/// swapped out — and is the lock-free depth the shed gate and the
+/// ladder read. It is a gauge that publishes no data (items travel
+/// under the mutex), so `Relaxed` suffices. The producer never blocks:
+/// capacity pressure is resolved by the shed gate *before* push.
+struct Inbox {
+    pending: AtomicUsize,
+    state: Mutex<InboxState>,
     ready: Condvar,
 }
 
-impl SharedQueue {
-    fn new() -> SharedQueue {
-        SharedQueue {
-            inner: Mutex::new(QueueInner {
-                items: VecDeque::new(),
+impl Inbox {
+    fn new() -> Inbox {
+        Inbox {
+            pending: AtomicUsize::new(0),
+            state: Mutex::new(InboxState {
+                items: Vec::new(),
+                asleep: false,
                 closed: false,
             }),
             ready: Condvar::new(),
         }
     }
 
+    /// Both sides hold the lock only to push, swap or set a flag, none
+    /// of which can panic, so a poisoned lock is a bug.
+    fn lock(&self) -> MutexGuard<'_, InboxState> {
+        self.state.lock().expect("inbox lock poisoned")
+    }
+
+    /// Items pushed and not yet finished by the worker.
     fn depth(&self) -> usize {
-        self.inner.lock().unwrap().items.len()
+        self.pending.load(Ordering::Relaxed)
     }
 
     fn push(&self, item: Item) {
-        let mut inner = self.inner.lock().unwrap();
-        inner.items.push_back((item, Instant::now()));
-        drop(inner);
-        self.ready.notify_one();
+        self.pending.fetch_add(1, Ordering::Relaxed);
+        let stamped = (item, Instant::now());
+        let mut state = self.lock();
+        state.items.push(stamped);
+        if state.asleep {
+            state.asleep = false;
+            drop(state);
+            self.ready.notify_one();
+        }
     }
 
     fn close(&self) {
-        self.inner.lock().unwrap().closed = true;
+        self.lock().closed = true;
         self.ready.notify_all();
     }
 
-    /// Blocks until at least one item (or close), then drains up to
-    /// `batch` items. Returns the observed depth and the batch; `None`
-    /// means closed and drained.
-    fn take_batch(&self, batch: usize) -> Option<(usize, Vec<(Item, Instant)>)> {
-        let mut inner = self.inner.lock().unwrap();
+    /// Blocks until the inbox holds an item (or is closed), then swaps
+    /// every queued item into `spare`, which must be empty. Returns
+    /// `false` once the inbox is closed and drained.
+    fn take_all(&self, spare: &mut Stamped) -> bool {
+        debug_assert!(spare.is_empty());
+        let mut state = self.lock();
         loop {
-            if !inner.items.is_empty() {
-                let depth = inner.items.len();
-                let take = depth.min(batch);
-                let items: Vec<_> = inner.items.drain(..take).collect();
-                return Some((depth, items));
+            if !state.items.is_empty() {
+                std::mem::swap(&mut state.items, spare);
+                return true;
             }
-            if inner.closed {
-                return None;
+            if state.closed {
+                return false;
             }
-            inner = self.ready.wait(inner).unwrap();
+            state.asleep = true;
+            state = self.ready.wait(state).expect("inbox lock poisoned");
+            state.asleep = false;
         }
+    }
+
+    /// Marks `n` taken items finished.
+    fn finished(&self, n: usize) {
+        self.pending.fetch_sub(n, Ordering::Relaxed);
     }
 }
 
+/// The worker thread's loop: take the whole inbox, work through it in
+/// `batch`-sized chunks with one ladder observation per chunk, and
+/// flush every flow once the inbox closes.
+fn run_worker(inbox: &Inbox, mut core: WorkerCore, batch: usize) -> (WorkerCore, LatencyHistogram) {
+    let mut latency = LatencyHistogram::new();
+    let mut taken = Vec::new();
+    while inbox.take_all(&mut taken) {
+        let mut left = taken.len();
+        let mut items = taken.drain(..);
+        while left > 0 {
+            let chunk = left.min(batch);
+            core.observe_queue(inbox.depth());
+            for (item, enqueued) in items.by_ref().take(chunk) {
+                let lost = item.payload_len() as u64;
+                let is_segment = matches!(item, Item::Segment { .. });
+                let outcome = catch_unwind(AssertUnwindSafe(|| core.process(item)));
+                if outcome.is_err() {
+                    core.stats.panic_lost_bytes += lost;
+                    core.recover();
+                } else if is_segment {
+                    latency.record(enqueued.elapsed().as_nanos() as u64);
+                }
+            }
+            inbox.finished(chunk);
+            left -= chunk;
+        }
+    }
+    core.finish();
+    (core, latency)
+}
+
 /// The resident threaded runtime: `workers` OS threads, each owning one
-/// `WorkerCore` and one bounded queue; the caller's thread is the
+/// `WorkerCore` and one bounded swap inbox; the caller's thread is the
 /// producer (steering + shedding) and the control plane (hot-swap).
 /// Worker panics are caught per item ([`catch_unwind`]) and recovered
 /// in place — the thread is its own watchdog, so one poisoned packet
@@ -1537,7 +1612,7 @@ impl SharedQueue {
 pub struct Service {
     config: ServiceConfig,
     arena: Arc<RulesetArena>,
-    queues: Vec<Arc<SharedQueue>>,
+    inboxes: Vec<Arc<Inbox>>,
     handles: Vec<std::thread::JoinHandle<(WorkerCore, LatencyHistogram)>>,
     steer: Steer,
 }
@@ -1547,37 +1622,19 @@ impl Service {
     /// returns the producer handle.
     pub fn start(arena: Arc<RulesetArena>, config: ServiceConfig) -> Result<Service, ServiceConfigError> {
         config.validate()?;
-        let queues: Vec<_> = (0..config.workers)
-            .map(|_| Arc::new(SharedQueue::new()))
+        let inboxes: Vec<_> = (0..config.workers)
+            .map(|_| Arc::new(Inbox::new()))
             .collect();
         let mut handles = Vec::with_capacity(config.workers);
-        for queue in &queues {
-            let queue = Arc::clone(queue);
-            let mut core = WorkerCore::new(Arc::clone(&arena), &config)?;
+        for inbox in &inboxes {
+            let inbox = Arc::clone(inbox);
+            let core = WorkerCore::new(Arc::clone(&arena), &config)?;
             let batch = config.batch;
-            handles.push(std::thread::spawn(move || {
-                let mut latency = LatencyHistogram::new();
-                while let Some((depth, items)) = queue.take_batch(batch) {
-                    core.observe_queue(depth);
-                    for (item, enqueued) in items {
-                        let lost = item.payload_len() as u64;
-                        let is_segment = matches!(item, Item::Segment { .. });
-                        let outcome = catch_unwind(AssertUnwindSafe(|| core.process(item)));
-                        if outcome.is_err() {
-                            core.stats.panic_lost_bytes += lost;
-                            core.recover();
-                        } else if is_segment {
-                            latency.record(enqueued.elapsed().as_nanos() as u64);
-                        }
-                    }
-                }
-                core.finish();
-                (core, latency)
-            }));
+            handles.push(std::thread::spawn(move || run_worker(&inbox, core, batch)));
         }
         Ok(Service {
             steer: Steer::new(&config),
-            queues,
+            inboxes,
             handles,
             arena,
             config,
@@ -1594,10 +1651,10 @@ impl Service {
     /// admitted. Never blocks.
     pub fn offer(&mut self, key: FlowKey, seq: u64, payload: &[u8], time: u64) -> bool {
         let worker = self.steer.worker_of(key);
-        let depth = self.queues[worker].depth();
+        let depth = self.inboxes[worker].depth();
         match self.steer.offer(worker, key, payload.len(), depth) {
             Some(resync) => {
-                self.queues[worker].push(Item::Segment {
+                self.inboxes[worker].push(Item::Segment {
                     key,
                     seq,
                     time,
@@ -1623,12 +1680,7 @@ impl Service {
         let generation = self.arena.generation + 1;
         match RulesetArena::build(set, config, generation) {
             Ok(arena) => {
-                let arena = Arc::new(arena);
-                self.arena = Arc::clone(&arena);
-                for queue in &self.queues {
-                    queue.push(Item::Swap(Arc::clone(&arena)));
-                }
-                self.steer.swaps += 1;
+                self.install_arena(Arc::new(arena));
                 Ok(generation)
             }
             Err(e) => {
@@ -1647,8 +1699,8 @@ impl Service {
     /// will treat resident flow states as already current.
     pub fn install_arena(&mut self, arena: Arc<RulesetArena>) {
         self.arena = Arc::clone(&arena);
-        for queue in &self.queues {
-            queue.push(Item::Swap(Arc::clone(&arena)));
+        for inbox in &self.inboxes {
+            inbox.push(Item::Swap(Arc::clone(&arena)));
         }
         self.steer.swaps += 1;
     }
@@ -1658,36 +1710,21 @@ impl Service {
         self.config.workers
     }
 
-    /// Closes every queue, joins every worker (each flushes its flows
+    /// Closes every inbox, joins every worker (each flushes its flows
     /// first), and returns the final report.
-    pub fn shutdown(mut self) -> ServiceReport {
-        for queue in &self.queues {
-            queue.close();
+    pub fn shutdown(self) -> ServiceReport {
+        for inbox in &self.inboxes {
+            inbox.close();
         }
-        let mut stats = ServiceStats::default();
-        self.steer.stats_into(&mut stats);
-        let mut matches = Vec::new();
-        let mut final_tiers = Vec::new();
-        let mut latency = LatencyHistogram::new();
-        for handle in self.handles.drain(..) {
-            let (mut core, worker_latency) = handle
+        let mut report = ServiceReport::open(&self.steer);
+        for handle in self.handles {
+            let (mut core, latency) = handle
                 .join()
                 .expect("worker threads catch their own panics");
-            stats.workers.absorb(&core.stats);
-            stats.flows_resident += core.table.len() as u64;
-            stats.buffered_bytes += core.table.buffered_bytes() as u64;
-            add_reassembly(&mut stats.reassembly, &core.table.stats().reassembly, true);
-            add_reassembly(&mut stats.reassembly, &core.retired_reassembly, false);
-            matches.append(&mut core.matches);
-            final_tiers.push(core.tier);
-            latency.merge(&worker_latency);
+            report.absorb(&mut core);
+            report.latency.merge(&latency);
         }
-        ServiceReport {
-            stats,
-            matches,
-            final_tiers,
-            latency,
-        }
+        report
     }
 }
 
@@ -1695,6 +1732,7 @@ impl Service {
 mod tests {
     use super::*;
     use dpi_automaton::PatternSet;
+    use proptest::prelude::*;
 
     fn arena() -> Arc<RulesetArena> {
         let set = PatternSet::new(["attack-sig", "evil-payload", "he"]).unwrap();
@@ -1801,7 +1839,7 @@ mod tests {
         assert!(service.offer(key, 0, b"xx attack", 1));
         // Inject a real panic through the queue, then keep feeding the
         // same flow: the worker must survive and resync.
-        service.queues[0].push(Item::Panic);
+        service.inboxes[0].push(Item::Panic);
         assert!(service.offer(key, 9, b"-sig yy attack-sig", 2));
         let report = service.shutdown();
         assert_eq!(report.stats.workers.panics, 1);
@@ -1812,5 +1850,241 @@ mod tests {
             .matches
             .iter()
             .any(|m| m.key == key && m.matched.end == 27));
+    }
+
+    /// SplitMix64: deterministic schedule and filler bytes.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+    }
+
+    /// `flows` flows of `segs` segments of `len` bytes: filler with
+    /// "attack-sig" planted across every other segment boundary,
+    /// returned per flow and as `(flow, seq, bytes)` segments
+    /// interleaved round-robin across flows.
+    #[allow(clippy::type_complexity)]
+    fn traffic(
+        seed: u64,
+        flows: usize,
+        segs: usize,
+        len: usize,
+    ) -> (Vec<Vec<u8>>, Vec<(usize, u64, Vec<u8>)>) {
+        let mut rng = SplitMix(seed);
+        let payloads: Vec<Vec<u8>> = (0..flows)
+            .map(|_| {
+                let mut p: Vec<u8> = (0..segs * len)
+                    .map(|_| b'a' + (rng.next() % 26) as u8)
+                    .collect();
+                for at in (len - 4..p.len() - 10).step_by(2 * len) {
+                    p[at..at + 10].copy_from_slice(b"attack-sig");
+                }
+                p
+            })
+            .collect();
+        let schedule = (0..segs)
+            .flat_map(|s| (0..flows).map(move |f| (f, s)))
+            .map(|(f, s)| {
+                (
+                    f,
+                    (s * len) as u64,
+                    payloads[f][s * len..(s + 1) * len].to_vec(),
+                )
+            })
+            .collect();
+        (payloads, schedule)
+    }
+
+    fn sorted_rows(matches: &[FlowMatch]) -> Vec<(u128, u32, usize)> {
+        let mut rows: Vec<_> = matches
+            .iter()
+            .map(|m| (m.key.0, m.matched.pattern.0, m.matched.end))
+            .collect();
+        rows.sort_unstable();
+        rows
+    }
+
+    #[test]
+    fn inbox_depth_counts_items_until_the_worker_finishes_them() {
+        let inbox = Inbox::new();
+        for _ in 0..3 {
+            inbox.push(Item::Panic);
+        }
+        assert_eq!(inbox.depth(), 3);
+        let mut taken = Vec::new();
+        assert!(inbox.take_all(&mut taken));
+        assert_eq!(taken.len(), 3);
+        assert_eq!(inbox.depth(), 3, "swapped-out items are still pending");
+        inbox.push(Item::Panic);
+        assert_eq!(inbox.depth(), 4);
+        inbox.finished(2);
+        assert_eq!(inbox.depth(), 2);
+        inbox.finished(1);
+        // Items pushed before close still reach the worker.
+        taken.clear();
+        inbox.close();
+        assert!(inbox.take_all(&mut taken));
+        assert_eq!(taken.len(), 1);
+        inbox.finished(1);
+        assert_eq!(inbox.depth(), 0);
+        taken.clear();
+        assert!(!inbox.take_all(&mut taken), "closed and drained");
+    }
+
+    #[test]
+    fn a_worker_parked_before_every_push_is_woken_every_time() {
+        let arena = arena();
+        let config = ServiceConfig::with_workers(2);
+        let (_, schedule) = traffic(3, 4, 6, 16);
+        let keys = |f: usize| FlowKey(0x100 + f as u128);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let threaded = {
+            let (arena, schedule) = (Arc::clone(&arena), schedule.clone());
+            std::thread::spawn(move || {
+                let mut service = Service::start(arena, config).unwrap();
+                for (i, (f, seq, bytes)) in schedule.iter().enumerate() {
+                    // Every push must find its worker parked, so each
+                    // one takes the wake path.
+                    let inbox = &service.inboxes[service.worker_of(keys(*f))];
+                    while !inbox.lock().asleep {
+                        std::thread::sleep(std::time::Duration::from_micros(50));
+                    }
+                    assert!(service.offer(keys(*f), *seq, bytes, i as u64));
+                }
+                tx.send(service.shutdown()).unwrap();
+            })
+        };
+        let report = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("shutdown must return: a parked worker missed its wakeup");
+        threaded.join().unwrap();
+        let mut sim = ServiceSim::new(arena, config).unwrap();
+        for (i, (f, seq, bytes)) in schedule.iter().enumerate() {
+            sim.offer(keys(*f), *seq, bytes, i as u64);
+        }
+        let expect = sim.finish();
+        assert!(!expect.matches.is_empty());
+        assert_eq!(sorted_rows(&report.matches), sorted_rows(&expect.matches));
+        assert_eq!(report.latency.count(), schedule.len() as u64);
+    }
+
+    #[test]
+    fn in_band_swap_on_threads_rebuilds_each_live_flow_once() {
+        let arena = arena();
+        let mut config = ServiceConfig::with_workers(1);
+        config.queue_cap = 1024;
+        // Pin the Exact tier: a tier move would rebuild states too.
+        config.ladder.high_water = config.queue_cap + 1;
+        let mut service = Service::start(arena, config).unwrap();
+        let flows = 5u128;
+        for f in 0..flows {
+            assert!(service.offer(FlowKey(f), 0, b"xx attack-sig gam", 1));
+        }
+        let set = PatternSet::new(["attack-sig", "evil-payload", "he", "gamma-ray"]).unwrap();
+        let next = RulesetArena::build(&set, &TwoStageConfig::with_cores(1), 2).unwrap();
+        service.install_arena(Arc::new(next));
+        for f in 0..flows {
+            assert!(service.offer(FlowKey(f), 17, b"ma-ray gamma-ray", 2));
+        }
+        let report = service.shutdown();
+        let s = report.stats;
+        assert_eq!(s.swaps, 1);
+        assert_eq!(s.workers.swaps, 1);
+        assert_eq!(
+            s.workers.state_rebuilds, flows as u64,
+            "one rebuild per live flow"
+        );
+        // Generation 2 scans only the bytes behind the swap: the
+        // occurrence straddling it is lost, the one after it is found.
+        let gamma: Vec<_> = report
+            .matches
+            .iter()
+            .filter(|m| m.matched.pattern.0 == 3)
+            .collect();
+        assert_eq!(gamma.len(), flows as usize);
+        assert!(gamma.iter().all(|m| m.matched.end == 33));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// The simulator's ledger on real threads: bursts, pauses, in-band
+        /// panics, shedding, and flow-table eviction of reordered bytes.
+        #[test]
+        fn threaded_ledger_balances_under_seeded_schedules(seed in 0u64..1u64 << 48) {
+            let arena = arena();
+            let mut config = ServiceConfig::with_workers(2);
+            config.queue_cap = 12;
+            config.batch = 4;
+            config.shed.resume_below = 3;
+            config.flow_capacity = 8;
+            config.ladder = LadderConfig {
+                high_water: 8,
+                low_water: 2,
+                descend_after: 2,
+                ascend_after: 4,
+            };
+            let (payloads, mut schedule) = traffic(seed, 24, 8, 48);
+            // Swap each flow's segments pairwise: 1, 0, 3, 2, ... so
+            // flows hold out-of-order bytes when they are evicted.
+            let flows = payloads.len();
+            for round in (0..schedule.len() / flows).step_by(2) {
+                for f in 0..flows {
+                    schedule.swap(round * flows + f, (round + 1) * flows + f);
+                }
+            }
+            let key = |f: usize| FlowKey(u128::from(seed) << 8 | f as u128);
+            let mut rng = SplitMix(seed ^ 0xA5A5);
+            let mut service = Service::start(Arc::clone(&arena), config).unwrap();
+            let mut panics = 0u64;
+            let mut next = 0usize;
+            while next < schedule.len() {
+                let burst = 1 + (rng.next() % 32) as usize;
+                for (f, seq, bytes) in schedule.iter().skip(next).take(burst) {
+                    service.offer(key(*f), *seq, bytes, next as u64);
+                    next += 1;
+                }
+                if rng.next().is_multiple_of(8) {
+                    service.inboxes[(rng.next() % 2) as usize].push(Item::Panic);
+                    panics += 1;
+                }
+                std::thread::sleep(std::time::Duration::from_micros(rng.next() % 201));
+            }
+            let report = service.shutdown();
+            let s = report.stats;
+            prop_assert_eq!(s.offered_packets, s.admitted_packets + s.shed_packets);
+            prop_assert_eq!(s.offered_bytes, s.admitted_bytes + s.shed_bytes);
+            prop_assert_eq!(
+                s.scanned_bytes()
+                    + s.reassembly.dup_bytes
+                    + s.workers.panic_lost_bytes
+                    + s.reassembly.evicted_bytes,
+                s.admitted_bytes
+            );
+            prop_assert_eq!(s.buffered_bytes, 0);
+            prop_assert_eq!(s.workers.resyncs, s.resumed_flows);
+            prop_assert_eq!(s.workers.panics, panics);
+            prop_assert_eq!(s.workers.restarts, s.workers.panics);
+            prop_assert_eq!(report.latency.count(), s.admitted_packets);
+            prop_assert_eq!(s.workers.protocol.unaccounted_bytes(), 0);
+            // Nothing invented: every match is a true occurrence.
+            for m in &report.matches {
+                let f = (m.key.0 & 0xFF) as usize;
+                let end = m.matched.end;
+                let pat: &[u8] = match m.matched.pattern.0 {
+                    0 => b"attack-sig",
+                    1 => b"evil-payload",
+                    _ => b"he",
+                };
+                prop_assert!(end >= pat.len() && end <= payloads[f].len());
+                prop_assert_eq!(&payloads[f][end - pat.len()..end], pat);
+            }
+        }
     }
 }

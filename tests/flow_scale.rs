@@ -6,7 +6,7 @@
 //! set-associative collision quality, and honesty of the
 //! `bytes_held` gauge while flows churn through eviction.
 
-use dpi_core::{
+use dpi_accel::core::{
     FlowKey, FlowLookup, FlowSegment, FlowState, FlowTable, ReassemblyConfig, StreamFlow,
 };
 

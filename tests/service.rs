@@ -1,7 +1,6 @@
 //! Fault-injection property suite for the service runtime.
 //!
-//! The robustness contract under test (ISSUE 9 acceptance criteria):
-//! under any seeded `FaultPlan`,
+//! The robustness contract under test: under any seeded `FaultPlan`,
 //!
 //! 1. every admitted byte is scanned at a declared fidelity tier or
 //!    accounted lost to a *counted* fault — never silently dropped;
@@ -18,11 +17,11 @@
 
 use std::sync::{Arc, OnceLock};
 
-use dpi_automaton::{ApproxConfig, Match, PatternSet};
-use dpi_core::service::{
+use dpi_accel::automaton::{ApproxConfig, Match, PatternSet};
+use dpi_accel::core::service::{
     FaultKind, FaultPlan, FidelityTier, RulesetArena, Service, ServiceConfig, ServiceSim,
 };
-use dpi_core::{FlowKey, FlowMatch, ShardedConfig, TwoStageConfig};
+use dpi_accel::core::{FlowKey, FlowMatch, ShardedConfig, TwoStageConfig};
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------------
