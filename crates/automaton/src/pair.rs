@@ -65,8 +65,9 @@ use crate::pattern::PatternSet;
 use crate::trie::StateId;
 
 /// Budgeted dense pair-transition rows over a DFA's hot states. Build
-/// once with [`PairTable::build`]; the compiled engine embeds it via
-/// `CompiledAutomaton::with_pair_table`.
+/// once with [`PairTable::build_with_region`]; the compiled engine embeds
+/// it beside the anchor analysis it was built from, via
+/// `CompiledAutomaton::compile_with_prefilter`.
 ///
 /// # Examples
 ///
@@ -212,40 +213,27 @@ impl PairTable {
         Self::build_ranked(dfa, set, budget_bytes, &indeg)
     }
 
-    /// [`PairTable::build`] with a caller-supplied per-state score in
-    /// place of the in-degree proxy — the profile-guided path: rank
-    /// hot states by **measured occupancy** over a representative
-    /// traffic sample ([`PairTable::occupancy_profile`]). Static
-    /// rankings cannot see which excursion states a traffic mix
-    /// actually dwells in (measured on the repro workloads, the
-    /// in-degree top-32 covers < 1 % of excursion bytes while the
-    /// occupancy top-16 covers ~95 %); a short profile scan can.
-    pub fn build_scored(
-        dfa: &Dfa,
-        set: &PatternSet,
-        budget_bytes: usize,
-        scores: &[u64],
-    ) -> PairTable {
-        Self::build_ranked(dfa, set, budget_bytes, scores)
-    }
-
-    /// Per-state occupancy of a simulated scan over `sample` — the
-    /// score vector for [`PairTable::build_scored`]. When `anchors` is
-    /// given, occupancy is counted only outside its shallow region:
-    /// with the skip lane composed in, region-resident bytes never
-    /// reach the pair rows, so spending budget on region states would
-    /// be waste (the region pair rows cover them instead).
+    /// Per-state occupancy of a simulated scan over `sample`, counted
+    /// only outside the shallow region of `anchors` — the hot-row
+    /// ranking of [`PairTable::build_profiled`]. With the skip lane
+    /// composed in, region-resident bytes never reach the pair rows, so
+    /// spending budget on region states would be waste (the region pair
+    /// rows cover them instead). Static rankings cannot see which
+    /// excursion states a traffic mix actually dwells in (measured on
+    /// the repro workloads, the in-degree top-32 covers < 1 % of
+    /// excursion bytes while the occupancy top-16 covers ~95 %); a short
+    /// profile scan can.
     pub fn occupancy_profile(
         dfa: &Dfa,
         set: &PatternSet,
-        anchors: Option<&AnchorSet>,
+        anchors: &AnchorSet,
         sample: &[u8],
     ) -> Vec<u64> {
         let mut occ = vec![0u64; dfa.len()];
         let mut s = StateId::START;
         for &raw in sample {
             s = dfa.step(s, set.fold(raw));
-            if anchors.is_none_or(|a| !a.contains_state(s.0)) {
+            if !anchors.contains_state(s.0) {
                 occ[s.index()] += 1;
             }
         }
@@ -281,10 +269,9 @@ impl PairTable {
         {
             // In-degree makes this unreachable in practice (every state
             // steps to START on most bytes), but a scored start state
-            // must never be cold — it is the pairs-only lane's entry
-            // point. Excursion-restricted profiles score it zero, and
-            // then the row is better spent on a state the lane cannot
-            // cover.
+            // must never be cold — every flow starts there.
+            // Excursion-restricted profiles score it zero, and then the
+            // row is better spent on a state the lane cannot cover.
             *hot_ids.last_mut().expect("max_rows > 0") = StateId::START.0;
         }
         let mut hot_of = vec![Self::NO_HOT as u8; n];
@@ -373,7 +360,7 @@ impl PairTable {
         budget_bytes: usize,
         sample: &[u8],
     ) -> PairTable {
-        let scores = Self::occupancy_profile(dfa, set, Some(anchors), sample);
+        let scores = Self::occupancy_profile(dfa, set, anchors, sample);
         Self::build_with_region_impl(dfa, set, anchors, budget_bytes, Some(&scores))
     }
 
@@ -390,7 +377,7 @@ impl PairTable {
             "anchor analysis belongs to a different automaton"
         );
         let build_hot = |budget: usize| match scores {
-            Some(sc) => Self::build_scored(dfa, set, budget, sc),
+            Some(sc) => Self::build_ranked(dfa, set, budget, sc),
             None => Self::build(dfa, set, budget),
         };
         if budget_bytes < Self::REGION_ROW_BYTES {
@@ -593,27 +580,6 @@ impl PairTable {
     #[inline(always)]
     pub fn word(&self, hot: u32, b1: u8, b2: u8) -> u32 {
         self.rows[(hot as usize) << 16 | (b1 as usize) << 8 | b2 as usize]
-    }
-
-    /// Issues a prefetch hint for the pair word of hot row `hot` at
-    /// `(b1, b2)` — the chained walk calls this for the *next* pair the
-    /// moment the current word delivers its [`PairTable::fin_hot`]
-    /// index, overlapping the next table load with the accept checks.
-    /// A `hot` of [`PairTable::NO_HOT`] is safely out of range (row
-    /// indices cap at [`PairTable::MAX_ROWS`]) and hints nothing.
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    #[inline(always)]
-    pub fn prefetch_word(
-        &self,
-        token: crate::simd::SimdToken,
-        hot: u32,
-        b1: u8,
-        b2: u8,
-    ) {
-        let idx = (hot as usize) << 16 | (b1 as usize) << 8 | b2 as usize;
-        if let Some(r) = self.rows.get(idx) {
-            token.prefetch(r);
-        }
     }
 }
 
@@ -869,7 +835,7 @@ mod tests {
         assert!(dwelling.contains_state(ab.0), "dwelt-on state must be hot");
         // occupancy_profile counts only excursion states when anchors
         // are given.
-        let occ = PairTable::occupancy_profile(&dfa, &set, Some(&anchors), b"zzzzzz");
+        let occ = PairTable::occupancy_profile(&dfa, &set, &anchors, b"zzzzzz");
         assert!(occ.iter().all(|&x| x == 0), "region-only sample has no excursions");
     }
 

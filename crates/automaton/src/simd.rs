@@ -3,20 +3,17 @@
 //!
 //! Three PRs of safe-Rust lane work hit the same ceiling: the scalar
 //! SWAR window classifies 8 bytes per iteration through a byte-table
-//! fold, the pair-calm window probes 4 pairs through four dependent
-//! bitmap loads, and the chained pair-row walk serializes on its table
-//! load with no way to express a prefetch. Each time the recorded next
-//! lever was shuffle-based classification — the technique modern
-//! software DPI engines (Hyperscan's "shufti", the Hyperflex line of
-//! work) are built on. This module admits exactly that much `unsafe`:
+//! fold, and the pair-calm window probes 4 pairs through four dependent
+//! bitmap loads. Each time the recorded next lever was shuffle-based
+//! classification — the technique modern software DPI engines
+//! (Hyperscan's "shufti", the Hyperflex line of work) are built on. This
+//! module admits exactly that much `unsafe`:
 //!
 //! - [`ByteSetTables`] — a 64-byte nibble-split representation of an
 //!   **arbitrary** byte set, queried 16 or 32 bytes per `pshufb` pair;
 //! - [`SimdToken`] — a runtime-detection witness whose existence proves
 //!   the CPU supports the instructions, making every vector entry point
-//!   on it a *safe* function;
-//! - [`SimdToken::prefetch`] — `_mm_prefetch` on a reference, for the
-//!   chained hot-row walk.
+//!   on it a *safe* function.
 //!
 //! # Soundness
 //!
@@ -498,24 +495,6 @@ impl SimdToken {
             unsafe { danger_scan_ssse3(cover, chunk, i) }
         }
     }
-
-    /// Issues a best-effort L1 prefetch of the cache line holding `r` —
-    /// the chained pair-row walk calls this on the *next* pair's word
-    /// the moment the current word (and with it the next row index)
-    /// arrives, overlapping the table-load latency the safe-Rust touch
-    /// prefetch could only pay for. A hint only: no memory is read or
-    /// written, so any reference is a valid argument.
-    #[inline(always)]
-    pub fn prefetch<T>(self, r: &T) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `_mm_prefetch` is a hint instruction available on
-        // every x86_64 CPU (SSE is baseline); it performs no access.
-        unsafe {
-            _mm_prefetch::<_MM_HINT_T0>(r as *const T as *const i8);
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = r;
-    }
 }
 
 /// One two-plane shuffle classification of 16 bytes.
@@ -820,15 +799,6 @@ mod tests {
                 );
             }
             i = base + width;
-        }
-    }
-
-    /// Prefetch is a pure hint — callable on any reference.
-    #[test]
-    fn prefetch_is_inert() {
-        if let Some(tok) = SimdToken::detect() {
-            let data = [1u32, 2, 3];
-            tok.prefetch(&data[2]);
         }
     }
 }

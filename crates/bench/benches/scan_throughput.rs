@@ -10,7 +10,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dpi_automaton::{AnchorSet, Dfa, DfaMatcher, Match, MultiMatcher, Nfa, NfaMatcher, PairTable};
 use dpi_baselines::{BitmapAc, BitmapMatcher, PathAc, PathMatcher};
-use dpi_core::{BatchScanner, CompiledAutomaton, CompiledMatcher, DtpConfig, DtpMatcher, ReducedAutomaton};
+use dpi_core::{CompiledAutomaton, CompiledMatcher, DtpConfig, DtpMatcher, ReducedAutomaton};
 use dpi_hw::{HwImage, HwMatcher};
 use dpi_rulesets::{extract_preserving, master_ruleset, TrafficGenerator};
 use std::hint::black_box;
@@ -26,8 +26,9 @@ fn bench_scans(c: &mut Criterion) {
     let profile = TrafficGenerator::new(0x9A9A).clean_packet(128 << 10).payload;
     let pairs =
         PairTable::build_profiled(&dfa, &set, &anchors, PairTable::DEFAULT_BUDGET, &profile);
-    let compiled =
-        CompiledAutomaton::compile_with_prefilter(&reduced, anchors).with_pair_table(pairs);
+    let lane = CompiledAutomaton::compile_with_prefilter(&reduced, anchors.clone(), None);
+    let compiled = CompiledAutomaton::compile_with_prefilter(&reduced, anchors, Some(pairs));
+    let bare = CompiledAutomaton::compile(&reduced);
     let image = HwImage::build(&reduced).expect("fits");
     let bitmap = BitmapAc::build(&set);
     let path = PathAc::build(&set);
@@ -45,24 +46,13 @@ fn bench_scans(c: &mut Criterion) {
     });
     // "compiled" rows track the shipped default (prefilter lane plus the
     // stride-2 pair layer); "-nopairs" isolates the pair layer against
-    // the lane alone, "-noprefilter" the pairs-only core, and
-    // "-stepper" the bare byte stepper — on infected and clean payloads.
+    // the lane alone, and "-stepper" the bare byte stepper — each its
+    // own automaton compiled from the same reduced one, on infected and
+    // clean payloads.
     for (label, m) in [
         ("compiled", CompiledMatcher::new(&compiled, &set)),
-        (
-            "compiled-nopairs",
-            CompiledMatcher::new(&compiled, &set).with_pairs(false),
-        ),
-        (
-            "compiled-noprefilter",
-            CompiledMatcher::new(&compiled, &set).with_prefilter(false),
-        ),
-        (
-            "compiled-stepper",
-            CompiledMatcher::new(&compiled, &set)
-                .with_prefilter(false)
-                .with_pairs(false),
-        ),
+        ("compiled-nopairs", CompiledMatcher::new(&lane, &set)),
+        ("compiled-stepper", CompiledMatcher::new(&bare, &set)),
     ] {
         for (traffic, p) in [("300", &payload), ("300-clean", &clean)] {
             group.bench_with_input(
@@ -77,23 +67,6 @@ fn bench_scans(c: &mut Criterion) {
                 },
             );
         }
-    }
-    // Batch scanning: the same bytes split across N packets interleaved
-    // round-robin — the software mirror of the paper's parallel engines.
-    for lanes in [4usize, 8] {
-        let packets: Vec<&[u8]> = payload.chunks(PAYLOAD / lanes).collect();
-        group.bench_with_input(
-            BenchmarkId::new(format!("batch{lanes}"), "300"),
-            &packets,
-            |b, pkts| {
-                let scanner = BatchScanner::new(&compiled, &set, lanes);
-                let mut out: Vec<Vec<Match>> = Vec::new();
-                b.iter(|| {
-                    scanner.scan_batch_into(black_box(pkts), &mut out);
-                    black_box(out.len())
-                });
-            },
-        );
     }
     group.bench_with_input(BenchmarkId::new("full_dfa", "300"), &payload, |b, p| {
         let m = DfaMatcher::new(&dfa, &set);

@@ -1,5 +1,5 @@
 //! Sharded per-core scanning vs the monolithic compiled engine, per core
-//! count, plus the next-row-touch prefetch A/B.
+//! count.
 //!
 //! Complements `scan_throughput` (which compares scan *engines* on one
 //! automaton): here the automaton itself is split. On a multi-core host
@@ -8,7 +8,7 @@
 //! `sharded-throughput` experiment for the per-core decomposition.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use dpi_automaton::{Dfa, Match};
+use dpi_automaton::{AnchorSet, Dfa, Match, PairTable};
 use dpi_core::{
     CompiledAutomaton, CompiledMatcher, DtpConfig, ReducedAutomaton, ShardedConfig,
     ShardedMatcher,
@@ -24,7 +24,13 @@ fn bench_sharded(c: &mut Criterion) {
     let set = extract_preserving(&master_ruleset(), 1600, 0x5D);
     let dfa = Dfa::build(&set);
     let reduced = ReducedAutomaton::reduce(&dfa, DtpConfig::PAPER);
-    let compiled = CompiledAutomaton::compile(&reduced);
+    // The monolith carries the lanes every shard carries (anchors plus a
+    // pair table under the per-shard default budget), so the
+    // shard-vs-monolith rows compare layouts, not lane availability.
+    let anchors = AnchorSet::build(&dfa, &set, AnchorSet::DEFAULT_HORIZON);
+    let pairs =
+        PairTable::build_with_region(&dfa, &set, &anchors, ShardedConfig::DEFAULT_PAIR_BUDGET);
+    let compiled = CompiledAutomaton::compile_with_prefilter(&reduced, anchors, Some(pairs));
     let mut gen = TrafficGenerator::new(17);
     let payload = gen.infected_packet(PAYLOAD, &set, 32).payload;
 
@@ -40,18 +46,6 @@ fn bench_sharded(c: &mut Criterion) {
             black_box(out.len())
         });
     });
-    group.bench_with_input(
-        BenchmarkId::new("compiled-prefetch", "1600"),
-        &payload,
-        |b, p| {
-            let m = CompiledMatcher::new(&compiled, &set).with_prefetch(true);
-            let mut out: Vec<Match> = Vec::with_capacity(256);
-            b.iter(|| {
-                m.scan_into(black_box(p), &mut out);
-                black_box(out.len())
-            });
-        },
-    );
     for cores in [1usize, 2, 4] {
         let sharded = ShardedMatcher::build(&set, &ShardedConfig::with_cores(cores))
             .expect("ruleset fits the default shard budget");

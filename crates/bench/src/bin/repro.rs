@@ -16,6 +16,10 @@
 //! sw-throughput-simd`); without it the experiment prints a note and
 //! emits no rows.
 //!
+//! `gate <file>` checks a `BENCH_JSON` results file against the tracked
+//! rows and their floors (`dpi_bench::gate::GATES`) and exits nonzero
+//! on any missing row or broken bound — the CI bench gate.
+//!
 //! Each experiment prints the paper's published values next to this
 //! reproduction's measured values. Absolute agreement is not expected for
 //! workload-dependent quantities (the rulesets are synthetic; DESIGN.md
@@ -36,6 +40,13 @@ use dpi_sim::{Accelerator, AcceleratorConfig};
 
 fn main() {
     let arg = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
+    if arg == "gate" {
+        let Some(path) = std::env::args().nth(2) else {
+            eprintln!("usage: repro gate <bench-results.json>");
+            std::process::exit(2);
+        };
+        std::process::exit(dpi_bench::gate::run(&path));
+    }
     let experiments: &[(&str, fn())] = &[
         ("fig1", fig1),
         ("fig2", fig2),
@@ -76,7 +87,7 @@ fn main() {
         Some((_, f)) => f(),
         None => {
             eprintln!(
-                "unknown experiment {arg:?}; choose one of: {} all",
+                "unknown experiment {arg:?}; choose one of: {} all (or: gate <file>)",
                 experiments
                     .iter()
                     .map(|(n, _)| *n)
@@ -815,7 +826,7 @@ fn ab_bench_row(
 }
 
 /// Software scan throughput: reference scanners vs the compiled
-/// flat-memory engine and its batch scanner (`dpi_core::compiled`).
+/// flat-memory engine (`dpi_core::compiled`).
 ///
 /// The hardware tables measure the FPGA; this experiment measures the
 /// *software* fast path the workspace ships for hosts without an
@@ -823,7 +834,7 @@ fn ab_bench_row(
 /// automaton into CSR/branch-free form.
 fn sw_throughput() {
     use dpi_automaton::{AnchorSet, DfaMatcher, Match, MultiMatcher, PairTable};
-    use dpi_core::{BatchScanner, CompiledAutomaton, CompiledMatcher, DtpMatcher};
+    use dpi_core::{CompiledAutomaton, CompiledMatcher, DtpMatcher};
 
     const PAYLOAD: usize = 1 << 20;
     let set = dpi_rulesets::extract_preserving(&master_ruleset(), 300, 42);
@@ -842,7 +853,7 @@ fn sw_throughput() {
         &profile,
     );
     let compiled =
-        CompiledAutomaton::compile_with_prefilter(&reduced, anchors).with_pair_table(pairs);
+        CompiledAutomaton::compile_with_prefilter(&reduced, anchors, Some(pairs));
     let mut gen = TrafficGenerator::new(99);
     let payload = gen.infected_packet(PAYLOAD, &set, 64).payload;
 
@@ -867,25 +878,11 @@ fn sw_throughput() {
         buf.len()
     });
 
-    let mut rows = vec![
+    let rows = [
         ("dtp (reference)", "dtp", dtp_secs, dtp_matches),
         ("full_dfa", "full_dfa", dfa_secs, dfa_matches),
         ("compiled", "compiled", fast_secs, fast_matches),
     ];
-    for lanes in [4usize, 8] {
-        let packets: Vec<&[u8]> = payload.chunks(PAYLOAD / lanes).collect();
-        let scanner = BatchScanner::new(&compiled, &set, lanes);
-        let mut out: Vec<Vec<Match>> = Vec::new();
-        let (secs, matches) = best_secs(5, || {
-            scanner.scan_batch_into(&packets, &mut out);
-            out.iter().map(Vec::len).sum()
-        });
-        rows.push(if lanes == 4 {
-            ("batch(4)", "batch4", secs, matches)
-        } else {
-            ("batch(8)", "batch8", secs, matches)
-        });
-    }
     for (name, id, secs, matches) in &rows {
         dpi_bench::bench_json_row(
             &format!("sw-throughput/{id}"),
@@ -902,7 +899,7 @@ fn sw_throughput() {
     }
     assert_eq!(dtp_matches, fast_matches, "scanners must agree to be comparable");
     println!(
-        "\n(compiled speedup: CSR flat layout, stride-specialized branch-free\n LUT resolution, accept bits folded into transition words, buffer\n reuse, the anchor-byte skip lane over the payload's clean majority\n (A/B in `sw-throughput-clean`), and the stride-2 pair layer over the\n lane's danger bytes and excursions (A/B in `sw-throughput-stride`).\n batch lanes mirror the paper's engine interleave but share one cache\n where hardware engines own their memory ports — and scan without the\n lane, so sequential wins by more than before. batch match counts can\n differ where occurrences straddle the packet split; full_dfa trades\n ~26x the memory for a plain scan the compiled path overtakes)"
+        "\n(compiled speedup: CSR flat layout, stride-specialized branch-free\n LUT resolution, accept bits folded into transition words, buffer\n reuse, the anchor-byte skip lane over the payload's clean majority\n (A/B in `sw-throughput-clean`), and the stride-2 pair layer over the\n lane's danger bytes and excursions (A/B in `sw-throughput-stride`).\n full_dfa trades ~26x the memory for a plain scan the compiled path\n overtakes)"
     );
 }
 
@@ -949,12 +946,14 @@ fn sw_throughput_clean() {
             anchors.pair_count(),
             anchors.memory_bytes()
         );
-        let compiled = CompiledAutomaton::compile_with_prefilter(&reduced, anchors);
+        // Off: the same reduced automaton compiled without anchors.
+        let compiled = CompiledAutomaton::compile_with_prefilter(&reduced, anchors, None);
+        let bare = CompiledAutomaton::compile(&reduced);
         let mut gen = TrafficGenerator::new(0xC1EA);
         let clean = gen.clean_packet(PAYLOAD).payload;
         let infected = gen.infected_packet(PAYLOAD, &set, 64).payload;
         let on = CompiledMatcher::new(&compiled, &set);
-        let off = CompiledMatcher::new(&compiled, &set).with_prefilter(false);
+        let off = CompiledMatcher::new(&bare, &set);
         let mut buf: Vec<Match> = Vec::with_capacity(1024);
         for (traffic, payload) in [("clean", &clean), ("infected", &infected)] {
             let mut buf2: Vec<Match> = Vec::with_capacity(1024);
@@ -1005,14 +1004,13 @@ fn sw_throughput_clean() {
 }
 
 /// SIMD scan lane: the `simd` feature's on/off A/B
-/// (`dpi_automaton::simd` + the compiled engine's vector window
-/// probes and hot-row prefetch).
+/// (`dpi_automaton::simd` + the compiled engine's vector danger walk).
 ///
-/// Three interleaved A/B pairs per ruleset size, both sides the same
-/// matcher with only [`dpi_core::CompiledMatcher::with_simd`] flipped — so every
+/// Interleaved A/B pairs per ruleset size, both sides the same matcher
+/// with only [`dpi_core::CompiledMatcher::with_simd`] flipped — so every
 /// pair isolates exactly one kernel:
 ///
-/// - **window** (prefilter on, pairs off): the scalar danger walk vs
+/// - **window** (anchors only, no pair table): the scalar danger walk vs
 ///   the 16/32-byte nibble-box vector walk on generator traffic. These
 ///   rows are *exit-bound*: on generator clean traffic at 300 rules a
 ///   danger byte lands every ~51 bytes on average (median lane span is
@@ -1024,12 +1022,8 @@ fn sw_throughput_clean() {
 ///   skip window — and never danger under any history). This isolates
 ///   the lane walk itself, which is the thing the `simd` feature
 ///   rebuilds, and carries the >=2x assertion;
-/// - **stack** (prefilter + pairs, the production stack): the full
-///   lane stack with the vector danger walk in the prefilter lane;
-/// - **pairsonly** (prefilter off, pairs on, infected): the chained
-///   pair-row walk with vs without `_mm_prefetch` on the next row —
-///   the prefetch kernel in isolation (the only thing `simd` changes
-///   in that lane).
+/// - **stack** (anchors + pairs, the production stack): the full
+///   lane stack with the vector danger walk in the prefilter lane.
 ///
 /// Requires the `simd` cargo feature; prints a note and emits no rows
 /// otherwise, so the portable bench pipeline is unaffected.
@@ -1046,7 +1040,7 @@ fn sw_throughput_simd() {
         return;
     }
 
-    println!("simd scan lane (nibble-split shuffle windows + hot-row prefetch), 1 MiB payloads, on/off A/B\n");
+    println!("simd scan lane (nibble-split shuffle danger walk), 1 MiB payloads, on/off A/B\n");
     println!(
         "{}{}{}{}{}matches",
         cell("workload", 26),
@@ -1094,8 +1088,8 @@ fn sw_throughput_simd() {
                 .map(|i| if i % 2 == 0 { x } else { y })
                 .collect()
         });
-        let compiled = CompiledAutomaton::compile_with_prefilter(&reduced, anchors)
-            .with_pair_table(pairs);
+        let lane = CompiledAutomaton::compile_with_prefilter(&reduced, anchors.clone(), None);
+        let compiled = CompiledAutomaton::compile_with_prefilter(&reduced, anchors, Some(pairs));
         let mut gen = TrafficGenerator::new(0x51D0);
         let clean = gen.clean_packet(PAYLOAD).payload;
         let infected = gen.infected_packet(PAYLOAD, &set, 64).payload;
@@ -1107,14 +1101,12 @@ fn sw_throughput_simd() {
         let tls = TrafficGenerator::new(0x715_0DD).tls_stream(PAYLOAD).payload;
 
         // (configuration, kernel isolated, traffic) per A/B pair.
-        let window_on = CompiledMatcher::new(&compiled, &set).with_pairs(false);
+        let window_on = CompiledMatcher::new(&lane, &set);
         let window_off = window_on.clone().with_simd(false);
         let stack_on = CompiledMatcher::new(&compiled, &set);
         let stack_off = stack_on.clone().with_simd(false);
-        let pairsonly_on = CompiledMatcher::new(&compiled, &set).with_prefilter(false);
-        let pairsonly_off = pairsonly_on.clone().with_simd(false);
         assert!(
-            window_on.simd() && stack_on.simd() && pairsonly_on.simd(),
+            window_on.simd() && stack_on.simd(),
             "simd_available() implies matcher tokens"
         );
 
@@ -1123,7 +1115,6 @@ fn sw_throughput_simd() {
             ("window-tls", &window_off, &window_on, &tls, "shuffle"),
             ("window-infected", &window_off, &window_on, &infected, "shuffle"),
             ("stack-clean", &stack_off, &stack_on, &clean, "shuffle"),
-            ("pairsonly-infected", &pairsonly_off, &pairsonly_on, &infected, "prefetch"),
         ];
         if let Some(laneclean) = laneclean.as_ref() {
             if label == "300" {
@@ -1189,7 +1180,7 @@ fn sw_throughput_simd() {
         "no exit-free byte pair at 300 rules — laneclean row missing"
     );
     println!(
-        "\n(window rows run the vector danger walk — nibble-box pshufb cover of\n the (prev, byte) danger relation, 16/32 bytes per probe, flagged\n positions re-checked against the exact bitmap — against the scalar\n per-byte danger walk. generator-traffic rows are exit-bound (median\n lane span 13 bytes at 300 rules) and assert no-regression; the\n laneclean row is exit-free and carries the 2x target. pairsonly rows\n isolate _mm_prefetch on the chained hot-row walk — the only simd\n change in that lane; its win is capacity-miss dependent, so expect\n parity at cache-resident sizes. matches are asserted identical for\n every pairing — the lane is scan-invisible)"
+        "\n(window rows run the vector danger walk — nibble-box pshufb cover of\n the (prev, byte) danger relation, 16/32 bytes per probe, flagged\n positions re-checked against the exact bitmap — against the scalar\n per-byte danger walk. generator-traffic rows are exit-bound (median\n lane span 13 bytes at 300 rules) and assert no-regression; the\n laneclean row is exit-free and carries the 2x target. matches are\n asserted identical for every pairing — the lane is scan-invisible)"
     );
 }
 
@@ -1246,11 +1237,12 @@ fn sw_throughput_stride() {
             pairs.memory_bytes(),
             pairs.budget_bytes(),
         );
-        let compiled =
-            CompiledAutomaton::compile_with_prefilter(&reduced, anchors).with_pair_table(pairs);
+        // Off: the same reduced automaton and anchors, no pair table.
+        let lane = CompiledAutomaton::compile_with_prefilter(&reduced, anchors.clone(), None);
+        let compiled = CompiledAutomaton::compile_with_prefilter(&reduced, anchors, Some(pairs));
+        assert!(compiled.pairs().is_some() && lane.pairs().is_none());
         let on = CompiledMatcher::new(&compiled, &set);
-        let off = CompiledMatcher::new(&compiled, &set).with_pairs(false);
-        assert!(on.pairs() && !off.pairs());
+        let off = CompiledMatcher::new(&lane, &set);
         let mut gen = TrafficGenerator::new(99);
         let infected = gen.infected_packet(PAYLOAD, &set, 64).payload;
         let clean = gen.clean_packet(PAYLOAD).payload;
@@ -1357,7 +1349,7 @@ fn sharded_throughput() {
         dpi_core::sharded::ShardedConfig::DEFAULT_PAIR_BUDGET,
     );
     let compiled =
-        CompiledAutomaton::compile_with_prefilter(&reduced, anchors).with_pair_table(pairs);
+        CompiledAutomaton::compile_with_prefilter(&reduced, anchors, Some(pairs));
     let mut gen = TrafficGenerator::new(0x5AD);
     let payload = gen.infected_packet(PAYLOAD, &set, 64).payload;
 
@@ -1401,21 +1393,6 @@ fn sharded_throughput() {
         cell(&format!("{:.0}", mbps(seq_secs)), 14),
         cell("1.00x", 9),
         seq_matches
-    );
-
-    let pf = CompiledMatcher::new(&compiled, &set).with_prefetch(true);
-    let (pf_secs, pf_matches) = best_secs(5, || {
-        pf.scan_into(&payload, &mut buf);
-        buf.len()
-    });
-    emit("compiled-prefetch", pf_secs);
-    println!(
-        "{}{}{}{}{}",
-        cell("compiled + prefetch", 26),
-        cell(&format!("{:.0}", mbps(pf_secs)), 11),
-        cell(&format!("{:.0}", mbps(pf_secs)), 14),
-        cell(&format!("{:.2}x", seq_secs / pf_secs), 9),
-        pf_matches
     );
 
     for cores in [1usize, 2, 4, 8] {
@@ -1464,7 +1441,7 @@ fn sharded_throughput() {
         );
     }
     println!(
-        "\n(per-core = slowest core's measured shard scans; shards share only\n read-only arenas, so with >= `cores` hardware cores the wall clock\n converges to it. wall on this container reflects however many cores\n the host actually grants. each shard automaton fits the per-core\n cache budget, so per-shard scan rate recovers the small-automaton\n speed the monolith loses to cache misses — that recovery, times\n cores, is the scaling the ROADMAP's batch-lane experiment showed\n software cannot get from intra-core interleaving)"
+        "\n(per-core = slowest core's measured shard scans; shards share only\n read-only arenas, so with >= `cores` hardware cores the wall clock\n converges to it. wall on this container reflects however many cores\n the host actually grants. each shard automaton fits the per-core\n cache budget, so per-shard scan rate recovers the small-automaton\n speed the monolith loses to cache misses — that recovery, times\n cores, is the scaling software cannot get from intra-core\n interleaving, where lanes share one cache)"
     );
 }
 
@@ -1519,7 +1496,7 @@ fn two_stage() {
         dpi_core::sharded::ShardedConfig::DEFAULT_PAIR_BUDGET,
     );
     let compiled =
-        CompiledAutomaton::compile_with_prefilter(&reduced, anchors).with_pair_table(pairs);
+        CompiledAutomaton::compile_with_prefilter(&reduced, anchors, Some(pairs));
     let mono = CompiledMatcher::new(&compiled, &master);
     let mut buf: Vec<Match> = Vec::with_capacity(1024);
     let (mono_secs, mono_matches) = best_secs(5, || {
@@ -1677,7 +1654,7 @@ fn flow_throughput() {
             dpi_automaton::PairTable::DEFAULT_BUDGET,
         );
         let compiled =
-            CompiledAutomaton::compile_with_prefilter(&reduced, anchors).with_pair_table(pairs);
+            CompiledAutomaton::compile_with_prefilter(&reduced, anchors, Some(pairs));
         let matcher = CompiledMatcher::new(&compiled, &set);
         let mut gen = TrafficGenerator::new(0xF70);
         let payload = gen.infected_packet(PAYLOAD, &set, 64).payload;

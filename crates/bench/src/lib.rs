@@ -13,6 +13,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod gate;
+
 /// The paper's published values, used to print paper-vs-measured rows.
 pub mod paper {
     /// One column of Table II (a ruleset on a device).

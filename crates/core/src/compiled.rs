@@ -33,10 +33,15 @@
 //!
 //! [`CompiledMatcher`] scans packets over the compiled form with an
 //! allocation-free [`CompiledMatcher::scan_into`], a visitor API, and
-//! early-exit `is_match`/`count` fast paths. [`BatchScanner`] interleaves
-//! several packets round-robin through independent state registers — the
-//! software mirror of the paper's parallel engines (see its docs for the
-//! measured cache-contention caveat that hardware ports do not have).
+//! early-exit `is_match`/`count` fast paths.
+//!
+//! What the automaton carries alone picks the scan loop, once per chunk:
+//! the plain byte stepper for [`CompiledAutomaton::compile`], the anchor
+//! lane for [`CompiledAutomaton::compile_with_prefilter`], and the
+//! composed anchor + pair lane when that constructor was also given a
+//! non-empty [`PairTable`]. The one matcher switch is
+//! [`CompiledMatcher::with_simd`], which picks the vector or the scalar
+//! kernels inside the anchor lane.
 //!
 //! Equivalence with [`DtpMatcher`](crate::DtpMatcher) (and therefore with
 //! the full DFA) is asserted state-trace-for-state-trace by
@@ -109,8 +114,9 @@ pub const STATE_MASK: u32 = OUTPUT_FLAG - 1;
 const _: () = assert!(PairTable::FIN_ACCEPT == OUTPUT_FLAG);
 
 /// A [`ReducedAutomaton`] compiled into flat, pointer-free parallel
-/// arrays for scanning. Build once with [`CompiledAutomaton::compile`],
-/// scan with [`CompiledMatcher`] or [`BatchScanner`].
+/// arrays for scanning. Build once with [`CompiledAutomaton::compile`]
+/// or [`CompiledAutomaton::compile_with_prefilter`], scan with
+/// [`CompiledMatcher`].
 #[derive(Debug, Clone)]
 pub struct CompiledAutomaton {
     // --- stored transitions: CSR arena + dense escape hatch ---
@@ -161,8 +167,8 @@ pub struct CompiledAutomaton {
 
     // --- stride-2 fast lane ---
     /// Budgeted hot-state pair rows enabling the stride-2 pair-stepping
-    /// lane (see [`PairTable`]); `None` unless attached with
-    /// [`CompiledAutomaton::with_pair_table`].
+    /// lane (see [`PairTable`]); only ever `Some` beside `prefilter`,
+    /// and never holding an empty table.
     pairs: Option<PairTable>,
 }
 
@@ -280,30 +286,43 @@ impl CompiledAutomaton {
         }
     }
 
-    /// [`CompiledAutomaton::compile`] plus the clean-traffic fast lane:
-    /// embeds the anchor-byte analysis so matchers over this automaton
-    /// run the SWAR skip lane by default (see [`AnchorSet`] and
-    /// [`CompiledMatcher::with_prefilter`] for the A/B switch).
+    /// [`CompiledAutomaton::compile`] plus the clean-traffic fast lanes:
+    /// embeds the anchor-byte analysis, so matchers over this automaton
+    /// run the SWAR skip lane (see [`AnchorSet`]), and optionally a
+    /// stride-2 pair-transition layer, which the skip lane hands off
+    /// into at every hard exit (see [`PairTable`]). Pairs exist only
+    /// beside anchors, so this is the one way to attach them. An empty
+    /// table (no hot rows, no region rows) is stored as `None`: a
+    /// scanner gains nothing from it.
     ///
-    /// `anchors` must be built from the same DFA `reduced` was reduced
-    /// from — the lane's shallow-state bitset indexes this automaton's
-    /// state ids.
+    /// `anchors` and `pairs` must be built from the same DFA `reduced`
+    /// was reduced from — the lane's shallow-state bitset and the pair
+    /// words index this automaton's state ids.
     ///
     /// # Panics
     ///
-    /// Panics if `anchors` was derived from an automaton with a
-    /// different state count.
+    /// Panics if `anchors` or `pairs` was derived from an automaton with
+    /// a different state count.
     pub fn compile_with_prefilter(
         reduced: &ReducedAutomaton,
         anchors: AnchorSet,
+        pairs: Option<PairTable>,
     ) -> CompiledAutomaton {
         assert_eq!(
             anchors.states(),
             reduced.len(),
             "anchor analysis belongs to a different automaton"
         );
+        if let Some(p) = &pairs {
+            assert_eq!(
+                p.states(),
+                reduced.len(),
+                "pair table belongs to a different automaton"
+            );
+        }
         let mut compiled = Self::compile(reduced);
         compiled.prefilter = Some(anchors);
+        compiled.pairs = pairs.filter(|p| !p.is_empty());
         compiled
     }
 
@@ -312,31 +331,9 @@ impl CompiledAutomaton {
         self.prefilter.as_ref()
     }
 
-    /// Attaches a stride-2 pair-transition layer: matchers over this
-    /// automaton run the pair-stepping lane by default whenever the
-    /// table holds at least one hot state (see [`PairTable`] and
-    /// [`CompiledMatcher::with_pairs`] for the A/B switch). Composes
-    /// with either compile entry point — with the prefilter, the skip
-    /// lane hands off into the pair lane at every hard exit.
-    ///
-    /// `pairs` must be built from the same DFA this automaton was
-    /// reduced from — pair words name this automaton's state ids.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pairs` was derived from an automaton with a different
-    /// state count.
-    pub fn with_pair_table(mut self, pairs: PairTable) -> CompiledAutomaton {
-        assert_eq!(
-            pairs.states(),
-            self.len(),
-            "pair table belongs to a different automaton"
-        );
-        self.pairs = Some(pairs);
-        self
-    }
-
-    /// The embedded pair-transition layer, when attached.
+    /// The embedded pair-transition layer: `Some` only when
+    /// [`CompiledAutomaton::compile_with_prefilter`] was given a
+    /// non-empty table.
     pub fn pairs(&self) -> Option<&PairTable> {
         self.pairs.as_ref()
     }
@@ -418,7 +415,7 @@ impl CompiledAutomaton {
     }
 
     /// [`CompiledAutomaton::resolve`] specialized to compile-time strides
-    /// — the scan loops dispatch once per packet batch to the
+    /// — the scan loops dispatch once per chunk to the
     /// monomorphized copy matching the automaton (the paper's
     /// `k2 = 4, k3 = 1` in practice), so the compare sweep fully unrolls
     /// with no dynamic trip counts or bounds checks.
@@ -484,28 +481,6 @@ impl CompiledAutomaton {
             }
         }
         self.resolve(byte, prev, hist)
-    }
-
-    /// Software prefetch by early touch: pulls the cache lines the *next*
-    /// step will need — the CSR row of the state just entered (`tagged`)
-    /// and the LUT row of the next input byte — while the current
-    /// iteration's bookkeeping still hides their latency.
-    ///
-    /// The scan loop's serial dependency is state → row load → compare →
-    /// state; the hardware breaks it by reading state memory and the
-    /// lookup table in parallel every cycle. In safe Rust (this crate
-    /// forbids `unsafe`, so the `_mm_prefetch` intrinsic is out of reach)
-    /// the closest analogue is issuing plain loads of both rows as soon
-    /// as their addresses are known, forced to happen with
-    /// [`std::hint::black_box`]. Whether the touch pays depends on the
-    /// automaton's cache residency — which is why it sits behind
-    /// [`CompiledMatcher::with_prefetch`] so benches can A/B it.
-    #[inline(always)]
-    pub fn touch_next(&self, tagged: u32, next_byte: u8) {
-        let s = (tagged & STATE_MASK) as usize;
-        let lo = self.offsets[s] as usize;
-        std::hint::black_box(self.keys.get(lo).copied().unwrap_or(0));
-        std::hint::black_box(self.lut[next_byte as usize * self.row_len]);
     }
 
     /// [`CompiledAutomaton::step`] with compile-time LUT strides; see
@@ -681,19 +656,8 @@ pub struct CompiledMatcher<'a> {
     /// Precompiled case-fold table (identity for case-sensitive sets) —
     /// one unconditional load per byte instead of a per-byte branch.
     fold: [u8; 256],
-    /// Issue early touch loads for the next step's rows (see
-    /// [`CompiledAutomaton::touch_next`]). Dispatched once per scan, so
-    /// the hot loop carries no per-byte flag check.
-    prefetch: bool,
-    /// Run the anchor-byte skip lane when the automaton carries the
-    /// tables (on by default; see [`CompiledMatcher::with_prefilter`]).
-    prefilter: bool,
-    /// Run the stride-2 pair-stepping lane when the automaton carries a
-    /// non-empty pair table (on by default; see
-    /// [`CompiledMatcher::with_pairs`]).
-    pairs: bool,
-    /// Detection witness for the SIMD window probes and the hot-row
-    /// prefetch (`Some` on by default when the CPU qualifies; see
+    /// Detection witness for the SIMD danger-walk kernels (`Some` by
+    /// default when the CPU qualifies; see
     /// [`CompiledMatcher::with_simd`]). Absent entirely in portable
     /// builds, so the safe lanes carry no flag check.
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
@@ -702,24 +666,14 @@ pub struct CompiledMatcher<'a> {
 
 impl<'a> CompiledMatcher<'a> {
     /// Creates a matcher borrowing the compiled automaton and pattern
-    /// set. The clean-traffic skip lane is enabled whenever the automaton
-    /// was compiled with
-    /// [`CompiledAutomaton::compile_with_prefilter`].
+    /// set. The lanes it runs are the ones the automaton carries (see
+    /// the module docs).
     pub fn new(automaton: &'a CompiledAutomaton, set: &'a PatternSet) -> Self {
         let mut fold = [0u8; 256];
         for (b, slot) in fold.iter_mut().enumerate() {
             *slot = set.fold(b as u8);
         }
-        CompiledMatcher {
-            automaton,
-            set,
-            fold,
-            prefetch: false,
-            prefilter: automaton.prefilter().is_some(),
-            pairs: automaton.pairs().is_some_and(|p| !p.is_empty()),
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-            simd: SimdToken::detect(),
-        }
+        Self::with_shared_fold(automaton, set, fold, true)
     }
 
     /// Shares one precomputed fold table instead of rebuilding it — used
@@ -729,9 +683,6 @@ impl<'a> CompiledMatcher<'a> {
         automaton: &'a CompiledAutomaton,
         set: &'a PatternSet,
         fold: [u8; 256],
-        prefetch: bool,
-        prefilter: bool,
-        pairs: bool,
         simd: bool,
     ) -> Self {
         #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
@@ -740,66 +691,19 @@ impl<'a> CompiledMatcher<'a> {
             automaton,
             set,
             fold,
-            prefetch,
-            prefilter: prefilter && automaton.prefilter().is_some(),
-            pairs: pairs && automaton.pairs().is_some_and(|p| !p.is_empty()),
             #[cfg(all(feature = "simd", target_arch = "x86_64"))]
             simd: if simd { SimdToken::detect() } else { None },
         }
     }
 
-    /// Enables or disables the next-row touch prefetch for subsequent
-    /// scans (default off). Exists as a switch precisely so the benches
-    /// can A/B it: the touch helps automata that miss cache and is dead
-    /// weight on ones that fit. While enabled it takes precedence over
-    /// the skip lane (the touch A/B needs the plain per-byte loop).
-    pub fn with_prefetch(mut self, enabled: bool) -> Self {
-        self.prefetch = enabled;
-        self
-    }
-
-    /// Whether the next-row touch prefetch is enabled.
-    pub fn prefetch(&self) -> bool {
-        self.prefetch
-    }
-
-    /// Enables or disables the anchor-byte skip lane for subsequent
-    /// scans — the A/B switch the clean-traffic benches measure.
-    /// Defaults to on when the automaton carries the tables; enabling it
-    /// on an automaton compiled without them is a no-op.
-    pub fn with_prefilter(mut self, enabled: bool) -> Self {
-        self.prefilter = enabled && self.automaton.prefilter().is_some();
-        self
-    }
-
-    /// Whether the anchor-byte skip lane is active.
-    pub fn prefilter(&self) -> bool {
-        self.prefilter
-    }
-
-    /// Enables or disables the stride-2 pair-stepping lane for
-    /// subsequent scans — the A/B switch the stride benches measure.
-    /// Defaults to on when the automaton carries a non-empty
-    /// [`PairTable`]; enabling it without one is a no-op.
-    pub fn with_pairs(mut self, enabled: bool) -> Self {
-        self.pairs = enabled && self.automaton.pairs().is_some_and(|p| !p.is_empty());
-        self
-    }
-
-    /// Whether the stride-2 pair-stepping lane is active.
-    pub fn pairs(&self) -> bool {
-        self.pairs
-    }
-
-    /// Enables or disables the SIMD fast-lane kernels (16/32-byte
-    /// shuffle window probes and the chained hot-row prefetch) for
-    /// subsequent scans — the A/B switch mirroring
-    /// [`CompiledMatcher::with_prefilter`]. On by default when the crate
-    /// was built with the `simd` feature on x86_64 **and** the CPU
-    /// supports SSSE3; everywhere else (portable builds, non-x86 CPUs)
-    /// this is a no-op and the safe scalar lanes run — observable
-    /// results are byte-identical either way (pinned by
-    /// `tests/simd.rs`).
+    /// Enables or disables the SIMD danger-walk kernels (16/32-byte
+    /// shuffle probes in the anchor lane) for subsequent scans. On by
+    /// default when the crate was built with the `simd` feature on
+    /// x86_64 **and** the CPU supports SSSE3; everywhere else (portable
+    /// builds, non-x86 CPUs) this is a no-op and the safe scalar lanes
+    /// run — observable results are byte-identical either way (pinned
+    /// by `tests/simd.rs`, which diffs the unsafe kernels against the
+    /// scalar lane this switch selects).
     pub fn with_simd(self, enabled: bool) -> Self {
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         {
@@ -837,15 +741,14 @@ impl<'a> CompiledMatcher<'a> {
         self.set
     }
 
-    /// The resumable scan core, monomorphized per prefetch mode so the
-    /// off path carries zero overhead: advances `regs` over `chunk`,
-    /// reporting match ends relative to `base` (the flow bytes consumed
-    /// before this chunk). Every entry point — whole-payload and
-    /// streaming — is a shell around this loop, so the stride-specialized
-    /// stepper dispatch happens exactly once per chunk and the per-byte
-    /// path is byte-for-byte the PR 1 hot loop.
+    /// The plain resumable core — the byte stepper an automaton compiled
+    /// without anchors runs, and the reference every lane is tested
+    /// against: advances `regs` over `chunk`, reporting match ends
+    /// relative to `base` (the flow bytes consumed before this chunk).
+    /// The stride-specialized stepper dispatch happens exactly once per
+    /// chunk.
     #[inline(always)]
-    fn scan_chunk_impl_with<const PREFETCH: bool>(
+    fn scan_chunk_plain(
         &self,
         regs: &mut ScanRegs,
         base: usize,
@@ -856,11 +759,6 @@ impl<'a> CompiledMatcher<'a> {
         dispatch_stepper!(a, step => {{
             for (i, &raw) in chunk.iter().enumerate() {
                 let tagged = regs.advance_with(a, self.fold[raw as usize], step);
-                if PREFETCH {
-                    if let Some(&next) = chunk.get(i + 1) {
-                        a.touch_next(tagged, self.fold[next as usize]);
-                    }
-                }
                 if tagged & OUTPUT_FLAG != 0 {
                     for &p in a.output(tagged & STATE_MASK) {
                         on_match(base + i + 1, p);
@@ -1445,24 +1343,6 @@ impl<'a> CompiledMatcher<'a> {
                 let mut hot = pt.hot_index(regs.state);
                 while hot != PairTable::NO_HOT && i + 2 <= len {
                     let w = pt.word(hot, chunk[i], chunk[i + 1]);
-                    if SIMD {
-                        // The walk's serial dependency is this word's
-                        // chained row index; hint the next pair's word
-                        // the moment it arrives so its load overlaps
-                        // the accept checks below. (`fin_hot` may be
-                        // NO_HOT — the hint indexes out of range and
-                        // lapses; the walk exits on that pair anyway.)
-                        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-                        if i + 4 <= len {
-                            let tok = self.simd.expect("SIMD lane without token");
-                            pt.prefetch_word(
-                                tok,
-                                PairTable::fin_hot(w),
-                                chunk[i + 2],
-                                chunk[i + 3],
-                            );
-                        }
-                    }
                     if w & PairTable::MID_ACCEPT != 0 {
                         break;
                     }
@@ -1500,82 +1380,11 @@ impl<'a> CompiledMatcher<'a> {
         }});
     }
 
-    /// The pairs-only resumable core (pair table without the anchor
-    /// lane, or the prefilter switched off): a stride-2 walk of the
-    /// automaton itself. Every hot state consumes two bytes per chained
-    /// pair load; cold states, interior accepts and the odd tail byte
-    /// take the stride-specialized byte stepper. This is the raw
-    /// software rendering of the multi-byte-per-cycle engines the paper
-    /// scales with — no traffic assumption at all, just a shorter
-    /// serial dependency chain per byte.
-    #[inline(always)]
-    fn scan_chunk_pairs<const SIMD: bool>(
-        &self,
-        pt: &PairTable,
-        regs: &mut ScanRegs,
-        base: usize,
-        chunk: &[u8],
-        mut on_match: impl FnMut(usize, PatternId),
-    ) {
-        let a = self.automaton;
-        let len = chunk.len();
-        let mut i = 0usize;
-        dispatch_stepper!(a, step => {{
-            'scan: while i < len {
-                let mut hot = pt.hot_index(regs.state);
-                while hot != PairTable::NO_HOT && i + 2 <= len {
-                    let w = pt.word(hot, chunk[i], chunk[i + 1]);
-                    if SIMD {
-                        // The walk's serial dependency is this word's
-                        // chained row index; hint the next pair's word
-                        // the moment it arrives so its load overlaps
-                        // the accept checks below. (`fin_hot` may be
-                        // NO_HOT — the hint indexes out of range and
-                        // lapses; the walk exits on that pair anyway.)
-                        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-                        if i + 4 <= len {
-                            let tok = self.simd.expect("SIMD lane without token");
-                            pt.prefetch_word(
-                                tok,
-                                PairTable::fin_hot(w),
-                                chunk[i + 2],
-                                chunk[i + 3],
-                            );
-                        }
-                    }
-                    if w & PairTable::MID_ACCEPT != 0 {
-                        break;
-                    }
-                    regs.prev2 = self.fold[chunk[i] as usize] as u32;
-                    regs.prev = self.fold[chunk[i + 1] as usize] as u32;
-                    regs.state = w & PairTable::TARGET_MASK;
-                    i += 2;
-                    if w & OUTPUT_FLAG != 0 {
-                        for &p in a.output(regs.state) {
-                            on_match(base + i, p);
-                        }
-                    }
-                    hot = PairTable::fin_hot(w);
-                }
-                if i >= len {
-                    break 'scan;
-                }
-                let tagged = regs.advance_with(a, self.fold[chunk[i] as usize], step);
-                i += 1;
-                if tagged & OUTPUT_FLAG != 0 {
-                    for &p in a.output(tagged & STATE_MASK) {
-                        on_match(base + i, p);
-                    }
-                }
-            }
-        }});
-    }
-
-    /// One branch on the prefetch/prefilter/pairs switches, then into
-    /// the matching monomorphized resumable core. Prefetch takes
-    /// precedence (its A/B needs the plain loop); the skip lane is the
-    /// default whenever the automaton carries anchor tables, with the
-    /// pair lane composed in whenever a pair table rides along.
+    /// One branch on what the automaton carries, then into the matching
+    /// monomorphized resumable core: the plain byte stepper without
+    /// anchors, the anchor lane with them, and the composed pair lane
+    /// when a pair table rides along too (region rows or not, picked
+    /// from the table the builder measured worth attaching).
     #[inline(always)]
     fn scan_chunk_impl(
         &self,
@@ -1584,41 +1393,31 @@ impl<'a> CompiledMatcher<'a> {
         chunk: &[u8],
         on_match: impl FnMut(usize, PatternId),
     ) {
+        let a = self.automaton;
+        let Some(pf) = a.prefilter() else {
+            return self.scan_chunk_plain(regs, base, chunk, on_match);
+        };
         let simd = self.simd();
-        if self.prefetch {
-            self.scan_chunk_impl_with::<true>(regs, base, chunk, on_match);
-        } else if self.prefilter {
-            let pf = self
-                .automaton
-                .prefilter()
-                .expect("prefilter flag implies tables");
-            if self.pairs {
-                let pt = self.automaton.pairs().expect("pairs flag implies table");
-                match (pt.has_region_rows(), simd) {
-                    (true, true) => {
-                        self.scan_chunk_pair_lane::<true, true>(pf, pt, regs, base, chunk, on_match)
-                    }
-                    (true, false) => self
-                        .scan_chunk_pair_lane::<true, false>(pf, pt, regs, base, chunk, on_match),
-                    (false, true) => self
-                        .scan_chunk_pair_lane::<false, true>(pf, pt, regs, base, chunk, on_match),
-                    (false, false) => self
-                        .scan_chunk_pair_lane::<false, false>(pf, pt, regs, base, chunk, on_match),
-                }
-            } else if simd {
-                self.scan_chunk_prefilter::<true>(pf, regs, base, chunk, on_match);
+        let Some(pt) = a.pairs() else {
+            return if simd {
+                self.scan_chunk_prefilter::<true>(pf, regs, base, chunk, on_match)
             } else {
-                self.scan_chunk_prefilter::<false>(pf, regs, base, chunk, on_match);
+                self.scan_chunk_prefilter::<false>(pf, regs, base, chunk, on_match)
+            };
+        };
+        match (pt.has_region_rows(), simd) {
+            (true, true) => {
+                self.scan_chunk_pair_lane::<true, true>(pf, pt, regs, base, chunk, on_match)
             }
-        } else if self.pairs {
-            let pt = self.automaton.pairs().expect("pairs flag implies table");
-            if simd {
-                self.scan_chunk_pairs::<true>(pt, regs, base, chunk, on_match);
-            } else {
-                self.scan_chunk_pairs::<false>(pt, regs, base, chunk, on_match);
+            (true, false) => {
+                self.scan_chunk_pair_lane::<true, false>(pf, pt, regs, base, chunk, on_match)
             }
-        } else {
-            self.scan_chunk_impl_with::<false>(regs, base, chunk, on_match);
+            (false, true) => {
+                self.scan_chunk_pair_lane::<false, true>(pf, pt, regs, base, chunk, on_match)
+            }
+            (false, false) => {
+                self.scan_chunk_pair_lane::<false, false>(pf, pt, regs, base, chunk, on_match)
+            }
         }
     }
 
@@ -1734,17 +1533,17 @@ impl MultiMatcher for CompiledMatcher<'_> {
     }
 
     /// Early-exit fast path: stops at the first accepting state. Runs
-    /// the anchor-byte skip lane when enabled — the lane can consume no
-    /// accepting byte, so skipping never misses the exit — dispatching
-    /// to the vector lane on the same [`CompiledMatcher::simd`] switch
-    /// the full scans honour.
+    /// the anchor-byte skip lane (without pair rows) when the automaton
+    /// carries anchors — the lane can consume no accepting byte, so
+    /// skipping never misses the exit — dispatching to the vector lane
+    /// on the same [`CompiledMatcher::simd`] switch the full scans
+    /// honour.
     fn is_match(&self, haystack: &[u8]) -> bool {
         let a = self.automaton;
         let simd = self.simd();
         dispatch_stepper!(a, step => {{
             let mut regs = ScanRegs::start();
-            if self.prefilter && !self.prefetch {
-                let pf = a.prefilter().expect("prefilter flag implies tables");
+            if let Some(pf) = a.prefilter() {
                 let len = haystack.len();
                 let mut i = 0usize;
                 let mut run = 0usize;
@@ -1783,127 +1582,6 @@ impl MultiMatcher for CompiledMatcher<'_> {
             }
             false
         }})
-    }
-}
-
-/// Round-robin multi-packet scanner: the software mirror of the paper's
-/// parallel engines.
-///
-/// One packet's scan is a serial dependent chain (each step's memory read
-/// depends on the previous state). A hardware engine hides that latency
-/// by clocking several engines 120° out of phase on one memory port; the
-/// software analogue interleaves `lanes` packets through independent
-/// scan registers in one loop, giving the out-of-order core `lanes`
-/// independent chains per iteration.
-///
-/// **Measured caveat:** unlike the hardware's per-engine memory ports,
-/// software lanes contend for one cache hierarchy. On automata that fit
-/// in cache the interleave roughly breaks even with sequential
-/// [`CompiledMatcher::scan_into`]; on large automata the competing state
-/// walks thrash the cache and sequential scanning wins (see the
-/// `sw-throughput` repro experiment). Prefer the sequential matcher
-/// unless measurement on the deployment ruleset says otherwise — the
-/// type exists as the faithful software rendering of the paper's engine
-/// scheduling, and as the substrate for future latency-hiding work
-/// (prefetch distance, per-lane automaton shards).
-///
-/// Per-packet results are **identical** to scanning each packet alone
-/// (asserted by the differential suites): lanes share nothing but the
-/// read-only automaton.
-#[derive(Debug, Clone)]
-pub struct BatchScanner<'a> {
-    matcher: CompiledMatcher<'a>,
-    lanes: usize,
-}
-
-impl<'a> BatchScanner<'a> {
-    /// Creates a scanner interleaving `lanes` packets at a time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is zero.
-    pub fn new(automaton: &'a CompiledAutomaton, set: &'a PatternSet, lanes: usize) -> Self {
-        assert!(lanes > 0, "lanes must be non-zero");
-        BatchScanner {
-            matcher: CompiledMatcher::new(automaton, set),
-            lanes,
-        }
-    }
-
-    /// Number of packets interleaved per round.
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// The underlying single-packet matcher.
-    pub fn matcher(&self) -> &CompiledMatcher<'a> {
-        &self.matcher
-    }
-
-    /// Scans every packet, returning one canonical match vector per
-    /// packet (index-aligned with `packets`).
-    pub fn scan_batch<P: AsRef<[u8]>>(&self, packets: &[P]) -> Vec<Vec<Match>> {
-        let mut out: Vec<Vec<Match>> = Vec::new();
-        self.scan_batch_into(packets, &mut out);
-        out
-    }
-
-    /// Allocation-reusing form of [`BatchScanner::scan_batch`]: `out` is
-    /// resized to `packets.len()` and every inner buffer is cleared and
-    /// refilled, so steady-state scanning performs no allocation.
-    pub fn scan_batch_into<P: AsRef<[u8]>>(&self, packets: &[P], out: &mut Vec<Vec<Match>>) {
-        // Grow with fresh buffers; shrinking drops the surplus ones (the
-        // kept buffers retain their capacity, so fixed-size batch loops
-        // stay allocation-free after warm-up).
-        out.resize_with(packets.len(), Vec::new);
-        for buf in out.iter_mut() {
-            buf.clear();
-        }
-        let a = self.matcher.automaton;
-        let fold = &self.matcher.fold;
-        // Lane scratch reused across chunks (no per-chunk allocation).
-        let mut slices: Vec<&[u8]> = Vec::with_capacity(self.lanes);
-        let mut regs: Vec<ScanRegs> = Vec::with_capacity(self.lanes);
-        let mut active: Vec<usize> = Vec::with_capacity(self.lanes);
-        for (chunk_index, chunk) in packets.chunks(self.lanes).enumerate() {
-            let base = chunk_index * self.lanes;
-            slices.clear();
-            slices.extend(chunk.iter().map(|p| p.as_ref()));
-            regs.clear();
-            regs.resize(chunk.len(), ScanRegs::start());
-            // Round-robin in runs: each run advances every still-active
-            // lane in lockstep up to the shortest remaining packet, so the
-            // per-byte inner loop carries no length checks; exhausted
-            // lanes drop out between runs.
-            active.clear();
-            active.extend((0..chunk.len()).filter(|&k| !slices[k].is_empty()));
-            let mut pos = 0usize;
-            while !active.is_empty() {
-                let run_end = active
-                    .iter()
-                    .map(|&k| slices[k].len())
-                    .min()
-                    .expect("active is non-empty");
-                dispatch_stepper!(a, step => {{
-                    for i in pos..run_end {
-                        for &k in &active {
-                            let tagged =
-                                regs[k].advance_with(a, fold[slices[k][i] as usize], step);
-                            if tagged & OUTPUT_FLAG != 0 {
-                                for &p in a.output(tagged & STATE_MASK) {
-                                    out[base + k].push(Match {
-                                        end: i + 1,
-                                        pattern: p,
-                                    });
-                                }
-                            }
-                        }
-                    }
-                }});
-                pos = run_end;
-                active.retain(|&k| slices[k].len() > pos);
-            }
-        }
     }
 }
 
@@ -2074,22 +1752,6 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_mode_is_scan_invisible() {
-        // The touch loads must change nothing observable: matches, trace
-        // and every fast path agree with the default matcher.
-        let (set, reduced) = figure1();
-        let compiled = CompiledAutomaton::compile(&reduced);
-        let plain = CompiledMatcher::new(&compiled, &set);
-        let touched = CompiledMatcher::new(&compiled, &set).with_prefetch(true);
-        assert!(touched.prefetch());
-        for text in [&b"ushers and she said his hers"[..], b"", b"h", b"xxhexxx"] {
-            assert_eq!(plain.find_all(text), touched.find_all(text));
-            assert_eq!(plain.count(text), touched.count(text));
-            assert_eq!(plain.is_match(text), touched.is_match(text));
-        }
-    }
-
-    #[test]
     fn chunked_scan_equals_whole_payload() {
         let (set, reduced) = figure1();
         let compiled = CompiledAutomaton::compile(&reduced);
@@ -2119,27 +1781,21 @@ mod tests {
         let dfa = Dfa::build(&set);
         let reduced = ReducedAutomaton::reduce(&dfa, DtpConfig::PAPER);
         let anchors = AnchorSet::build(&dfa, &set, AnchorSet::DEFAULT_HORIZON);
-        (set, CompiledAutomaton::compile_with_prefilter(&reduced, anchors))
-    }
-
-    #[test]
-    fn prefilter_enabled_by_default_and_switchable() {
-        let (set, compiled) = figure1_prefiltered();
-        assert!(compiled.prefilter().is_some());
-        let m = CompiledMatcher::new(&compiled, &set);
-        assert!(m.prefilter());
-        assert!(!m.clone().with_prefilter(false).prefilter());
-        // Without tables the switch is a no-op.
-        let (set2, reduced) = figure1();
-        let bare = CompiledAutomaton::compile(&reduced);
-        assert!(!CompiledMatcher::new(&bare, &set2).with_prefilter(true).prefilter());
+        (
+            set,
+            CompiledAutomaton::compile_with_prefilter(&reduced, anchors, None),
+        )
     }
 
     #[test]
     fn prefilter_is_scan_invisible() {
+        // The anchor lane against the plain byte stepper, each compiled
+        // from the same reduced automaton.
         let (set, compiled) = figure1_prefiltered();
+        let (_, reduced) = figure1();
+        let bare = CompiledAutomaton::compile(&reduced);
         let on = CompiledMatcher::new(&compiled, &set);
-        let off = CompiledMatcher::new(&compiled, &set).with_prefilter(false);
+        let off = CompiledMatcher::new(&bare, &set);
         for text in [
             &b"ushers and she said his hers"[..],
             b"",
@@ -2174,61 +1830,64 @@ mod tests {
 
     #[test]
     fn prefilter_memory_accounted() {
-        let (set, compiled) = figure1_prefiltered();
+        let (_, compiled) = figure1_prefiltered();
         let (_, reduced) = figure1();
         let bare = CompiledAutomaton::compile(&reduced);
+        assert!(bare.prefilter().is_none() && compiled.pairs().is_none());
         let anchors = compiled.prefilter().expect("tables present");
         assert_eq!(
             compiled.memory_bytes(),
             bare.memory_bytes() + anchors.memory_bytes()
         );
-        let _ = set;
     }
 
-    fn figure1_paired(horizon: u8, budget: usize) -> (PatternSet, CompiledAutomaton) {
+    /// The three lane stacks over one reduced automaton: bare (the plain
+    /// byte stepper), anchors only (the skip lane), and anchors + pairs
+    /// (the composed pair lane).
+    fn figure1_stacks(horizon: u8, budget: usize) -> (PatternSet, [CompiledAutomaton; 3]) {
         let set = PatternSet::new(["he", "she", "his", "hers"]).unwrap();
         let dfa = Dfa::build(&set);
         let reduced = ReducedAutomaton::reduce(&dfa, DtpConfig::PAPER);
         let anchors = AnchorSet::build(&dfa, &set, horizon);
         let pairs = PairTable::build_with_region(&dfa, &set, &anchors, budget);
-        let compiled = CompiledAutomaton::compile_with_prefilter(&reduced, anchors)
-            .with_pair_table(pairs);
-        (set, compiled)
+        let stacks = [
+            CompiledAutomaton::compile(&reduced),
+            CompiledAutomaton::compile_with_prefilter(&reduced, anchors.clone(), None),
+            CompiledAutomaton::compile_with_prefilter(&reduced, anchors, Some(pairs)),
+        ];
+        (set, stacks)
     }
 
     #[test]
-    fn pairs_enabled_by_default_and_switchable() {
-        let (set, compiled) = figure1_paired(1, PairTable::DEFAULT_BUDGET);
-        assert!(compiled.pairs().is_some());
-        let m = CompiledMatcher::new(&compiled, &set);
-        assert!(m.pairs() && m.prefilter());
-        assert!(!m.clone().with_pairs(false).pairs());
-        // An empty pair table never enables the lane.
-        let (set2, reduced) = figure1();
-        let dfa = Dfa::build(&set2);
-        let empty = PairTable::build(&dfa, &set2, 0);
-        let bare = CompiledAutomaton::compile(&reduced).with_pair_table(empty);
-        assert!(!CompiledMatcher::new(&bare, &set2).with_pairs(true).pairs());
+    fn empty_pair_table_is_stored_as_none() {
+        let (_, [_, _, paired]) = figure1_stacks(1, PairTable::DEFAULT_BUDGET);
+        assert!(paired.pairs().is_some());
+        // A table with neither hot rows nor region rows never attaches.
+        let (set, reduced) = figure1();
+        let dfa = Dfa::build(&set);
+        let anchors = AnchorSet::build(&dfa, &set, 1);
+        let empty = PairTable::build_with_region(&dfa, &set, &anchors, 0);
+        assert!(empty.is_empty());
+        let compiled = CompiledAutomaton::compile_with_prefilter(&reduced, anchors, Some(empty));
+        assert!(compiled.pairs().is_none());
+        assert!(compiled.prefilter().is_some());
     }
 
     #[test]
     fn pair_lane_is_scan_invisible_under_every_mode() {
-        // All four switch combinations agree on matches, counts and
-        // is_match, across horizons and budget shapes (region rows
-        // only, hot rows only via prefilter-off, both).
+        // The composed pair lane and the anchor lane agree with the plain
+        // stepper on matches, counts and is_match, across horizons and
+        // budget shapes (region rows only, region + hot rows, default).
         for horizon in 0..=2u8 {
             for budget in [
                 PairTable::REGION_ROW_BYTES,
                 PairTable::REGION_ROW_BYTES + 2 * PairTable::ROW_BYTES,
                 PairTable::DEFAULT_BUDGET,
             ] {
-                let (set, compiled) = figure1_paired(horizon, budget);
-                let both = CompiledMatcher::new(&compiled, &set);
-                let lane_only = CompiledMatcher::new(&compiled, &set).with_pairs(false);
-                let pairs_only = CompiledMatcher::new(&compiled, &set).with_prefilter(false);
-                let plain = CompiledMatcher::new(&compiled, &set)
-                    .with_prefilter(false)
-                    .with_pairs(false);
+                let (set, [bare, lane, paired]) = figure1_stacks(horizon, budget);
+                let plain = CompiledMatcher::new(&bare, &set);
+                let lane_only = CompiledMatcher::new(&lane, &set);
+                let both = CompiledMatcher::new(&paired, &set);
                 for text in [
                     &b"ushers and she said his hers"[..],
                     b"",
@@ -2240,11 +1899,7 @@ mod tests {
                     b"zzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzs",
                 ] {
                     let want = plain.find_all(text);
-                    for (name, m) in [
-                        ("both", &both),
-                        ("lane", &lane_only),
-                        ("pairs", &pairs_only),
-                    ] {
+                    for (name, m) in [("both", &both), ("lane", &lane_only)] {
                         assert_eq!(
                             m.find_all(text),
                             want,
@@ -2261,48 +1916,41 @@ mod tests {
     #[test]
     fn pair_lane_chunked_scan_equals_whole_payload() {
         // Every split point, including odd offsets and cuts inside the
-        // stride-2 windows and mid-pair, across pair modes.
-        let (set, compiled) = figure1_paired(1, PairTable::DEFAULT_BUDGET);
-        for matcher in [
-            CompiledMatcher::new(&compiled, &set),
-            CompiledMatcher::new(&compiled, &set).with_prefilter(false),
-        ] {
-            let payload = b"zzzzzzzzzzzzzzhers zzzzzzzzzzzz she";
-            let whole = matcher.find_all(payload);
-            assert_eq!(whole.len(), 4);
-            for cut in 0..=payload.len() {
-                let mut state = ScanState::fresh();
-                let mut got = Vec::new();
-                matcher.scan_chunk_into(&mut state, &payload[..cut], &mut got);
-                matcher.scan_chunk_into(&mut state, &payload[cut..], &mut got);
-                assert_eq!(got, whole, "split at {cut} diverged");
-                assert_eq!(state.offset, payload.len() as u64);
-            }
+        // stride-2 windows and mid-pair.
+        let (set, [_, _, paired]) = figure1_stacks(1, PairTable::DEFAULT_BUDGET);
+        let matcher = CompiledMatcher::new(&paired, &set);
+        let payload = b"zzzzzzzzzzzzzzhers zzzzzzzzzzzz she";
+        let whole = matcher.find_all(payload);
+        assert_eq!(whole.len(), 4);
+        for cut in 0..=payload.len() {
+            let mut state = ScanState::fresh();
+            let mut got = Vec::new();
+            matcher.scan_chunk_into(&mut state, &payload[..cut], &mut got);
+            matcher.scan_chunk_into(&mut state, &payload[cut..], &mut got);
+            assert_eq!(got, whole, "split at {cut} diverged");
+            assert_eq!(state.offset, payload.len() as u64);
         }
     }
 
     #[test]
     fn pair_table_memory_accounted() {
-        let (set, compiled) = figure1_paired(1, PairTable::DEFAULT_BUDGET);
-        let (_, reduced) = figure1();
-        let dfa = Dfa::build(&set);
-        let bare_anchors = AnchorSet::build(&dfa, &set, 1);
-        let bare = CompiledAutomaton::compile_with_prefilter(&reduced, bare_anchors);
-        let pairs = compiled.pairs().expect("table present");
+        let (_, [_, lane, paired]) = figure1_stacks(1, PairTable::DEFAULT_BUDGET);
+        let pairs = paired.pairs().expect("table present");
         assert_eq!(
-            compiled.memory_bytes(),
-            bare.memory_bytes() + pairs.memory_bytes()
+            paired.memory_bytes(),
+            lane.memory_bytes() + pairs.memory_bytes()
         );
     }
 
     #[test]
     fn mismatched_pair_table_is_rejected() {
-        let (_, reduced) = figure1();
+        let (set, reduced) = figure1();
+        let anchors = AnchorSet::build(&Dfa::build(&set), &set, 1);
         let other = PatternSet::new(["completely", "different"]).unwrap();
         let other_dfa = Dfa::build(&other);
         let table = PairTable::build(&other_dfa, &other, PairTable::ROW_BYTES);
         let err = std::panic::catch_unwind(|| {
-            CompiledAutomaton::compile(&reduced).with_pair_table(table)
+            CompiledAutomaton::compile_with_prefilter(&reduced, anchors, Some(table))
         });
         assert!(err.is_err(), "foreign pair table must be rejected");
     }
@@ -2317,48 +1965,6 @@ mod tests {
         assert!(m.is_match(b"ATTACK AT DAWN"));
         assert!(m.is_match(b"attack"));
         assert!(!m.is_match(b"attac"));
-    }
-
-    #[test]
-    fn batch_equals_sequential_for_every_lane_count() {
-        let (set, reduced) = figure1();
-        let compiled = CompiledAutomaton::compile(&reduced);
-        let m = CompiledMatcher::new(&compiled, &set);
-        let packets: Vec<&[u8]> = vec![
-            b"ushers",
-            b"",
-            b"she said his",
-            b"hhhh",
-            b"x",
-            b"hershey",
-            b"shishershe",
-        ];
-        let want: Vec<Vec<Match>> = packets.iter().map(|p| m.find_all(p)).collect();
-        for lanes in [1usize, 2, 3, 4, 8, 16, 19] {
-            let scanner = BatchScanner::new(&compiled, &set, lanes);
-            assert_eq!(
-                scanner.scan_batch(&packets),
-                want,
-                "batch({lanes}) diverged from sequential"
-            );
-        }
-    }
-
-    #[test]
-    fn batch_into_reuses_buffers() {
-        let (set, reduced) = figure1();
-        let compiled = CompiledAutomaton::compile(&reduced);
-        let scanner = BatchScanner::new(&compiled, &set, 4);
-        let packets: Vec<&[u8]> = vec![b"ushers", b"his hers", b"nothing at all"];
-        let mut out = Vec::new();
-        scanner.scan_batch_into(&packets, &mut out);
-        assert_eq!(out.len(), 3);
-        let caps: Vec<usize> = out.iter().map(Vec::capacity).collect();
-        scanner.scan_batch_into(&packets, &mut out);
-        let caps_after: Vec<usize> = out.iter().map(Vec::capacity).collect();
-        assert_eq!(caps, caps_after, "inner buffers must be reused");
-        assert_eq!(out[0].len(), 3);
-        assert!(out[2].is_empty());
     }
 
     #[test]

@@ -47,14 +47,16 @@
 //! compare tables, and CSR match outputs — and [`CompiledMatcher`] scans
 //! over it with a reusable match buffer ([`CompiledMatcher::scan_into`]),
 //! a streaming visitor, and early-exit `is_match`/`count` paths.
-//! [`BatchScanner`] additionally interleaves N packets round-robin through
-//! independent state registers, the software mirror of the paper's
-//! parallel engines (measured honestly, software lanes contend for one
-//! cache where hardware engines own their ports — see its docs).
+//! [`CompiledAutomaton::compile_with_prefilter`] embeds the clean-traffic
+//! lanes (the anchor-byte skip lane, optionally with a stride-2 pair
+//! table); what the compiled automaton carries alone picks the scan loop.
 //!
 //! ## Scaling across cores
 //!
-//! The measured lesson above picks the multi-core design: rather than
+//! Interleaving N packets round-robin through one automaton — the
+//! software mirror of the paper's parallel engines — was measured and
+//! deleted: software lanes contend for one cache where hardware engines
+//! own their ports. That lesson picks the multi-core design: rather than
 //! interleaving lanes through one big automaton, [`ShardedMatcher`]
 //! splits the *pattern set* (prefix-grouped, cost-modeled against a
 //! per-core cache budget — [`PatternSet::plan_shards`]), compiles one
@@ -102,8 +104,7 @@ mod stats;
 pub mod two_stage;
 
 pub use compiled::{
-    BatchScanner, CompiledAutomaton, CompiledMatcher, DENSE_ROW_THRESHOLD, HIST_NONE,
-    OUTPUT_FLAG, STATE_MASK,
+    CompiledAutomaton, CompiledMatcher, DENSE_ROW_THRESHOLD, HIST_NONE, OUTPUT_FLAG, STATE_MASK,
 };
 pub use flow::{
     FlowConfigError, FlowKey, FlowLookup, FlowMatch, FlowPacket, FlowSegment, FlowState,

@@ -405,7 +405,7 @@ impl HttpParser {
                 let mut codings = value.split(|&b| b == b',').map(trim_ows);
                 let sole_is_chunked = codings
                     .next()
-                    .map_or(false, |t| t.eq_ignore_ascii_case(b"chunked"));
+                    .is_some_and(|t| t.eq_ignore_ascii_case(b"chunked"));
                 if !sole_is_chunked || codings.next().is_some() {
                     return Err(());
                 }
@@ -1146,7 +1146,7 @@ impl LaneMatcher<'_> {
         }
     }
 
-    /// The underlying matcher (e.g. to toggle SIMD or prefetch).
+    /// The underlying matcher (e.g. to toggle SIMD).
     pub fn matcher(&self) -> &CompiledMatcher<'_> {
         &self.matcher
     }
@@ -1404,7 +1404,7 @@ mod tests {
         // only the digit-count guard can stop the line (an unbounded
         // u8 counter would overflow here).
         let mut wire = b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n".to_vec();
-        wire.extend(std::iter::repeat(b'0').take(300));
+        wire.extend(std::iter::repeat_n(b'0', 300));
         wire.extend_from_slice(b"5\r\nattack-sig");
         let (matches, stats) = raw_pipeline(&set, ProtoConfig::default(), &[&wire]);
         assert_eq!(stats.malformed_downgrades, 1);
@@ -1449,7 +1449,7 @@ mod tests {
             // incremented — it must fail open instead.
             let mut wire = b"POST / HTTP/1.1\r\n".to_vec();
             wire.extend_from_slice(name.as_bytes());
-            wire.extend(std::iter::repeat(b' ').take(120));
+            wire.extend(std::iter::repeat_n(b' ', 120));
             wire.extend_from_slice(b"5\r\n\r\nattack-sig");
             let (matches, stats) = raw_pipeline(&set, ProtoConfig::default(), &[&wire]);
             assert_eq!(

@@ -1,12 +1,12 @@
 //! Sharded per-core scan engine: independent compiled automata per core.
 //!
-//! PR 1's measurement settled how this workspace scales past one core.
-//! The paper hides the byte→state→byte serial dependency by clocking
-//! engines out of phase on *per-block memories*; the software rendering
-//! of that interleave ([`BatchScanner`](crate::BatchScanner)) breaks
-//! even at best, because
-//! software lanes share one cache hierarchy where hardware engines own
-//! their ports. What *does* translate is the paper's other axis (§IV.B):
+//! Measurement settled how this workspace scales past one core. The
+//! paper hides the byte→state→byte serial dependency by clocking engines
+//! out of phase on *per-block memories*; the software rendering of that
+//! interleave (a round-robin batch scanner, since deleted) broke even at
+//! best, because software lanes share one cache hierarchy where hardware
+//! engines own their ports. What *does* translate is the paper's other
+//! axis (§IV.B):
 //! splitting the ruleset itself across blocks. In software the "block"
 //! is a core with its own L1/L2: partition the patterns with
 //! [`PatternSet::plan_shards`], compile one small [`CompiledAutomaton`]
@@ -14,6 +14,11 @@
 //! scoped thread pool. Each shard's automaton is a fraction of the
 //! monolith — small enough to stay cache-resident — so per-shard scan
 //! speed rises exactly where the monolithic automaton falls off.
+//!
+//! Every shard is compiled with its own anchor analysis and, budget
+//! permitting, its own pair table, so every shard runs the composed
+//! lane stack (see `crate::compiled`); the only scan-time switch is
+//! [`ShardedMatcher::with_simd`].
 //!
 //! Two scan shapes cover the two deployment scenarios:
 //!
@@ -81,25 +86,22 @@ pub struct ShardedConfig {
     pub max_shards: usize,
     /// Default-transition configuration each shard is reduced with.
     pub dtp: DtpConfig,
-    /// Enable the next-row touch prefetch in every shard's scan loop
-    /// (see [`CompiledMatcher::with_prefetch`]).
-    pub prefetch: bool,
-    /// Compile every shard with the anchor-byte skip lane (default on).
-    /// Each shard derives its **own** [`AnchorSet`] — a shard holds a
-    /// fraction of the patterns, so its anchor set is smaller than the
-    /// master's and its lane skips strictly more of the same traffic.
-    pub prefilter: bool,
-    /// Shallow-depth horizon the per-shard anchor analyses are built
-    /// with (see [`AnchorSet::build`]).
+    /// Shallow-depth horizon of the anchor analysis every shard is
+    /// compiled with (see [`AnchorSet::build`]). Each shard derives its
+    /// **own** [`AnchorSet`] — a shard holds a fraction of the patterns,
+    /// so its anchor set is smaller than the master's and its skip lane
+    /// skips strictly more of the same traffic.
     pub anchor_horizon: u8,
-    /// Compile every shard with the stride-2 pair-stepping lane
-    /// (default on). Each shard derives its **own** [`PairTable`] —
-    /// a shard's automaton is a fraction of the monolith's, so the same
-    /// per-shard budget covers a larger share of its hot states.
-    pub pairs: bool,
-    /// Per-shard byte budget for the pair-transition layer (see
-    /// [`PairTable::build`]); a budget below [`PairTable::ROW_BYTES`]
-    /// disables the layer for that shard.
+    /// Per-shard byte budget for the stride-2 pair-transition layer (see
+    /// [`PairTable::build_with_region`]). Each shard derives its **own**
+    /// [`PairTable`] — a shard's automaton is a fraction of the
+    /// monolith's, so the same budget covers a larger share of its hot
+    /// states. The budget buys region rows first
+    /// ([`PairTable::REGION_ROW_BYTES`], attached only where the shard's
+    /// calm density reaches [`PairTable::REGION_MIN_DENSITY`]), then hot
+    /// rows of [`PairTable::ROW_BYTES`] each. A budget below
+    /// [`PairTable::REGION_ROW_BYTES`] buys neither: those shards carry
+    /// no table and run the anchor lane alone.
     pub pair_budget_bytes: usize,
     /// Run every shard's scan loops on the SIMD fast-lane kernels
     /// (default on; see [`CompiledMatcher::with_simd`]). Inert — the
@@ -112,9 +114,9 @@ pub struct ShardedConfig {
 impl ShardedConfig {
     /// A configuration targeting `cores` cores, inheriting the planner's
     /// default budget and shard cap from [`ShardSpec::for_cores`] (so the
-    /// two stay in lockstep), with the paper's DTP configuration and
-    /// prefetch off. For planner knobs not surfaced here (skew limit,
-    /// cost model), call [`PatternSet::plan_shards`] directly.
+    /// two stay in lockstep), with the paper's DTP configuration. For
+    /// planner knobs not surfaced here (skew limit, cost model), call
+    /// [`PatternSet::plan_shards`] directly.
     pub fn with_cores(cores: usize) -> ShardedConfig {
         let spec = ShardSpec::for_cores(cores);
         ShardedConfig {
@@ -123,10 +125,7 @@ impl ShardedConfig {
             budget_bytes: spec.budget_bytes,
             max_shards: spec.max_shards,
             dtp: DtpConfig::PAPER,
-            prefetch: false,
-            prefilter: true,
             anchor_horizon: AnchorSet::DEFAULT_HORIZON,
-            pairs: true,
             pair_budget_bytes: Self::DEFAULT_PAIR_BUDGET,
             simd: true,
         }
@@ -156,6 +155,23 @@ impl ShardedConfig {
     /// become resident.
     pub const DEFAULT_PAIR_BUDGET: usize =
         PairTable::REGION_ROW_BYTES + 8 * PairTable::ROW_BYTES;
+
+    /// Compiles `set` with the lane stack this configuration deploys:
+    /// its own anchor analysis plus its own pair table under
+    /// [`ShardedConfig::pair_budget_bytes`], hot rows ranked by
+    /// occupancy over `profile` when given, by in-degree otherwise.
+    /// Every shard and the two-stage prefix automaton are built here.
+    pub(crate) fn compile(&self, set: &PatternSet, profile: Option<&[u8]>) -> CompiledAutomaton {
+        let dfa = Dfa::build(set);
+        let reduced = ReducedAutomaton::reduce(&dfa, self.dtp);
+        let anchors = AnchorSet::build(&dfa, set, self.anchor_horizon);
+        let budget = self.pair_budget_bytes;
+        let pairs = match profile {
+            Some(sample) => PairTable::build_profiled(&dfa, set, &anchors, budget, sample),
+            None => PairTable::build_with_region(&dfa, set, &anchors, budget),
+        };
+        CompiledAutomaton::compile_with_prefilter(&reduced, anchors, Some(pairs))
+    }
 
     /// Growth factor a larger shard count must beat in the autotune
     /// probe before it is preferred — shard proliferation multiplies
@@ -206,19 +222,7 @@ impl ShardedConfig {
             // config deploys (prefilter + pair layer under the same
             // budget) — the chooser's premise is measured cache
             // residency, and the pair rows are part of the footprint.
-            let dfa = Dfa::build(sub);
-            let reduced = ReducedAutomaton::reduce(&dfa, base.dtp);
-            let anchors = AnchorSet::build(&dfa, sub, base.anchor_horizon);
-            let pairs = base
-                .pairs
-                .then(|| {
-                    PairTable::build_with_region(&dfa, sub, &anchors, base.pair_budget_bytes)
-                })
-                .filter(|p| !p.is_empty());
-            let mut compiled = CompiledAutomaton::compile_with_prefilter(&reduced, anchors);
-            if let Some(pairs) = pairs {
-                compiled = compiled.with_pair_table(pairs);
-            }
+            let compiled = base.compile(sub, None);
             let matcher = CompiledMatcher::new(&compiled, sub);
             let mut best = f64::INFINITY;
             let mut sink = 0usize;
@@ -437,9 +441,6 @@ pub struct ShardedMatcher {
     /// Case-fold table shared by every shard (all shards inherit the
     /// original set's case mode).
     fold: [u8; 256],
-    prefetch: bool,
-    prefilter: bool,
-    pairs: bool,
     /// Request the SIMD fast-lane kernels in every per-shard matcher
     /// (honored only when the build and CPU support them — see
     /// [`CompiledMatcher::with_simd`]).
@@ -500,58 +501,10 @@ impl ShardedMatcher {
         let shards: Vec<Shard> = plan
             .parts
             .into_iter()
-            .map(|(sub, ids)| {
-                let dfa = Dfa::build(&sub);
-                let reduced = ReducedAutomaton::reduce(&dfa, config.dtp);
-                let automaton = if config.prefilter {
-                    let anchors = AnchorSet::build(&dfa, &sub, config.anchor_horizon);
-                    let pairs = config.pairs.then(|| match profile {
-                        Some(sample) => PairTable::build_profiled(
-                            &dfa,
-                            &sub,
-                            &anchors,
-                            config.pair_budget_bytes,
-                            sample,
-                        ),
-                        None => PairTable::build_with_region(
-                            &dfa,
-                            &sub,
-                            &anchors,
-                            config.pair_budget_bytes,
-                        ),
-                    });
-                    let a = CompiledAutomaton::compile_with_prefilter(&reduced, anchors);
-                    match pairs {
-                        Some(p) if !p.is_empty() => a.with_pair_table(p),
-                        _ => a,
-                    }
-                } else {
-                    let a = CompiledAutomaton::compile(&reduced);
-                    if config.pairs && config.pair_budget_bytes >= PairTable::ROW_BYTES {
-                        let table = match profile {
-                            Some(sample) => {
-                                let scores = PairTable::occupancy_profile(
-                                    &dfa, &sub, None, sample,
-                                );
-                                PairTable::build_scored(
-                                    &dfa,
-                                    &sub,
-                                    config.pair_budget_bytes,
-                                    &scores,
-                                )
-                            }
-                            None => PairTable::build(&dfa, &sub, config.pair_budget_bytes),
-                        };
-                        a.with_pair_table(table)
-                    } else {
-                        a
-                    }
-                };
-                Shard {
-                    set: sub,
-                    ids,
-                    automaton,
-                }
+            .map(|(sub, ids)| Shard {
+                automaton: config.compile(&sub, profile),
+                set: sub,
+                ids,
             })
             .collect();
         let mut fold = [0u8; 256];
@@ -565,9 +518,6 @@ impl ShardedMatcher {
             cores: config.cores.max(1),
             strategy,
             fold,
-            prefetch: config.prefetch,
-            prefilter: config.prefilter,
-            pairs: config.pairs,
             simd: config.simd,
             chunk_bounds,
         })
@@ -588,21 +538,6 @@ impl ShardedMatcher {
         self.strategy
     }
 
-    /// Whether shard scan loops issue the next-row touch prefetch.
-    pub fn prefetch(&self) -> bool {
-        self.prefetch
-    }
-
-    /// Whether shard scan loops run the anchor-byte skip lane.
-    pub fn prefilter(&self) -> bool {
-        self.prefilter
-    }
-
-    /// Whether shard scan loops run the stride-2 pair-stepping lane.
-    pub fn pairs(&self) -> bool {
-        self.pairs
-    }
-
     /// Enables or disables the SIMD fast-lane kernels for subsequent
     /// scans — the A/B switch mirroring the per-matcher
     /// [`CompiledMatcher::with_simd`]. Requesting them is always sound:
@@ -619,9 +554,10 @@ impl ShardedMatcher {
         self.simd && dpi_automaton::simd_available()
     }
 
-    /// The pair-transition layer of shard `shard` (present when built
-    /// with `pairs` and a budget of at least one row). Exposed so tests
-    /// and benches can inspect per-shard hot-set coverage and memory.
+    /// The pair-transition layer of shard `shard` (present unless the
+    /// budget bought neither region rows nor a hot row — see
+    /// [`ShardedConfig::pair_budget_bytes`]). Exposed so tests and
+    /// benches can inspect per-shard hot-set coverage and memory.
     ///
     /// # Panics
     ///
@@ -630,16 +566,19 @@ impl ShardedMatcher {
         self.shards[shard].automaton.pairs()
     }
 
-    /// The anchor analysis of shard `shard` (present when built with
-    /// `prefilter`). Exposed so benches and tests can verify that shard
+    /// The anchor analysis of shard `shard` (every shard is compiled
+    /// with one). Exposed so benches and tests can verify that shard
     /// anchor sets shrink relative to the master's — the reason sharded
     /// scanning skips more of the same traffic.
     ///
     /// # Panics
     ///
     /// Panics if `shard >= self.shard_count()`.
-    pub fn shard_anchors(&self, shard: usize) -> Option<&AnchorSet> {
-        self.shards[shard].automaton.prefilter()
+    pub fn shard_anchors(&self, shard: usize) -> &AnchorSet {
+        self.shards[shard]
+            .automaton
+            .prefilter()
+            .expect("every shard is compiled with anchors")
     }
 
     /// Total flat-memory bytes across all shard automata.
@@ -784,9 +723,6 @@ impl ShardedMatcher {
                 &shard.automaton,
                 &shard.set,
                 self.fold,
-                self.prefetch,
-                self.prefilter,
-                self.pairs,
                 self.simd,
             );
             matcher.for_each_match_chunk(flow, chunk, |m| {
@@ -818,9 +754,6 @@ impl ShardedMatcher {
             &shard.automaton,
             &shard.set,
             self.fold,
-            self.prefetch,
-            self.prefilter,
-            self.pairs,
             self.simd,
         );
         matcher.for_each_match_chunk(flow, chunk, |m| {
@@ -1036,9 +969,6 @@ impl ShardedMatcher {
             &shard.automaton,
             &shard.set,
             self.fold,
-            self.prefetch,
-            self.prefilter,
-            self.pairs,
             self.simd,
         );
         matcher.for_each_match(payload, |m| {
@@ -1073,9 +1003,6 @@ impl MultiMatcher for ShardedMatcher {
                 &shard.automaton,
                 &shard.set,
                 self.fold,
-                self.prefetch,
-                self.prefilter,
-                self.pairs,
                 self.simd,
             )
             .is_match(haystack)
@@ -1285,22 +1212,14 @@ mod tests {
     }
 
     #[test]
-    fn prefilter_on_by_default_and_equivalent_when_off() {
+    fn anchored_shards_match_the_bare_stepper() {
         let set = PatternSet::new(["he", "she", "his", "hers"]).unwrap();
-        let on = ShardedMatcher::build(&set, &ShardedConfig::with_cores(2)).unwrap();
-        assert!(on.prefilter());
-        for s in 0..on.shard_count() {
-            assert!(on.shard_anchors(s).is_some(), "shard {s} missing anchors");
+        let sharded = ShardedMatcher::build(&set, &ShardedConfig::with_cores(2)).unwrap();
+        for text in [&b"zzzzzzzzzzzzushers and she said his hers"[..], b"zzzz"] {
+            let want = reference(&set, text);
+            assert_eq!(sharded.find_all(text), want);
+            assert_eq!(sharded.is_match(text), !want.is_empty());
         }
-        let mut config = ShardedConfig::with_cores(2);
-        config.prefilter = false;
-        let off = ShardedMatcher::build(&set, &config).unwrap();
-        assert!(!off.prefilter());
-        assert!(off.shard_anchors(0).is_none());
-        let text = b"zzzzzzzzzzzzushers and she said his hers";
-        assert_eq!(on.find_all(text), off.find_all(text));
-        assert_eq!(on.find_all(text), reference(&set, text));
-        assert_eq!(on.is_match(text), off.is_match(text));
     }
 
     #[test]
@@ -1320,7 +1239,7 @@ mod tests {
         let dfa = Dfa::build(&set);
         let master = AnchorSet::build(&dfa, &set, config.anchor_horizon);
         for s in 0..sharded.shard_count() {
-            let anchors = sharded.shard_anchors(s).expect("prefilter on");
+            let anchors = sharded.shard_anchors(s);
             assert!(
                 anchors.skippable_bytes() >= master.skippable_bytes(),
                 "shard {s}: {} skippable < master {}",
@@ -1333,17 +1252,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn prefetch_variant_is_equivalent() {
-        let set = PatternSet::new(["he", "she", "his", "hers"]).unwrap();
-        let mut config = ShardedConfig::with_cores(2);
-        config.prefetch = true;
-        let sharded = ShardedMatcher::build(&set, &config).unwrap();
-        assert!(sharded.prefetch());
-        let text = b"ushers and she said his hers";
-        assert_eq!(sharded.find_all(text), reference(&set, text));
     }
 
     #[test]
@@ -1480,18 +1388,18 @@ mod tests {
     }
 
     #[test]
-    fn pairs_on_by_default_and_equivalent_when_off() {
+    fn paired_shards_equal_anchor_only_shards() {
+        // The composed pair lane against the anchor lane alone: a zero
+        // pair budget compiles the same shards without a table.
         let set = PatternSet::new(["he", "she", "his", "hers"]).unwrap();
         let on = ShardedMatcher::build(&set, &ShardedConfig::with_cores(2)).unwrap();
-        assert!(on.pairs());
         for s in 0..on.shard_count() {
             let pt = on.shard_pairs(s).expect("shard pair table");
             assert!(pt.has_region_rows(), "shard {s} missing region rows");
         }
         let mut config = ShardedConfig::with_cores(2);
-        config.pairs = false;
+        config.pair_budget_bytes = 0;
         let off = ShardedMatcher::build(&set, &config).unwrap();
-        assert!(!off.pairs());
         assert!(off.shard_pairs(0).is_none());
         let text = b"zzzzzzzzzzzzushers and she said his hers";
         assert_eq!(on.find_all(text), off.find_all(text));
@@ -1513,14 +1421,29 @@ mod tests {
     }
 
     #[test]
-    fn pair_budget_below_region_rows_disables_layer() {
+    fn pair_budget_shapes_the_shard_table() {
+        // Pins the `pair_budget_bytes` doc: below the region rows no
+        // table; exactly the region rows buys them and no hot row; the
+        // default buys both. Every shape scans identically.
         let set = PatternSet::new(["he", "she"]).unwrap();
-        let mut config = ShardedConfig::with_cores(1);
-        config.pair_budget_bytes = 0;
-        let m = ShardedMatcher::build(&set, &config).unwrap();
-        // Flag stays on, but no shard carries a usable table.
-        assert!(m.shard_pairs(0).is_none());
-        assert_eq!(m.find_all(b"ushers"), reference(&set, b"ushers"));
+        let with_budget = |budget: usize| {
+            let mut config = ShardedConfig::with_cores(1);
+            config.pair_budget_bytes = budget;
+            ShardedMatcher::build(&set, &config).unwrap()
+        };
+        let none = with_budget(PairTable::REGION_ROW_BYTES - 1);
+        assert!(none.shard_pairs(0).is_none());
+        let region = with_budget(PairTable::REGION_ROW_BYTES);
+        let pt = region.shard_pairs(0).expect("region rows attach");
+        assert!(pt.has_region_rows());
+        assert_eq!(pt.hot_states(), 0);
+        let default = with_budget(ShardedConfig::DEFAULT_PAIR_BUDGET);
+        let pt = default.shard_pairs(0).expect("default table attaches");
+        assert!(pt.has_region_rows());
+        assert!(pt.hot_states() > 0);
+        for m in [&none, &region, &default] {
+            assert_eq!(m.find_all(b"ushers"), reference(&set, b"ushers"));
+        }
     }
 
     #[test]

@@ -70,12 +70,11 @@
 use std::collections::VecDeque;
 
 use dpi_automaton::{
-    AnchorSet, ApproxConfig, ApproxState, Dfa, GramCover, Match, PairTable, PatternId, PatternSet,
-    PreClassifier, PrefixCover, ScanState, ShardPlanError,
+    ApproxConfig, ApproxState, GramCover, Match, PatternId, PatternSet, PreClassifier, PrefixCover,
+    ScanState, ShardPlanError,
 };
 
 use crate::compiled::{CompiledAutomaton, CompiledMatcher};
-use crate::reduce::ReducedAutomaton;
 use crate::sharded::{ShardedConfig, ShardedMatcher, ShardedScanState, ShardedScratch};
 
 /// Build-time configuration of a [`TwoStageMatcher`]: the pre-classifier
@@ -1163,7 +1162,7 @@ impl TwoStageMatcher {
                 }
             }
             // Compile the kept cover through the exact pipeline — same
-            // reduce, anchors and pair rows as the monolithic engine.
+            // reduce, anchors and pair rows as every exact-tier shard.
             let automaton = if kept_bytes.is_empty() {
                 None
             } else {
@@ -1173,33 +1172,7 @@ impl TwoStageMatcher {
                     PatternSet::new(&kept_bytes)
                 }
                 .expect("subset of a valid cover is valid");
-                let dfa = Dfa::build(&kept);
-                let reduced = ReducedAutomaton::reduce(&dfa, config.exact.dtp);
-                let compiled = if config.exact.prefilter {
-                    let anchors = AnchorSet::build(&dfa, &kept, config.exact.anchor_horizon);
-                    let pairs = config.exact.pairs.then(|| match sample {
-                        Some(s) => PairTable::build_profiled(
-                            &dfa,
-                            &kept,
-                            &anchors,
-                            config.exact.pair_budget_bytes,
-                            s,
-                        ),
-                        None => PairTable::build_with_region(
-                            &dfa,
-                            &kept,
-                            &anchors,
-                            config.exact.pair_budget_bytes,
-                        ),
-                    });
-                    let a = CompiledAutomaton::compile_with_prefilter(&reduced, anchors);
-                    match pairs {
-                        Some(p) if !p.is_empty() => a.with_pair_table(p),
-                        _ => a,
-                    }
-                } else {
-                    CompiledAutomaton::compile(&reduced)
-                };
+                let compiled = config.exact.compile(&kept, sample);
                 Some(Box::new((compiled, kept)))
             };
             // Lookback only has to reach the start of *windowed*

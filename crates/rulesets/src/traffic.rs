@@ -923,7 +923,7 @@ impl TrafficGenerator {
             }
             HttpMalformation::ChunkSizeZeroFlood => {
                 self.http_head(&mut wire, b"Transfer-Encoding: chunked\r\n");
-                wire.extend(std::iter::repeat(b'0').take(300));
+                wire.extend(std::iter::repeat_n(b'0', 300));
                 wire.extend_from_slice(b"5\r\n");
             }
             HttpMalformation::TransferEncodingImposter => {
@@ -931,7 +931,7 @@ impl TrafficGenerator {
             }
             HttpMalformation::PaddedContentLength => {
                 let mut framing = b"Content-Length:".to_vec();
-                framing.extend(std::iter::repeat(b' ').take(160));
+                framing.extend(std::iter::repeat_n(b' ', 160));
                 framing.extend_from_slice(b"8\r\n");
                 self.http_head(&mut wire, &framing);
             }

@@ -9,8 +9,8 @@
 //!
 //! The second half shows the intended *software* deployment pattern for
 //! hosts without an accelerator: compile the reduced automaton once, keep
-//! one match buffer per worker, and scan with the allocation-free
-//! [`CompiledMatcher::scan_into`] (plus the round-robin [`BatchScanner`]).
+//! reusable match buffers per worker, and scan with the allocation-free
+//! [`CompiledMatcher::scan_into`].
 //!
 //! Run with: `cargo run --release --example ids_scan`
 
@@ -82,9 +82,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ---- software fast path: the same ruleset without an accelerator ----
     //
-    // Production shape: compile once — with the anchor-byte prefilter,
-    // the clean-traffic fast lane that is on by default — and reuse one
-    // match buffer per worker.
+    // Production shape: compile once with the clean-traffic fast lanes
+    // (the anchor-byte prefilter plus the stride-2 pair layer — what the
+    // compiled automaton carries picks the scan loop) and reuse match
+    // buffers across scans.
     let dfa = Dfa::build(&set);
     let reduced = ReducedAutomaton::reduce(&dfa, DtpConfig::PAPER);
     let anchors = AnchorSet::build(&dfa, &set, AnchorSet::DEFAULT_HORIZON);
@@ -93,46 +94,41 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         anchors.skippable_bytes(),
         anchors.pair_count()
     );
-    let compiled = CompiledAutomaton::compile_with_prefilter(&reduced, anchors);
+    let pairs = PairTable::build_with_region(&dfa, &set, &anchors, PairTable::DEFAULT_BUDGET);
+    let compiled = CompiledAutomaton::compile_with_prefilter(&reduced, anchors, Some(pairs));
     let matcher = CompiledMatcher::new(&compiled, &set);
+    let pair_lane = match compiled.pairs() {
+        Some(p) => format!(
+            "on ({} hot rows, region rows {})",
+            p.hot_states(),
+            if p.has_region_rows() { "yes" } else { "no" }
+        ),
+        None => "off".to_string(),
+    };
     println!(
-        "software fast path: compiled engine, {} states, {} KiB flat memory, prefilter {}",
+        "software fast path: compiled engine, {} states, {} KiB flat memory, prefilter {}, pairs {}",
         compiled.len(),
         compiled.memory_bytes() / 1024,
-        if matcher.prefilter() { "on" } else { "off" }
+        if compiled.prefilter().is_some() { "on" } else { "off" },
+        pair_lane
     );
 
+    // One match buffer per packet slot, reused batch after batch — no
+    // per-scan allocation once warm.
     let total_bytes: usize = packets.iter().map(Vec::len).sum();
-    let mut alerts = 0usize;
-    let mut matches = Vec::new(); // reused across every packet — no per-scan allocation
+    let mut per_packet: Vec<Vec<Match>> = vec![Vec::new(); packets.len()];
     let start = Instant::now();
-    for payload in &packets {
-        matcher.scan_into(payload, &mut matches);
-        alerts += matches.len();
+    for (payload, matches) in packets.iter().zip(per_packet.iter_mut()) {
+        matcher.scan_into(payload, matches);
     }
     let elapsed = start.elapsed().as_secs_f64();
+    let alerts: usize = per_packet.iter().map(Vec::len).sum();
     println!(
         "sequential scan_into: {} alerts over {} bytes -> {:.0} MB/s",
         alerts,
         total_bytes,
         total_bytes as f64 / elapsed / 1e6
     );
-
-    // Batch mode: interleave 8 packets round-robin through independent
-    // state registers (the software analogue of the parallel engines).
-    let scanner = BatchScanner::new(&compiled, &set, 8);
-    let mut per_packet = Vec::new();
-    let start = Instant::now();
-    scanner.scan_batch_into(&packets, &mut per_packet);
-    let elapsed = start.elapsed().as_secs_f64();
-    let batch_alerts: usize = per_packet.iter().map(Vec::len).sum();
-    println!(
-        "batch(8) scan:        {} alerts over {} bytes -> {:.0} MB/s",
-        batch_alerts,
-        total_bytes,
-        total_bytes as f64 / elapsed / 1e6
-    );
-    assert_eq!(batch_alerts, alerts, "batch and sequential scans must agree");
 
     // The software path must detect every injected occurrence too.
     for &(packet, id, end) in &ground_truth {

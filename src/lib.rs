@@ -55,12 +55,11 @@ pub mod prelude {
     };
     pub use dpi_automaton::{ShardPlan, ShardPlanError, ShardSpec, SplitStrategy};
     pub use dpi_core::{
-        BatchScanner, CompiledAutomaton, CompiledMatcher, DtpConfig, DtpMatcher, FlowKey,
-        FlowLookup, FlowMatch, FlowPacket, FlowReassembler, FlowSegment, FlowTable,
-        FlowTableStats, OverlapPolicy, ReassemblyConfig, ReassemblyStats, ReducedAutomaton,
-        ReductionReport, ShardedConfig, ShardedMatcher, ShardedScanState, ShardedScratch,
-        StreamFlow, StreamScratch, TwoStageConfig, TwoStageMatcher, TwoStageScratch,
-        TwoStageState, TwoStageStats,
+        CompiledAutomaton, CompiledMatcher, DtpConfig, DtpMatcher, FlowKey, FlowLookup, FlowMatch,
+        FlowPacket, FlowReassembler, FlowSegment, FlowTable, FlowTableStats, OverlapPolicy,
+        ReassemblyConfig, ReassemblyStats, ReducedAutomaton, ReductionReport, ShardedConfig,
+        ShardedMatcher, ShardedScanState, ShardedScratch, StreamFlow, StreamScratch,
+        TwoStageConfig, TwoStageMatcher, TwoStageScratch, TwoStageState, TwoStageStats,
     };
     pub use dpi_core::{
         FaultKind, FaultPlan, FidelityTier, LadderConfig, LatencyHistogram, RulesetArena,

@@ -1,6 +1,6 @@
 //! Deterministic differential tests for the compiled flat-memory scan
 //! engine on realistic workloads: Snort-like rulesets, infected and
-//! adversarial traffic, every DTP configuration, and the batch scanner.
+//! adversarial traffic, and every DTP configuration.
 //!
 //! `tests/equivalence.rs` covers the same claims property-style on small
 //! dense alphabets; this suite pins them on generated rulesets large
@@ -96,45 +96,6 @@ fn compiled_handles_adversarial_traffic() {
     let payload = adversarial_payload(&set, 4096);
     let want = NaiveMatcher::new(&set).find_all(&payload);
     assert_eq!(CompiledMatcher::new(&compiled, &set).find_all(&payload), want);
-}
-
-/// The batch scanner must agree with sequential scanning for every lane
-/// count, across packets of wildly different lengths (ragged batches).
-#[test]
-fn batch_scanner_equals_sequential_on_ragged_traffic() {
-    let set = medium_ruleset(150, 3);
-    let dfa = Dfa::build(&set);
-    let reduced = ReducedAutomaton::reduce(&dfa, DtpConfig::PAPER);
-    let compiled = CompiledAutomaton::compile(&reduced);
-    let matcher = CompiledMatcher::new(&compiled, &set);
-
-    let mut gen = TrafficGenerator::new(77);
-    let mut packets: Vec<Vec<u8>> = Vec::new();
-    for (i, len) in [1500usize, 64, 0, 900, 40, 1500, 7, 300, 1200, 2, 600, 100]
-        .into_iter()
-        .enumerate()
-    {
-        if len == 0 {
-            packets.push(Vec::new());
-        } else if i % 3 == 0 {
-            packets.push(gen.infected_packet(len.max(32), &set, 1).payload);
-        } else {
-            packets.push(gen.clean_packet(len).payload);
-        }
-    }
-    let want: Vec<Vec<Match>> = packets.iter().map(|p| matcher.find_all(p)).collect();
-    for lanes in [1usize, 2, 4, 8, 12, 16] {
-        let scanner = BatchScanner::new(&compiled, &set, lanes);
-        assert_eq!(
-            scanner.scan_batch(&packets),
-            want,
-            "batch({lanes}) diverged on ragged traffic"
-        );
-        // And the allocation-reusing entry point.
-        let mut out = Vec::new();
-        scanner.scan_batch_into(&packets, &mut out);
-        assert_eq!(out, want, "scan_batch_into({lanes}) diverged");
-    }
 }
 
 /// `find_all_into` must agree with `find_all` for every matcher in the

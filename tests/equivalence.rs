@@ -146,31 +146,6 @@ proptest! {
     }
 
     #[test]
-    fn batch_scanner_agrees_with_sequential(
-        patterns in dense_patterns(),
-        packets in proptest::collection::vec(
-            proptest::collection::vec(prop_oneof![Just(b'a'), Just(b'b'), Just(b'c')], 0..60),
-            1..10,
-        ),
-        lanes in 1usize..9,
-    ) {
-        // Interleaving packets through the batch scanner must be
-        // invisible: per-packet matches equal the sequential scan's.
-        let Ok(set) = PatternSet::new(&patterns) else { return Ok(()); };
-        let dfa = Dfa::build(&set);
-        let reduced = ReducedAutomaton::reduce(&dfa, DtpConfig::PAPER);
-        let compiled = CompiledAutomaton::compile(&reduced);
-        let matcher = CompiledMatcher::new(&compiled, &set);
-        let scanner = BatchScanner::new(&compiled, &set, lanes);
-        let batched = scanner.scan_batch(&packets);
-        prop_assert_eq!(batched.len(), packets.len());
-        for (packet, got) in packets.iter().zip(&batched) {
-            let want = matcher.find_all(packet);
-            prop_assert_eq!(got, &want, "lane divergence at lanes={}", lanes);
-        }
-    }
-
-    #[test]
     fn sharded_matcher_agrees_with_sequential(
         patterns in dense_patterns(),
         haystack in proptest::collection::vec(prop_oneof![Just(b'a'), Just(b'b'), Just(b'c')], 0..150),

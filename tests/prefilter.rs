@@ -4,9 +4,10 @@
 //! For every workload shape we can produce — clean, infected and
 //! adversarial payloads, whole or packetized under every [`ChopProfile`]
 //! (including cuts landing inside a SWAR skip window), case-sensitive
-//! and nocase, at every supported anchor horizon — scanning with the
-//! prefilter enabled must report byte-for-byte the matches of the
-//! prefilter-off scan, which in turn equals the reference matchers.
+//! and nocase, at every supported anchor horizon — an automaton compiled
+//! with the prefilter must report byte-for-byte the matches of the same
+//! reduced automaton compiled without it, which in turn equal the
+//! reference matchers.
 //! Covers [`CompiledMatcher`] and [`ShardedMatcher`], plus the
 //! flow-table ingest path the lane composes with.
 
@@ -24,12 +25,12 @@ fn build(set: &PatternSet, horizon: u8) -> (Dfa, ReducedAutomaton, CompiledAutom
     let dfa = Dfa::build(set);
     let reduced = ReducedAutomaton::reduce(&dfa, DtpConfig::PAPER);
     let anchors = AnchorSet::build(&dfa, set, horizon);
-    let compiled = CompiledAutomaton::compile_with_prefilter(&reduced, anchors);
+    let compiled = CompiledAutomaton::compile_with_prefilter(&reduced, anchors, None);
     (dfa, reduced, compiled)
 }
 
-/// Prefilter-on ≡ prefilter-off ≡ DtpMatcher on every generated traffic
-/// profile, at every horizon, for two ruleset sizes.
+/// Anchored ≡ bare ≡ DtpMatcher on every generated traffic profile, at
+/// every horizon, for two ruleset sizes.
 #[test]
 fn generated_traffic_equivalence_across_horizons() {
     let master = master_ruleset();
@@ -41,9 +42,10 @@ fn generated_traffic_equivalence_across_horizons() {
         let crafted = adversarial_payload(&set, 4 << 10);
         for horizon in 0..=AnchorSet::MAX_HORIZON {
             let (_, reduced, compiled) = build(&set, horizon);
+            assert!(compiled.prefilter().is_some());
+            let bare = CompiledAutomaton::compile(&reduced);
             let on = CompiledMatcher::new(&compiled, &set);
-            assert!(on.prefilter());
-            let off = CompiledMatcher::new(&compiled, &set).with_prefilter(false);
+            let off = CompiledMatcher::new(&bare, &set);
             let dtp = DtpMatcher::new(&reduced, &set);
             for (label, payload) in
                 [("clean", &clean), ("infected", &infected), ("adversarial", &crafted)]
@@ -74,11 +76,11 @@ fn generated_traffic_equivalence_across_horizons() {
 fn chop_profile_streaming_equivalence() {
     let master = master_ruleset();
     let set = extract_preserving(&master, 120, 9);
-    let (_, _, compiled) = build(&set, AnchorSet::DEFAULT_HORIZON);
+    let (_, reduced, compiled) = build(&set, AnchorSet::DEFAULT_HORIZON);
+    let bare = CompiledAutomaton::compile(&reduced);
     let on = CompiledMatcher::new(&compiled, &set);
-    let off = CompiledMatcher::new(&compiled, &set).with_prefilter(false);
+    let off = CompiledMatcher::new(&bare, &set);
     let sharded = ShardedMatcher::build(&set, &ShardedConfig::with_cores(2)).unwrap();
-    assert!(sharded.prefilter());
     let mut gen = TrafficGenerator::new(11);
     let packet = gen.infected_packet(6 << 10, &set, 12);
     let whole = off.find_all(&packet.payload);
@@ -125,8 +127,8 @@ fn cuts_inside_swar_skip_windows() {
     let skip_byte = (0u8..=255)
         .find(|&b| anchors.is_skippable(b))
         .expect("tiny set has skippable bytes");
+    assert!(compiled.prefilter().is_some());
     let m = CompiledMatcher::new(&compiled, &set);
-    assert!(m.prefilter());
     // run(32) + "hers" + run(32) + "attack": skip windows on both sides.
     let mut payload = vec![skip_byte; 32];
     payload.extend_from_slice(b"hers");
@@ -178,7 +180,6 @@ fn flow_table_ingest_with_prefiltered_sharded_matcher() {
     let master = master_ruleset();
     let set = extract_preserving(&master, 80, 3);
     let sharded = ShardedMatcher::build(&set, &ShardedConfig::with_cores(2)).unwrap();
-    assert!(sharded.prefilter());
     let mut gen = TrafficGenerator::new(21);
     let flows: Vec<Vec<u8>> = (0..4)
         .map(|i| gen.infected_packet(2048, &set, 2 + i).payload)
@@ -265,8 +266,8 @@ proptest! {
         let segments = chop(&payload, &cuts);
 
         let (_, _, compiled) = build(&set, horizon);
+        prop_assert!(compiled.prefilter().is_some());
         let m = CompiledMatcher::new(&compiled, &set);
-        prop_assert!(m.prefilter());
         let mut state = ScanState::fresh();
         let mut got = Vec::new();
         for seg in &segments {
@@ -288,8 +289,8 @@ proptest! {
         prop_assert_eq!(&got, &naive, "sharded h={} cuts {:?}", horizon, cuts);
     }
 
-    /// Suspended states are interchangeable between the prefiltered and
-    /// plain scans: alternating per chunk must still equal the whole.
+    /// Suspended states are interchangeable between the anchored and
+    /// bare automata: alternating per chunk must still equal the whole.
     #[test]
     fn alternating_prefilter_resume(
         patterns in mixed_patterns(),
@@ -306,9 +307,10 @@ proptest! {
         cuts.sort_unstable();
         cuts.dedup();
         let segments = chop(&payload, &cuts);
-        let (_, _, compiled) = build(&set, AnchorSet::DEFAULT_HORIZON);
+        let (_, reduced, compiled) = build(&set, AnchorSet::DEFAULT_HORIZON);
+        let bare = CompiledAutomaton::compile(&reduced);
         let on = CompiledMatcher::new(&compiled, &set);
-        let off = CompiledMatcher::new(&compiled, &set).with_prefilter(false);
+        let off = CompiledMatcher::new(&bare, &set);
         let mut state = ScanState::fresh();
         let mut got = Vec::new();
         for (i, seg) in segments.iter().enumerate() {

@@ -22,19 +22,22 @@ use dpi_accel::prelude::*;
 use dpi_accel::rulesets::{extract_preserving, master_ruleset, ChopProfile, Segment, SegmentProfile};
 use proptest::prelude::*;
 
-/// Compiles `set` with the full default fast-path stack (anchors +
-/// pair layer), mirroring `tests/streaming.rs`.
-fn compiled_with_pairs(set: &PatternSet) -> CompiledAutomaton {
+/// Compiles `set` with anchors and, with `pairs`, the full default
+/// fast-path stack (anchors + pair layer), mirroring
+/// `tests/streaming.rs`.
+fn compiled_anchored(set: &PatternSet, pairs: bool) -> CompiledAutomaton {
     let dfa = Dfa::build(set);
     let reduced = ReducedAutomaton::reduce(&dfa, DtpConfig::PAPER);
     let anchors = AnchorSet::build(&dfa, set, AnchorSet::DEFAULT_HORIZON);
-    let pairs = PairTable::build_with_region(
-        &dfa,
-        set,
-        &anchors,
-        PairTable::REGION_ROW_BYTES + 2 * PairTable::ROW_BYTES,
-    );
-    CompiledAutomaton::compile_with_prefilter(&reduced, anchors).with_pair_table(pairs)
+    let table = pairs.then(|| {
+        PairTable::build_with_region(
+            &dfa,
+            set,
+            &anchors,
+            PairTable::REGION_ROW_BYTES + 2 * PairTable::ROW_BYTES,
+        )
+    });
+    CompiledAutomaton::compile_with_prefilter(&reduced, anchors, table)
 }
 
 /// Replays `schedule` through a `StreamFlow` wrapping a plain
@@ -95,7 +98,7 @@ fn lossless_profiles() -> Vec<SegmentProfile> {
 
 /// Invariant 1 on realistic workload: a master-ruleset slice, infected
 /// payloads chopped mid-pattern, every lossless adversarial schedule —
-/// across the compiled engine (all lane combinations) and the sharded
+/// across the compiled engine (all three lane stacks) and the sharded
 /// engine. Every injected occurrence must surface at its exact offset.
 #[test]
 fn lossless_schedules_match_whole_payload_scan() {
@@ -103,7 +106,8 @@ fn lossless_schedules_match_whole_payload_scan() {
     let dfa = Dfa::build(&set);
     let reduced = ReducedAutomaton::reduce(&dfa, DtpConfig::PAPER);
     let plain = CompiledAutomaton::compile(&reduced);
-    let paired = compiled_with_pairs(&set);
+    let paired = compiled_anchored(&set, true);
+    let lane = compiled_anchored(&set, false);
     let whole = CompiledMatcher::new(&plain, &set);
     let sharded = ShardedMatcher::build(&set, &ShardedConfig::with_cores(2)).unwrap();
 
@@ -120,10 +124,7 @@ fn lossless_schedules_match_whole_payload_scan() {
         for (name, m) in [
             ("compiled", CompiledMatcher::new(&plain, &set)),
             ("lane+pairs", CompiledMatcher::new(&paired, &set)),
-            (
-                "pairs-only",
-                CompiledMatcher::new(&paired, &set).with_prefilter(false),
-            ),
+            ("lane-only", CompiledMatcher::new(&lane, &set)),
         ] {
             let (got, stats) = reassemble_compiled(&m, &schedule, budget);
             assert_eq!(got, want, "{name} diverged under {profile:?}");

@@ -156,28 +156,6 @@ fn stream_scan_equals_per_payload_on_ragged_batches() {
     }
 }
 
-/// Prefetch on/off is scan-invisible for both the monolithic and the
-/// sharded engines.
-#[test]
-fn prefetch_ab_is_scan_invisible() {
-    let set = extract_preserving(&master_ruleset(), 100, 13);
-    let dfa = Dfa::build(&set);
-    let reduced = ReducedAutomaton::reduce(&dfa, DtpConfig::PAPER);
-    let compiled = CompiledAutomaton::compile(&reduced);
-    let plain = CompiledMatcher::new(&compiled, &set);
-    let touched = CompiledMatcher::new(&compiled, &set).with_prefetch(true);
-    let mut config = ShardedConfig::with_cores(2);
-    config.prefetch = true;
-    let sharded_pf = ShardedMatcher::build(&set, &config).unwrap();
-    let mut gen = TrafficGenerator::new(31);
-    for _ in 0..3 {
-        let packet = gen.infected_packet(2048, &set, 4).payload;
-        let want = plain.find_all(&packet);
-        assert_eq!(touched.find_all(&packet), want, "prefetch changed compiled");
-        assert_eq!(sharded_pf.find_all(&packet), want, "prefetch changed sharded");
-    }
-}
-
 /// The MultiMatcher surface (find_all / find_all_into / is_match) must
 /// behave like every other matcher in the workspace.
 #[test]

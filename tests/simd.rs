@@ -1,15 +1,16 @@
 //! Cross-lane SIMD conformance suite: the `simd` feature must be
 //! *scan-invisible*.
 //!
-//! The vector lanes (nibble-box danger walk, shuffle byte-set probes,
-//! hot-row prefetch) are pure accelerations of the scalar lanes — they
-//! may change how fast bytes are consumed, never which matches come
-//! out. This suite pins that differentially:
+//! The vector lanes (nibble-box danger walk, shuffle byte-set probes)
+//! are pure accelerations of the scalar lanes — they may change how
+//! fast bytes are consumed, never which matches come out. This suite
+//! pins that differentially:
 //!
-//! 1. **Lane matrix** — every `CompiledMatcher` configuration
-//!    (simd on/off × prefilter on/off × pairs on/off) reports exactly
-//!    the reference `DtpMatcher` matches, on clean, infected and
-//!    adversarial payloads, whole and under every `ChopProfile`.
+//! 1. **Lane matrix** — simd on/off × the three lane stacks compiled
+//!    from one reduced automaton (bare byte stepper, anchor lane,
+//!    anchors + pair layer) reports exactly the reference `DtpMatcher`
+//!    matches, on clean, infected and adversarial payloads, whole and
+//!    under every `ChopProfile`.
 //! 2. **Window-interior cuts** — chunk boundaries placed strictly
 //!    inside the 16/32-byte probe windows (±1 around every vector
 //!    width multiple) and 3-way splits inside a maximal skippable run,
@@ -35,8 +36,12 @@ use dpi_accel::rulesets::{
     SegmentProfile, TrafficGenerator,
 };
 
-/// Anchors + pair layer at `horizon`, the full fast-path stack.
-fn build_stack(set: &PatternSet, horizon: u8) -> CompiledAutomaton {
+/// The three lane stacks over one reduced automaton, by name.
+type Stacks = [(&'static str, CompiledAutomaton); 3];
+
+/// The bare byte stepper, the anchor lane alone, and anchors + pair
+/// layer at `horizon` (the full fast-path stack, last).
+fn build_stacks(set: &PatternSet, horizon: u8) -> Stacks {
     let dfa = Dfa::build(set);
     let reduced = ReducedAutomaton::reduce(&dfa, DtpConfig::PAPER);
     let anchors = AnchorSet::build(&dfa, set, horizon);
@@ -46,27 +51,29 @@ fn build_stack(set: &PatternSet, horizon: u8) -> CompiledAutomaton {
         &anchors,
         PairTable::REGION_ROW_BYTES + 2 * PairTable::ROW_BYTES,
     );
-    CompiledAutomaton::compile_with_prefilter(&reduced, anchors).with_pair_table(pairs)
+    [
+        ("bare", CompiledAutomaton::compile(&reduced)),
+        (
+            "anchors",
+            CompiledAutomaton::compile_with_prefilter(&reduced, anchors.clone(), None),
+        ),
+        (
+            "anchors+pairs",
+            CompiledAutomaton::compile_with_prefilter(&reduced, anchors, Some(pairs)),
+        ),
+    ]
 }
 
-/// The full lane matrix: simd × prefilter × pairs. Without the `simd`
+/// The full lane matrix: simd × the three stacks. Without the `simd`
 /// feature the simd half is inert and pins scalar against scalar.
-fn lane_matrix<'a>(
-    compiled: &'a CompiledAutomaton,
-    set: &'a PatternSet,
-) -> Vec<(String, CompiledMatcher<'a>)> {
+fn lane_matrix<'a>(stacks: &'a Stacks, set: &'a PatternSet) -> Vec<(String, CompiledMatcher<'a>)> {
     let mut out = Vec::new();
     for simd in [false, true] {
-        for prefilter in [true, false] {
-            for pairs in [true, false] {
-                out.push((
-                    format!("simd={simd}/prefilter={prefilter}/pairs={pairs}"),
-                    CompiledMatcher::new(compiled, set)
-                        .with_simd(simd)
-                        .with_prefilter(prefilter)
-                        .with_pairs(pairs),
-                ));
-            }
+        for (stack, compiled) in stacks {
+            out.push((
+                format!("simd={simd}/{stack}"),
+                CompiledMatcher::new(compiled, set).with_simd(simd),
+            ));
         }
     }
     out
@@ -75,7 +82,7 @@ fn lane_matrix<'a>(
 /// Scans `payload` chunked at `cuts` through every lane configuration
 /// and asserts each equals the whole-payload `DtpMatcher` reference.
 fn assert_matrix_conforms(
-    compiled: &CompiledAutomaton,
+    stacks: &Stacks,
     set: &PatternSet,
     reference: &[Match],
     payload: &[u8],
@@ -83,7 +90,7 @@ fn assert_matrix_conforms(
     ctx: &str,
 ) {
     let segments = chop(payload, cuts);
-    for (name, m) in lane_matrix(compiled, set) {
+    for (name, m) in lane_matrix(stacks, set) {
         let mut state = ScanState::fresh();
         let mut got = Vec::new();
         for seg in &segments {
@@ -104,7 +111,7 @@ fn dtp_reference(set: &PatternSet, payload: &[u8]) -> Vec<Match> {
 #[test]
 fn traffic_and_chop_matrix_conformance() {
     let set = extract_preserving(&master_ruleset(), 300, 42);
-    let compiled = build_stack(&set, AnchorSet::DEFAULT_HORIZON);
+    let stacks = build_stacks(&set, AnchorSet::DEFAULT_HORIZON);
     let mut gen = TrafficGenerator::new(0x51D0);
 
     let clean = gen.clean_packet(16 * 1024);
@@ -120,7 +127,7 @@ fn traffic_and_chop_matrix_conformance() {
     ] {
         let reference = dtp_reference(&set, &packet.payload);
         // Whole payload first, then every chop profile.
-        assert_matrix_conforms(&compiled, &set, &reference, &packet.payload, &[], kind);
+        assert_matrix_conforms(&stacks, &set, &reference, &packet.payload, &[], kind);
         for profile in [
             ChopProfile::Mtu(1500),
             ChopProfile::Random { min: 1, max: 97 },
@@ -128,7 +135,7 @@ fn traffic_and_chop_matrix_conformance() {
         ] {
             let cuts = gen.chop_points(packet, &set, profile);
             assert_matrix_conforms(
-                &compiled,
+                &stacks,
                 &set,
                 &reference,
                 &packet.payload,
@@ -141,7 +148,7 @@ fn traffic_and_chop_matrix_conformance() {
         let reference = dtp_reference(&set, prefix);
         let cuts: Vec<usize> = (1..prefix.len()).collect();
         assert_matrix_conforms(
-            &compiled,
+            &stacks,
             &set,
             &reference,
             prefix,
@@ -160,7 +167,7 @@ fn cuts_inside_simd_windows() {
     let set = extract_preserving(&master_ruleset(), 300, 42);
     let dfa = Dfa::build(&set);
     let anchors = AnchorSet::build(&dfa, &set, AnchorSet::DEFAULT_HORIZON);
-    let compiled = build_stack(&set, AnchorSet::DEFAULT_HORIZON);
+    let stacks = build_stacks(&set, AnchorSet::DEFAULT_HORIZON);
     let mut gen = TrafficGenerator::new(0xA11A);
     let packet = gen.infected_packet(4096, &set, 12);
     let payload = &packet.payload;
@@ -174,7 +181,7 @@ fn cuts_inside_simd_windows() {
             .flat_map(|i| [i * width - 1, i * width + 1])
             .collect();
         assert_matrix_conforms(
-            &compiled,
+            &stacks,
             &set,
             &reference,
             payload,
@@ -202,7 +209,7 @@ fn cuts_inside_simd_windows() {
     if len >= 3 {
         let cuts = vec![start + len / 3, start + 2 * len / 3];
         assert_matrix_conforms(
-            &compiled,
+            &stacks,
             &set,
             &reference,
             payload,
@@ -231,7 +238,7 @@ fn cuts_inside_simd_windows() {
 #[test]
 fn calm_pair_rescue_straddling_probe_windows() {
     let set = extract_preserving(&master_ruleset(), 300, 42);
-    let compiled = build_stack(&set, AnchorSet::DEFAULT_HORIZON);
+    let stacks = build_stacks(&set, AnchorSet::DEFAULT_HORIZON);
     let dfa = Dfa::build(&set);
     let anchors = AnchorSet::build(&dfa, &set, AnchorSet::DEFAULT_HORIZON);
     let pairs = PairTable::build_with_region(
@@ -277,11 +284,11 @@ fn calm_pair_rescue_straddling_probe_windows() {
             payload.extend(std::iter::repeat_n(filler, 64));
             let reference = dtp_reference(&set, &payload);
             let ctx = format!("rescue triple ({p:#04x},{c:#04x},{d:#04x})+{e:#04x} lead {lead}");
-            assert_matrix_conforms(&compiled, &set, &reference, &payload, &[], &ctx);
+            assert_matrix_conforms(&stacks, &set, &reference, &payload, &[], &ctx);
             // Suspend between the rescue pair's two bytes.
             let cut = vec![lead + 2];
             assert_matrix_conforms(
-                &compiled,
+                &stacks,
                 &set,
                 &reference,
                 &payload,
@@ -338,12 +345,12 @@ fn horizon_sweep_conformance() {
     let clean = gen.clean_packet(4096);
     let infected = gen.infected_packet(4096, &set, 8);
     for horizon in 0u8..=2 {
-        let compiled = build_stack(&set, horizon);
+        let stacks = build_stacks(&set, horizon);
         for (kind, packet) in [("clean", &clean), ("infected", &infected)] {
             let reference = dtp_reference(&set, &packet.payload);
             let cuts = gen.chop_points(packet, &set, ChopProfile::Random { min: 1, max: 61 });
             assert_matrix_conforms(
-                &compiled,
+                &stacks,
                 &set,
                 &reference,
                 &packet.payload,
@@ -367,7 +374,7 @@ fn nocase_conformance() {
         b"xHeLLoX",
     ])
     .unwrap();
-    let compiled = build_stack(&set, AnchorSet::DEFAULT_HORIZON);
+    let stacks = build_stacks(&set, AnchorSet::DEFAULT_HORIZON);
     let mut payload = Vec::new();
     let mut gen = TrafficGenerator::new(0x0CA5);
     for case in [
@@ -381,9 +388,9 @@ fn nocase_conformance() {
     }
     let reference = dtp_reference(&set, &payload);
     assert!(!reference.is_empty(), "mixed-case occurrences must match");
-    assert_matrix_conforms(&compiled, &set, &reference, &payload, &[], "nocase whole");
+    assert_matrix_conforms(&stacks, &set, &reference, &payload, &[], "nocase whole");
     let cuts: Vec<usize> = (1..payload.len() / 16).map(|i| i * 16 + 1).collect();
-    assert_matrix_conforms(&compiled, &set, &reference, &payload, &cuts, "nocase cut");
+    assert_matrix_conforms(&stacks, &set, &reference, &payload, &cuts, "nocase cut");
 }
 
 /// `ShardedMatcher` with simd on and off, streamed under ragged cuts:
@@ -424,7 +431,7 @@ fn sharded_conformance() {
 #[test]
 fn reassembly_segment_profiles_conformance() {
     let set = extract_preserving(&master_ruleset(), 150, 0x6E0);
-    let compiled = build_stack(&set, AnchorSet::DEFAULT_HORIZON);
+    let stacks = build_stacks(&set, AnchorSet::DEFAULT_HORIZON);
     let mut gen = TrafficGenerator::new(0xF10E);
 
     for profile in [
@@ -440,7 +447,7 @@ fn reassembly_segment_profiles_conformance() {
         let reference = dtp_reference(&set, &packet.payload);
 
         for simd in [false, true] {
-            let matcher = CompiledMatcher::new(&compiled, &set).with_simd(simd);
+            let matcher = CompiledMatcher::new(&stacks[2].1, &set).with_simd(simd);
             let template = StreamFlow::new(ReassemblyConfig::new(4096), ScanState::fresh());
             let mut table = FlowTable::new(16, template);
             let mut alerts = Vec::new();

@@ -20,19 +20,22 @@ use dpi_accel::prelude::*;
 use dpi_accel::rulesets::{chop, extract_preserving, master_ruleset, ChopProfile};
 use proptest::prelude::*;
 
-/// Compiles `set` with the full default fast-path stack: anchors at the
-/// default horizon plus a pair layer with region rows and two hot rows.
-fn compiled_with_pairs(set: &PatternSet) -> CompiledAutomaton {
+/// Compiles `set` with anchors at the default horizon and, with
+/// `pairs`, the full default fast-path stack: a pair layer with region
+/// rows and two hot rows on top.
+fn compiled_anchored(set: &PatternSet, pairs: bool) -> CompiledAutomaton {
     let dfa = Dfa::build(set);
     let reduced = ReducedAutomaton::reduce(&dfa, DtpConfig::PAPER);
     let anchors = AnchorSet::build(&dfa, set, AnchorSet::DEFAULT_HORIZON);
-    let pairs = PairTable::build_with_region(
-        &dfa,
-        set,
-        &anchors,
-        PairTable::REGION_ROW_BYTES + 2 * PairTable::ROW_BYTES,
-    );
-    CompiledAutomaton::compile_with_prefilter(&reduced, anchors).with_pair_table(pairs)
+    let table = pairs.then(|| {
+        PairTable::build_with_region(
+            &dfa,
+            set,
+            &anchors,
+            PairTable::REGION_ROW_BYTES + 2 * PairTable::ROW_BYTES,
+        )
+    });
+    CompiledAutomaton::compile_with_prefilter(&reduced, anchors, table)
 }
 
 /// Splits `payload` at the (possibly ragged) cut offsets drawn from
@@ -98,16 +101,14 @@ fn streaming_agrees(patterns: Vec<Vec<u8>>, payload: Vec<u8>, cuts: Vec<usize>) 
     }
     assert_eq!(got, naive, "compiled streaming diverged at cuts {cuts:?}");
 
-    // Stride-2 pair lane (with the anchor lane, and alone): pair
+    // Anchor lane, with and without the stride-2 pair layer: pair
     // alignment is taken from wherever a chunk resumes, so every cut —
     // odd offsets included — exercises the suspend/resume path.
-    let paired = compiled_with_pairs(&set);
+    let paired = compiled_anchored(&set, true);
+    let lane = compiled_anchored(&set, false);
     for (name, m) in [
         ("lane+pairs", CompiledMatcher::new(&paired, &set)),
-        (
-            "pairs-only",
-            CompiledMatcher::new(&paired, &set).with_prefilter(false),
-        ),
+        ("lane-only", CompiledMatcher::new(&lane, &set)),
     ] {
         let mut state = ScanState::fresh();
         let mut got = Vec::new();

@@ -4,12 +4,12 @@
 //! For every workload shape — clean, infected and adversarial payloads,
 //! whole or packetized under every [`ChopProfile`] (including cuts at
 //! odd stream offsets and inside calm-pair windows), case-sensitive and
-//! nocase, at every anchor horizon, with the prefilter on or off —
-//! scanning with the pair layer enabled must report byte-for-byte the
-//! matches of the pairs-off scan, which in turn equals the reference
-//! matchers. Covers [`CompiledMatcher`] (both the composed lane and the
-//! pairs-only core) and [`ShardedMatcher`], plus budget shapes from
-//! region-rows-only up to the profiled default.
+//! nocase, at every anchor horizon — an automaton compiled with the pair
+//! layer must report byte-for-byte the matches of the same reduced
+//! automaton compiled with anchors only and compiled bare, which in turn
+//! equal the reference matchers. Covers [`CompiledMatcher`] and
+//! [`ShardedMatcher`], plus budget shapes from region-rows-only up to
+//! the profiled default.
 
 use dpi_accel::automaton::NaiveMatcher;
 use dpi_accel::prelude::*;
@@ -18,20 +18,30 @@ use dpi_accel::rulesets::{
 };
 use proptest::prelude::*;
 
-/// Compiles `set` with anchors at `horizon` plus a pair layer under
-/// `budget` (and the reference reduced automaton).
-fn build(
-    set: &PatternSet,
-    horizon: u8,
-    budget: usize,
-) -> (ReducedAutomaton, CompiledAutomaton) {
+/// One reduced automaton and the three lane stacks compiled from it.
+struct Stacks {
+    reduced: ReducedAutomaton,
+    /// Compiled bare: the plain byte stepper.
+    bare: CompiledAutomaton,
+    /// Anchors at the horizon: the skip lane alone.
+    lane: CompiledAutomaton,
+    /// Anchors plus the pair layer under the budget.
+    paired: CompiledAutomaton,
+}
+
+/// Compiles `set` bare, with anchors at `horizon`, and with anchors plus
+/// a pair layer under `budget`.
+fn build(set: &PatternSet, horizon: u8, budget: usize) -> Stacks {
     let dfa = Dfa::build(set);
     let reduced = ReducedAutomaton::reduce(&dfa, DtpConfig::PAPER);
     let anchors = AnchorSet::build(&dfa, set, horizon);
     let pairs = PairTable::build_with_region(&dfa, set, &anchors, budget);
-    let compiled =
-        CompiledAutomaton::compile_with_prefilter(&reduced, anchors).with_pair_table(pairs);
-    (reduced, compiled)
+    Stacks {
+        bare: CompiledAutomaton::compile(&reduced),
+        lane: CompiledAutomaton::compile_with_prefilter(&reduced, anchors.clone(), None),
+        paired: CompiledAutomaton::compile_with_prefilter(&reduced, anchors, Some(pairs)),
+        reduced,
+    }
 }
 
 /// The budget shapes worth distinguishing: region rows alone (stride-2
@@ -45,8 +55,8 @@ fn budgets() -> [usize; 3] {
     ]
 }
 
-/// Pairs-on ≡ pairs-off ≡ DtpMatcher on generated traffic, across
-/// horizons, budgets, and the prefilter switch.
+/// Lane + pairs ≡ lane only ≡ bare stepper ≡ DtpMatcher on generated
+/// traffic, across horizons and budgets.
 #[test]
 fn generated_traffic_equivalence_across_horizons_and_budgets() {
     let master = master_ruleset();
@@ -58,11 +68,11 @@ fn generated_traffic_equivalence_across_horizons_and_budgets() {
         let crafted = adversarial_payload(&set, 4 << 10);
         for horizon in 0..=AnchorSet::MAX_HORIZON {
             for budget in budgets() {
-                let (reduced, compiled) = build(&set, horizon, budget);
-                let dtp = DtpMatcher::new(&reduced, &set);
-                let both = CompiledMatcher::new(&compiled, &set);
-                let lane_only = CompiledMatcher::new(&compiled, &set).with_pairs(false);
-                let pairs_only = CompiledMatcher::new(&compiled, &set).with_prefilter(false);
+                let stacks = build(&set, horizon, budget);
+                let dtp = DtpMatcher::new(&stacks.reduced, &set);
+                let both = CompiledMatcher::new(&stacks.paired, &set);
+                let lane_only = CompiledMatcher::new(&stacks.lane, &set);
+                let stepper = CompiledMatcher::new(&stacks.bare, &set);
                 for (label, payload) in
                     [("clean", &clean), ("infected", &infected), ("adversarial", &crafted)]
                 {
@@ -70,7 +80,7 @@ fn generated_traffic_equivalence_across_horizons_and_budgets() {
                     for (name, m) in [
                         ("lane+pairs", &both),
                         ("lane-only", &lane_only),
-                        ("pairs-only", &pairs_only),
+                        ("stepper", &stepper),
                     ] {
                         assert_eq!(
                             m.find_all(payload),
@@ -89,20 +99,21 @@ fn generated_traffic_equivalence_across_horizons_and_budgets() {
 /// Every chop profile resumed through one `ScanState`, with the cut
 /// offsets forced **odd** so pair alignment never coincides with the
 /// packetization, equals the whole-payload reference — for the pair
-/// lane, the pairs-only core, and the sharded matcher, including
-/// chunks alternating between the stride-2 and byte-stepper matchers.
+/// lane, the anchor lane, and the sharded matcher, including chunks
+/// alternating between the paired, anchor-only and byte-stepper
+/// automata.
 #[test]
 fn odd_offset_chop_profiles_with_alternating_resume() {
     let master = master_ruleset();
     let set = extract_preserving(&master, 120, 9);
-    let (reduced, compiled) = build(&set, AnchorSet::DEFAULT_HORIZON, budgets()[2]);
-    let dtp = DtpMatcher::new(&reduced, &set);
-    let on = CompiledMatcher::new(&compiled, &set);
-    let off = CompiledMatcher::new(&compiled, &set).with_pairs(false);
-    let pairs_only = CompiledMatcher::new(&compiled, &set).with_prefilter(false);
-    assert!(on.pairs() && !off.pairs());
+    let stacks = build(&set, AnchorSet::DEFAULT_HORIZON, budgets()[2]);
+    let dtp = DtpMatcher::new(&stacks.reduced, &set);
+    let on = CompiledMatcher::new(&stacks.paired, &set);
+    let off = CompiledMatcher::new(&stacks.lane, &set);
+    let stepper = CompiledMatcher::new(&stacks.bare, &set);
+    assert!(stacks.paired.pairs().is_some() && stacks.lane.pairs().is_none());
     let sharded = ShardedMatcher::build(&set, &ShardedConfig::with_cores(2)).unwrap();
-    assert!(sharded.pairs());
+    assert!(sharded.shard_pairs(0).is_some());
     let mut gen = TrafficGenerator::new(11);
     let packet = gen.infected_packet(6 << 10, &set, 12);
     let whole = dtp.find_all(&packet.payload);
@@ -126,7 +137,7 @@ fn odd_offset_chop_profiles_with_alternating_resume() {
         assert!(cuts.iter().all(|c| c % 2 == 1));
         let segments = chop(&packet.payload, &cuts);
 
-        for (name, m) in [("lane+pairs", &on), ("pairs-only", &pairs_only)] {
+        for (name, m) in [("lane+pairs", &on), ("lane-only", &off)] {
             let mut state = ScanState::fresh();
             let mut got = Vec::new();
             for seg in &segments {
@@ -137,14 +148,15 @@ fn odd_offset_chop_profiles_with_alternating_resume() {
         }
 
         // Alternating stride-2 / byte-stepper resume: a state suspended
-        // by the pair lane must resume exactly under the plain lane and
-        // vice versa.
+        // by the pair lane must resume exactly under the anchor lane, the
+        // bare stepper and the reference, and vice versa.
         let mut state = ScanState::fresh();
         let mut got = Vec::new();
         for (i, seg) in segments.iter().enumerate() {
-            match i % 3 {
+            match i % 4 {
                 0 => on.scan_chunk_into(&mut state, seg, &mut got),
                 1 => off.scan_chunk_into(&mut state, seg, &mut got),
+                2 => stepper.scan_chunk_into(&mut state, seg, &mut got),
                 _ => dtp.scan_chunk_into(&mut state, seg, &mut got),
             }
         }
@@ -168,9 +180,9 @@ fn odd_offset_chop_profiles_with_alternating_resume() {
 #[test]
 fn cuts_inside_calm_windows_and_mid_pair() {
     let set = PatternSet::new(["hers", "she", "attack", "x"]).unwrap();
-    let (_, compiled) = build(&set, AnchorSet::DEFAULT_HORIZON, budgets()[2]);
-    let m = CompiledMatcher::new(&compiled, &set);
-    assert!(m.pairs());
+    let stacks = build(&set, AnchorSet::DEFAULT_HORIZON, budgets()[2]);
+    assert!(stacks.paired.pairs().is_some());
+    let m = CompiledMatcher::new(&stacks.paired, &set);
     // Candidate-but-calm text around the patterns keeps the walk in
     // stride-2 mode (never the SWAR window).
     let payload = b"the quiet theme there hers the quiet theme attack x end".to_vec();
@@ -199,20 +211,20 @@ fn cuts_inside_calm_windows_and_mid_pair() {
 /// then rebuilds its history registers from the bytes just behind the
 /// exit before the stepper takes over. Splitting the payload exactly
 /// at the danger byte and exactly one past it puts the suspend/resume
-/// seam inside that exit→rebuild window, while rotating the lane mode
-/// per chunk (as in `rotating_pair_mode_resume`) so every mode has to
-/// resume from a seam another mode produced.
+/// seam inside that exit→rebuild window, while rotating the lane stack
+/// per chunk (as in `rotating_pair_mode_resume`) so every stack has to
+/// resume from a seam another stack produced.
 #[test]
 fn danger_exit_rebuild_boundary_alignment() {
     let set = extract_preserving(&master_ruleset(), 120, 0x77);
     let dfa = Dfa::build(&set);
     let anchors = AnchorSet::build(&dfa, &set, AnchorSet::DEFAULT_HORIZON);
-    let (_, compiled) = build(&set, AnchorSet::DEFAULT_HORIZON, budgets()[2]);
+    let stacks = build(&set, AnchorSet::DEFAULT_HORIZON, budgets()[2]);
     let mut gen = TrafficGenerator::new(0xD4E);
     let payload = gen.infected_packet(1536, &set, 6).payload;
-    let both = CompiledMatcher::new(&compiled, &set);
-    let lane = CompiledMatcher::new(&compiled, &set).with_pairs(false);
-    let pairs = CompiledMatcher::new(&compiled, &set).with_prefilter(false);
+    let both = CompiledMatcher::new(&stacks.paired, &set);
+    let lane = CompiledMatcher::new(&stacks.lane, &set);
+    let stepper = CompiledMatcher::new(&stacks.bare, &set);
     let whole = NaiveMatcher::new(&set).find_all(&payload);
     assert_eq!(both.find_all(&payload), whole);
 
@@ -221,7 +233,7 @@ fn danger_exit_rebuild_boundary_alignment() {
         .filter(|&j| anchors.is_danger(payload[j - 1] as u32, payload[j]))
         .collect();
     assert!(!exits.is_empty(), "payload never leaves the lane");
-    let rotation: [&CompiledMatcher; 3] = [&both, &lane, &pairs];
+    let rotation: [&CompiledMatcher; 3] = [&both, &lane, &stepper];
     for &j in &exits {
         // Cut at the danger byte and one past it: chunk 2 is the
         // single byte whose consumption is the lane exit, so the
@@ -245,10 +257,10 @@ fn nocase_pair_lane_equivalence() {
     let set = PatternSet::new_nocase(["Attack", "GET /", "hers", "Z"]).unwrap();
     for horizon in 0..=AnchorSet::MAX_HORIZON {
         for budget in budgets() {
-            let (reduced, compiled) = build(&set, horizon, budget);
-            let dtp = DtpMatcher::new(&reduced, &set);
-            let on = CompiledMatcher::new(&compiled, &set);
-            let pairs_only = CompiledMatcher::new(&compiled, &set).with_prefilter(false);
+            let stacks = build(&set, horizon, budget);
+            let dtp = DtpMatcher::new(&stacks.reduced, &set);
+            let on = CompiledMatcher::new(&stacks.paired, &set);
+            let lane_only = CompiledMatcher::new(&stacks.lane, &set);
             for payload in [
                 &b"ATTACK at dawn: get / HeRs aTtAcK z"[..],
                 b"zzzzZZZZzzzzZZZZattackZZZZ",
@@ -256,7 +268,7 @@ fn nocase_pair_lane_equivalence() {
             ] {
                 let want = dtp.find_all(payload);
                 assert_eq!(on.find_all(payload), want, "h={horizon} b={budget}");
-                assert_eq!(pairs_only.find_all(payload), want, "h={horizon} b={budget}");
+                assert_eq!(lane_only.find_all(payload), want, "h={horizon} b={budget}");
             }
         }
     }
@@ -284,8 +296,7 @@ fn profiled_selection_is_scan_invisible() {
             PairTable::DEFAULT_BUDGET,
             sample,
         );
-        let compiled =
-            CompiledAutomaton::compile_with_prefilter(&reduced, anchors).with_pair_table(pairs);
+        let compiled = CompiledAutomaton::compile_with_prefilter(&reduced, anchors, Some(pairs));
         let m = CompiledMatcher::new(&compiled, &set);
         assert_eq!(m.find_all(&payload), want, "sample len {}", sample.len());
     }
@@ -321,7 +332,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Any packetization, any horizon, any budget shape: the pair lane
-    /// and pairs-only core stream exactly the naive whole-payload scan.
+    /// and the anchor lane stream exactly the naive whole-payload scan.
     #[test]
     fn pair_lane_streaming_equivalence(
         patterns in mixed_patterns(),
@@ -341,10 +352,10 @@ proptest! {
         cuts.dedup();
         let segments = chop(&payload, &cuts);
 
-        let (_, compiled) = build(&set, horizon, budgets()[budget_idx]);
+        let stacks = build(&set, horizon, budgets()[budget_idx]);
         for (name, m) in [
-            ("lane+pairs", CompiledMatcher::new(&compiled, &set)),
-            ("pairs-only", CompiledMatcher::new(&compiled, &set).with_prefilter(false)),
+            ("lane+pairs", CompiledMatcher::new(&stacks.paired, &set)),
+            ("lane-only", CompiledMatcher::new(&stacks.lane, &set)),
         ] {
             let mut state = ScanState::fresh();
             let mut got = Vec::new();
@@ -358,7 +369,7 @@ proptest! {
     }
 
     /// Suspended states are interchangeable between the pair lane, the
-    /// plain lane, and the pairs-only core — rotating per chunk still
+    /// anchor lane, and the bare byte stepper — rotating per chunk still
     /// equals the whole-payload scan.
     #[test]
     fn rotating_pair_mode_resume(
@@ -376,17 +387,17 @@ proptest! {
         cuts.sort_unstable();
         cuts.dedup();
         let segments = chop(&payload, &cuts);
-        let (_, compiled) = build(&set, AnchorSet::DEFAULT_HORIZON, budgets()[1]);
-        let both = CompiledMatcher::new(&compiled, &set);
-        let lane = CompiledMatcher::new(&compiled, &set).with_pairs(false);
-        let pairs = CompiledMatcher::new(&compiled, &set).with_prefilter(false);
+        let stacks = build(&set, AnchorSet::DEFAULT_HORIZON, budgets()[1]);
+        let both = CompiledMatcher::new(&stacks.paired, &set);
+        let lane = CompiledMatcher::new(&stacks.lane, &set);
+        let stepper = CompiledMatcher::new(&stacks.bare, &set);
         let mut state = ScanState::fresh();
         let mut got = Vec::new();
         for (i, seg) in segments.iter().enumerate() {
             match i % 3 {
                 0 => both.scan_chunk_into(&mut state, seg, &mut got),
                 1 => lane.scan_chunk_into(&mut state, seg, &mut got),
-                _ => pairs.scan_chunk_into(&mut state, seg, &mut got),
+                _ => stepper.scan_chunk_into(&mut state, seg, &mut got),
             }
         }
         prop_assert_eq!(got, naive, "rotation diverged at {:?}", cuts);
