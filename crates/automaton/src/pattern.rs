@@ -126,11 +126,11 @@ pub struct PatternSet {
     total_bytes: usize,
     /// One opaque scope tag per pattern (same order as `patterns`).
     /// Tag `0` is the untagged default. The automaton layer attaches no
-    /// meaning to tags; higher layers use them to carve scoped matcher
-    /// views out of one master set (e.g. `dpi-core`'s protocol scoping,
-    /// where tag 1 marks HTTP-only rules and tag 2 TLS-only rules).
+    /// meaning to tags; higher layers use them to scope which patterns
+    /// may report (e.g. `dpi-core`'s protocol scoping, where tag 1 marks
+    /// HTTP-only rules and tag 2 TLS-only rules).
     /// Tags participate in equality and survive [`PatternSet::split`] /
-    /// [`PatternSet::split_by_prefix`] / [`PatternSet::subset_where`].
+    /// [`PatternSet::split_by_prefix`].
     tags: Vec<u32>,
 }
 
@@ -313,36 +313,6 @@ impl PatternSet {
             self.set_tag(id, tag);
         }
         self
-    }
-
-    /// The subset of patterns whose `(id, tag)` satisfies `keep`, with
-    /// the id remap back into this set — the same `(PatternSet, ids)`
-    /// shape as [`PatternSet::split`], or `None` when nothing survives
-    /// (a [`PatternSet`] cannot be empty). Pattern order, case mode and
-    /// tags are preserved.
-    pub fn subset_where(
-        &self,
-        mut keep: impl FnMut(PatternId, u32) -> bool,
-    ) -> Option<(PatternSet, Vec<PatternId>)> {
-        let picked: Vec<usize> = (0..self.len())
-            .filter(|&i| keep(PatternId(i as u32), self.tags[i]))
-            .collect();
-        if picked.is_empty() {
-            return None;
-        }
-        let ids: Vec<PatternId> = picked.iter().map(|&i| PatternId(i as u32)).collect();
-        let patterns: Vec<Vec<u8>> = picked.iter().map(|&i| self.patterns[i].clone()).collect();
-        let tags: Vec<u32> = picked.iter().map(|&i| self.tags[i]).collect();
-        let total_bytes = patterns.iter().map(Vec::len).sum();
-        Some((
-            PatternSet {
-                patterns,
-                case_insensitive: self.case_insensitive,
-                total_bytes,
-                tags,
-            },
-            ids,
-        ))
     }
 
     /// Folds one input byte according to this set's case mode.
@@ -533,19 +503,12 @@ mod tests {
     }
 
     #[test]
-    fn tags_survive_subsets_and_splits() {
+    fn tags_survive_splits() {
         let set = PatternSet::new(["he", "she", "his", "hers"])
             .unwrap()
             .with_tag(1, [PatternId(1), PatternId(3)]);
         assert_eq!(set.tag(PatternId(0)), 0);
         assert_eq!(set.tag(PatternId(1)), 1);
-
-        let (sub, ids) = set.subset_where(|_, tag| tag == 1).unwrap();
-        assert_eq!(ids, vec![PatternId(1), PatternId(3)]);
-        assert_eq!(sub.pattern(PatternId(0)), b"she");
-        assert_eq!(sub.tag(PatternId(0)), 1);
-        assert_eq!(sub.tag(PatternId(1)), 1);
-        assert!(set.subset_where(|_, tag| tag == 9).is_none());
 
         for (shard, ids) in set.split(2) {
             for (local, global) in ids.iter().enumerate() {

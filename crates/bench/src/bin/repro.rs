@@ -2257,7 +2257,7 @@ fn service_robustness() {
 /// (CI gates the `protocol/wellformed-{off,on}` pair at +10%).
 fn protocol_robustness() {
     use dpi_automaton::{Match, PatternSet, ScanState};
-    use dpi_core::{Lane, ProtoConfig, ProtoFlow, ProtocolId, ProtocolStats, ScopedRuleset};
+    use dpi_core::{ProtoConfig, ProtoFlow, ProtocolStats, ScopedRuleset};
     use dpi_rulesets::HTTP_MALFORMATIONS;
 
     /// Runs `wire` through detect → normalize → scan in `mtu`-sized
@@ -2269,9 +2269,6 @@ fn protocol_robustness() {
         mtu: usize,
         stats: &mut ProtocolStats,
     ) -> Vec<Match> {
-        let full = rules.lane(Lane::Raw);
-        let http = rules.lane(Lane::Normalized(ProtocolId::Http));
-        let tls = rules.lane(Lane::Normalized(ProtocolId::Tls));
         let mut flow = ProtoFlow::new(ScanState::fresh(), config);
         let mut out = Vec::new();
         for chunk in wire.chunks(mtu.max(1)) {
@@ -2280,13 +2277,7 @@ fn protocol_robustness() {
                 false,
                 stats,
                 |lane, scan: &mut ScanState, bytes, out| {
-                    let view = match lane {
-                        Lane::Raw => &full,
-                        Lane::Normalized(ProtocolId::Http) => &http,
-                        Lane::Normalized(ProtocolId::Tls) => &tls,
-                        Lane::Normalized(_) => &full,
-                    };
-                    view.scan_chunk_into(scan, bytes, out);
+                    rules.scan_chunk_into(lane, scan, bytes, out)
                 },
                 &mut out,
             );

@@ -669,16 +669,25 @@ impl<'a> CompiledMatcher<'a> {
     /// set. The lanes it runs are the ones the automaton carries (see
     /// the module docs).
     pub fn new(automaton: &'a CompiledAutomaton, set: &'a PatternSet) -> Self {
+        Self::with_shared_fold(automaton, set, Self::fold_table(set), true)
+    }
+
+    /// `set`'s case-fold table, for callers that keep one to pass to
+    /// [`CompiledMatcher::with_shared_fold`].
+    pub(crate) fn fold_table(set: &PatternSet) -> [u8; 256] {
         let mut fold = [0u8; 256];
         for (b, slot) in fold.iter_mut().enumerate() {
             *slot = set.fold(b as u8);
         }
-        Self::with_shared_fold(automaton, set, fold, true)
+        fold
     }
 
     /// Shares one precomputed fold table instead of rebuilding it — used
-    /// by the sharded scanner, which would otherwise pay 256 table writes
-    /// per shard per packet on short-flow workloads.
+    /// by the sharded scanner and [`ScopedRuleset`], which would
+    /// otherwise pay 256 table writes per shard or lane per packet on
+    /// short-flow workloads.
+    ///
+    /// [`ScopedRuleset`]: crate::protocol::ScopedRuleset
     pub(crate) fn with_shared_fold(
         automaton: &'a CompiledAutomaton,
         set: &'a PatternSet,

@@ -113,7 +113,7 @@ pub use flow::{
 pub use lookup_table::{DefaultLut, Depth2Entry, Depth3Entry, DtpConfig, LutRow};
 pub use matcher::DtpMatcher;
 pub use protocol::{
-    Lane, LaneMatcher, ProtoConfig, ProtoFlow, ProtocolId, ProtocolStats, ScopedRuleset,
+    Lane, ProtoConfig, ProtoFlow, ProtocolId, ProtocolStats, ScopedRuleset,
     PROBE_MAX, TAG_ANY, TAG_HTTP, TAG_TLS,
 };
 pub use reassembly::{

@@ -47,10 +47,21 @@
 //! *decoded* stream: framing metadata (chunk-size lines, chunk CRLFs,
 //! TLS record headers, trailers) is consumed — and ledger-counted as
 //! `normalized_bytes` — but not emitted, so match `end` offsets are
-//! decoded-stream offsets. Raw flows (and flows after a downgrade) stay
-//! in wire offsets. Every downgrade masks scanner history via
-//! `reset_at(fed)` — exactly the reassembly hole-skip contract — so a
-//! downgrade can never manufacture a match half-decoded, half-raw.
+//! decoded-stream offsets, counted from the start of the flow: the
+//! probe prefix, scanned raw before the verdict, holds the first
+//! offsets. Raw flows (and flows after a downgrade) stay in wire
+//! offsets. Every downgrade masks scanner history via `reset_at(fed)` —
+//! exactly the reassembly hole-skip contract — so a downgrade can never
+//! manufacture a match half-decoded, half-raw.
+//!
+//! Classification masks history only where the probe prefix and the
+//! decoded stream after it are not contiguous, and the replay of the
+//! probe into the parser decides. The HTTP parser re-emits every probe
+//! byte (the request line is part of the decoded stream), so history
+//! carries over and a signature straddling the probe, such as
+//! `GET /admin`, is found. The TLS parser consumes them as record-header
+//! metadata, so the probe prefix and the first record body are a splice
+//! that no stream contains, and history is masked there.
 //!
 //! Metadata bytes themselves are not scanned (that is what
 //! normalization *means* — the decoded stream is the scan target). The
@@ -60,18 +71,17 @@
 //! # Scoping
 //!
 //! [`PatternSet`] scope tags ([`TAG_HTTP`], [`TAG_TLS`], [`TAG_ANY`])
-//! compile into a [`ScopedRuleset`]: per-protocol matcher views so
-//! HTTP-only rules never scan TLS ciphertext. The raw lane always scans
-//! the full set. Scoped views are distinct automata, so when
-//! [`ProtoConfig::scoped`] is set the lane change at classification
-//! masks scanner history (`reset_at`) — a boundary-local loss of at
-//! most the probe length, at flow start only.
+//! build a [`ScopedRuleset`]: one automaton over the whole set plus, per
+//! normalized lane, an accept mask over [`PatternId`] tested where
+//! matches are emitted, so HTTP-only rules never report on TLS record
+//! bodies. The raw lane always reports the full set. Every lane walks
+//! the same automaton, so one [`ScanState`] carries across the lane
+//! change at classification.
 
 use crate::compiled::{CompiledAutomaton, CompiledMatcher};
 use crate::flow::FlowState;
-use crate::lookup_table::DtpConfig;
-use crate::reduce::ReducedAutomaton;
-use dpi_automaton::{Dfa, Match, PatternId, PatternSet, ScanState};
+use crate::sharded::ShardedConfig;
+use dpi_automaton::{Match, PatternId, PatternSet, ScanState};
 
 /// Scope tag matching every protocol lane (the untagged default `0`).
 pub const TAG_ANY: u32 = 0;
@@ -120,14 +130,15 @@ pub enum ProtocolId {
     Tls,
 }
 
-/// Which matcher view a slice of bytes should be scanned with.
+/// Where a slice of bytes came from, which decides the rules that may
+/// report on it (see [`ScopedRuleset`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Lane {
-    /// Decoded bytes from an active normalizer; scan with the scoped
-    /// view for this protocol (plus the untagged rules).
+    /// Decoded bytes from an active normalizer; this protocol's tagged
+    /// rules and the untagged ones report.
     Normalized(ProtocolId),
     /// Wire bytes — probe prefix, unclassified flows, or everything
-    /// after a fail-open downgrade. Always scanned with the full set.
+    /// after a fail-open downgrade. Every rule reports.
     Raw,
 }
 
@@ -141,22 +152,6 @@ pub struct ProtoConfig {
     /// content probe that *contradicts* it is counted
     /// `mimicry_suspected` and degrades the flow to raw.
     pub hint: Option<ProtocolId>,
-    /// When set, decoded bytes are scanned with per-protocol scoped
-    /// views (distinct automata), so the lane change at classification
-    /// masks scanner history. When clear, every lane maps to the same
-    /// engine and a flow that never classifies is byte-identical to a
-    /// plain raw scan.
-    ///
-    /// **Invariant: this flag must mirror the sink's lane mapping.**
-    /// Set it if and only if the sink resolves `Lane::Normalized(..)`
-    /// to the per-protocol [`ScopedRuleset::lane`] views. A sink that
-    /// scans scoped views under `scoped: false` feeds `ScanState` from
-    /// one automaton into a different one with no `reset_at` — bogus
-    /// state indices or phantom matches on tagged rulesets (untagged
-    /// sets escape only because every lane falls back to the one full
-    /// automaton). Conversely, `scoped: true` over a single shared
-    /// engine masks real cross-probe-boundary matches for nothing.
-    pub scoped: bool,
     /// Content-probe budget in bytes, clamped to `1..=`[`PROBE_MAX`].
     /// Budgets below 8 can exhaust mid-preamble (`probe_exhausted`).
     pub probe_budget: usize,
@@ -167,7 +162,6 @@ impl Default for ProtoConfig {
         ProtoConfig {
             enabled: true,
             hint: None,
-            scoped: false,
             probe_budget: PROBE_MAX,
         }
     }
@@ -714,8 +708,8 @@ fn starts_with_ci(haystack: &[u8], prefix: &[u8]) -> bool {
 
 /// Streaming TLS record framer: 5-byte record headers are metadata,
 /// record bodies are emitted verbatim. The value of normalization here
-/// is scoping — HTTP-only rules never scan ciphertext — plus hostile
-/// framing detection.
+/// is scoping — HTTP-only rules never report on record bodies — plus
+/// hostile framing detection.
 #[derive(Debug, Clone)]
 struct TlsParser {
     state: TlsState,
@@ -843,12 +837,11 @@ impl ProtoState {
 ///
 /// ```
 /// use dpi_automaton::PatternSet;
-/// use dpi_core::protocol::{Lane, ProtoConfig, ProtoFlow, ProtocolStats, ScopedRuleset};
+/// use dpi_core::protocol::{ProtoConfig, ProtoFlow, ProtocolStats, ScopedRuleset};
 /// use dpi_automaton::ScanState;
 ///
 /// let set = PatternSet::new(["attack"])?;
 /// let rules = ScopedRuleset::build(&set);
-/// let lane = rules.lane(Lane::Raw);
 /// let mut flow = ProtoFlow::new(ScanState::fresh(), ProtoConfig::default());
 /// let mut stats = ProtocolStats::default();
 /// let mut out = Vec::new();
@@ -856,7 +849,7 @@ impl ProtoState {
 ///     b"GET /x HTTP/1.1\r\nContent-Length: 6\r\n\r\nattack",
 ///     false,
 ///     &mut stats,
-///     |_, scan, bytes, out| lane.scan_chunk_into(scan, bytes, out),
+///     |lane, scan, bytes, out| rules.scan_chunk_into(lane, scan, bytes, out),
 ///     &mut out,
 /// );
 /// assert_eq!(out.len(), 1);
@@ -996,26 +989,22 @@ impl<S: FlowState> ProtoFlow<S> {
                                     Mode::Raw
                                 }
                                 _ => {
-                                    if state.config.scoped {
-                                        // Scoped views are distinct
-                                        // automata; mask history at the
-                                        // lane change.
-                                        scan.reset_at(state.fed);
-                                    }
                                     // Replay the already-raw-scanned
                                     // probe prefix to bring the parser
-                                    // up to date, emission suppressed.
+                                    // up to date, emission suppressed
+                                    // but counted.
                                     let replay = &buf[..len as usize];
-                                    let mut void = |_: &[u8]| {};
+                                    let mut echoed = 0usize;
+                                    let mut count = |bytes: &[u8]| echoed += bytes.len();
                                     let (mode, replay_ok) = match proto {
                                         ProtocolId::Http => {
                                             let mut p = HttpParser::new();
-                                            let ok = p.feed(replay, &mut void).is_ok();
+                                            let ok = p.feed(replay, &mut count).is_ok();
                                             (Mode::Http(p), ok)
                                         }
                                         ProtocolId::Tls => {
                                             let mut p = TlsParser::new();
-                                            let ok = p.feed(replay, &mut void).is_ok();
+                                            let ok = p.feed(replay, &mut count).is_ok();
                                             (Mode::Tls(p), ok)
                                         }
                                     };
@@ -1024,6 +1013,14 @@ impl<S: FlowState> ProtoFlow<S> {
                                         stats.flows_raw += 1;
                                         Mode::Raw
                                     } else {
+                                        if echoed < replay.len() {
+                                            // The parser took probe bytes
+                                            // as framing metadata: the
+                                            // decoded stream does not
+                                            // continue the raw-scanned
+                                            // probe, so mask the splice.
+                                            scan.reset_at(state.fed);
+                                        }
                                         match proto {
                                             ProtocolId::Http => stats.flows_http += 1,
                                             ProtocolId::Tls => stats.flows_tls += 1,
@@ -1116,84 +1113,49 @@ impl<S: FlowState> FlowState for ProtoFlow<S> {
     }
 }
 
-/// A matcher view for one [`Lane`]: scans with the lane's automaton and
-/// remaps match pattern ids back into the master set's id space.
-pub struct LaneMatcher<'a> {
-    matcher: CompiledMatcher<'a>,
-    remap: Option<&'a [PatternId]>,
-}
+/// Accept mask over [`PatternId`]s: bit `i % 64` of word `i / 64` is set
+/// when pattern `i` may report. `None` lets every pattern report.
+type AcceptMask = Option<Box<[u64]>>;
 
-impl LaneMatcher<'_> {
-    /// Resumable chunk scan; appended matches carry master-set ids.
-    pub fn scan_chunk_into(&self, state: &mut ScanState, chunk: &[u8], out: &mut Vec<Match>) {
-        let start = out.len();
-        self.matcher.scan_chunk_into(state, chunk, out);
-        if let Some(map) = self.remap {
-            for m in &mut out[start..] {
-                m.pattern = map[m.pattern.index()];
-            }
-        }
-    }
-
-    /// Whole-payload scan; appended matches carry master-set ids.
-    pub fn scan_into(&self, payload: &[u8], out: &mut Vec<Match>) {
-        let start = out.len();
-        self.matcher.scan_into(payload, out);
-        if let Some(map) = self.remap {
-            for m in &mut out[start..] {
-                m.pattern = map[m.pattern.index()];
-            }
-        }
-    }
-
-    /// The underlying matcher (e.g. to toggle SIMD).
-    pub fn matcher(&self) -> &CompiledMatcher<'_> {
-        &self.matcher
-    }
-}
-
-struct ScopedView {
-    set: PatternSet,
-    automaton: CompiledAutomaton,
-    ids: Vec<PatternId>,
-}
-
-/// Owned master ruleset plus per-protocol scoped views compiled from
-/// [`PatternSet`] scope tags: the view for [`ProtocolId::Http`] holds
-/// the [`TAG_HTTP`] + [`TAG_ANY`] patterns, the [`ProtocolId::Tls`]
-/// view the [`TAG_TLS`] + [`TAG_ANY`] ones. [`Lane::Raw`] always scans
-/// the full set. Views are separate automata — smaller state machines
-/// per lane is the point (scoping compounds with sharding and the
-/// two-stage scan) — so matcher state cannot migrate between lanes
-/// without a `reset_at`.
+/// A ruleset compiled once, plus one accept mask per normalized lane
+/// derived from [`PatternSet`] scope tags: [`ProtocolId::Http`] bytes
+/// report the [`TAG_HTTP`] + [`TAG_ANY`] patterns, [`ProtocolId::Tls`]
+/// bytes the [`TAG_TLS`] + [`TAG_ANY`] ones, and [`Lane::Raw`] bytes the
+/// full set. A lane with no pattern in scope reports nothing. Every lane
+/// walks the same automaton and the mask is tested only where a match is
+/// emitted, so one [`ScanState`] stays valid across lane changes and
+/// every match carries the set's own pattern id.
 pub struct ScopedRuleset {
     set: PatternSet,
     automaton: CompiledAutomaton,
-    http: Option<ScopedView>,
-    tls: Option<ScopedView>,
+    fold: [u8; 256],
+    http: AcceptMask,
+    tls: AcceptMask,
 }
 
 impl ScopedRuleset {
-    /// Compiles the master set and its per-protocol views. A protocol
-    /// with no matching patterns gets no view; its lane falls back to
-    /// the full set.
+    /// Compiles `set` with the anchor + pair-table stack every shard
+    /// deploys, and derives each normalized lane's mask from the tags.
     pub fn build(set: &PatternSet) -> ScopedRuleset {
-        let automaton = compile_set(set);
-        let view = |want: u32| {
-            set.subset_where(|_, tag| tag == TAG_ANY || tag == want)
-                .map(|(sub, ids)| {
-                    let automaton = compile_set(&sub);
-                    ScopedView {
-                        set: sub,
-                        automaton,
-                        ids,
-                    }
-                })
+        let mask = |want: u32| -> AcceptMask {
+            let in_scope = |i: usize| {
+                let tag = set.tag(PatternId(i as u32));
+                tag == TAG_ANY || tag == want
+            };
+            if (0..set.len()).all(in_scope) {
+                return None;
+            }
+            let mut bits = vec![0u64; set.len().div_ceil(64)];
+            for i in (0..set.len()).filter(|&i| in_scope(i)) {
+                bits[i / 64] |= 1 << (i % 64);
+            }
+            Some(bits.into_boxed_slice())
         };
         ScopedRuleset {
-            automaton,
-            http: view(TAG_HTTP),
-            tls: view(TAG_TLS),
+            automaton: ShardedConfig::with_cores(1).compile(set, None),
+            fold: CompiledMatcher::fold_table(set),
+            http: mask(TAG_HTTP),
+            tls: mask(TAG_TLS),
             set: set.clone(),
         }
     }
@@ -1203,49 +1165,47 @@ impl ScopedRuleset {
         &self.set
     }
 
-    /// Number of patterns the given lane's view scans with.
+    /// Number of patterns that may report on `lane`.
     pub fn lane_len(&self, lane: Lane) -> usize {
+        self.mask(lane).map_or(self.set.len(), |bits| {
+            bits.iter().map(|w| w.count_ones() as usize).sum()
+        })
+    }
+
+    /// Resumable chunk scan of bytes from `lane`: appends the matches
+    /// of the patterns in the lane's scope. `state` may come from a
+    /// scan of any lane.
+    pub fn scan_chunk_into(
+        &self,
+        lane: Lane,
+        state: &mut ScanState,
+        chunk: &[u8],
+        out: &mut Vec<Match>,
+    ) {
+        let mask = self.mask(lane);
+        let matcher =
+            CompiledMatcher::with_shared_fold(&self.automaton, &self.set, self.fold, true);
+        matcher.for_each_match_chunk(state, chunk, |m| {
+            let i = m.pattern.index();
+            if mask.is_none_or(|bits| bits[i / 64] >> (i % 64) & 1 == 1) {
+                out.push(m);
+            }
+        });
+    }
+
+    /// Whole-payload scan of bytes from `lane`; `out` is cleared first.
+    pub fn scan_into(&self, lane: Lane, payload: &[u8], out: &mut Vec<Match>) {
+        out.clear();
+        self.scan_chunk_into(lane, &mut ScanState::fresh(), payload, out);
+    }
+
+    fn mask(&self, lane: Lane) -> Option<&[u64]> {
         match lane {
-            Lane::Normalized(ProtocolId::Http) => {
-                self.http.as_ref().map_or(self.set.len(), |v| v.set.len())
-            }
-            Lane::Normalized(ProtocolId::Tls) => {
-                self.tls.as_ref().map_or(self.set.len(), |v| v.set.len())
-            }
-            _ => self.set.len(),
+            Lane::Normalized(ProtocolId::Http) => self.http.as_deref(),
+            Lane::Normalized(ProtocolId::Tls) => self.tls.as_deref(),
+            Lane::Raw => None,
         }
     }
-
-    /// Builds the matcher view for `lane`. Building is cheap (a fold
-    /// table); for per-chunk sinks, prebuild one per lane and reuse.
-    ///
-    /// Views are **distinct automata**: a [`ProtoFlow`] sink that maps
-    /// lanes through this method must run with
-    /// [`ProtoConfig::scoped`]` = true` so scanner history is masked at
-    /// every lane change — see the invariant documented there.
-    pub fn lane(&self, lane: Lane) -> LaneMatcher<'_> {
-        let view = match lane {
-            Lane::Normalized(ProtocolId::Http) => self.http.as_ref(),
-            Lane::Normalized(ProtocolId::Tls) => self.tls.as_ref(),
-            _ => None,
-        };
-        match view {
-            Some(v) => LaneMatcher {
-                matcher: CompiledMatcher::new(&v.automaton, &v.set),
-                remap: Some(&v.ids),
-            },
-            None => LaneMatcher {
-                matcher: CompiledMatcher::new(&self.automaton, &self.set),
-                remap: None,
-            },
-        }
-    }
-}
-
-fn compile_set(set: &PatternSet) -> CompiledAutomaton {
-    let dfa = Dfa::build(set);
-    let reduced = ReducedAutomaton::reduce(&dfa, DtpConfig::default());
-    CompiledAutomaton::compile(&reduced)
 }
 
 #[cfg(test)]
@@ -1253,18 +1213,11 @@ mod tests {
     use super::*;
     use dpi_automaton::ScanState;
 
-    fn raw_pipeline(set: &PatternSet, config: ProtoConfig, chunks: &[&[u8]]) -> (Vec<Match>, ProtocolStats) {
-        // The sink below maps lanes to the distinct scoped views, so
-        // the flow must run scoped (see the ProtoConfig::scoped
-        // invariant) — scanner history is masked at lane changes.
-        let config = ProtoConfig {
-            scoped: true,
-            ..config
-        };
-        let rules = ScopedRuleset::build(set);
-        let full = rules.lane(Lane::Raw);
-        let http = rules.lane(Lane::Normalized(ProtocolId::Http));
-        let tls = rules.lane(Lane::Normalized(ProtocolId::Tls));
+    fn raw_pipeline(
+        rules: &ScopedRuleset,
+        config: ProtoConfig,
+        chunks: &[&[u8]],
+    ) -> (Vec<Match>, ProtocolStats) {
         let mut flow = ProtoFlow::new(ScanState::fresh(), config);
         let mut stats = ProtocolStats::default();
         let mut out = Vec::new();
@@ -1273,10 +1226,8 @@ mod tests {
                 chunk,
                 false,
                 &mut stats,
-                |lane, scan: &mut ScanState, bytes, out| match lane {
-                    Lane::Raw => full.scan_chunk_into(scan, bytes, out),
-                    Lane::Normalized(ProtocolId::Http) => http.scan_chunk_into(scan, bytes, out),
-                    Lane::Normalized(ProtocolId::Tls) => tls.scan_chunk_into(scan, bytes, out),
+                |lane, scan: &mut ScanState, bytes, out| {
+                    rules.scan_chunk_into(lane, scan, bytes, out)
                 },
                 &mut out,
             );
@@ -1322,12 +1273,11 @@ mod tests {
 
     #[test]
     fn chunked_split_signature_found_normalized_missed_raw() {
-        let set = PatternSet::new(["attack-sig"]).unwrap();
+        let rules = ScopedRuleset::build(&PatternSet::new(["attack-sig"]).unwrap());
         // "attack-sig" split across two chunk bodies.
         let wire = b"POST /u HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n\
                      6\r\nattack\r\n4\r\n-sig\r\n0\r\n\r\n";
-        let (normalized, stats) =
-            raw_pipeline(&set, ProtoConfig::default(), &[wire.as_slice()]);
+        let (normalized, stats) = raw_pipeline(&rules, ProtoConfig::default(), &[wire.as_slice()]);
         assert_eq!(normalized.len(), 1, "normalized scan must catch the split");
         assert_eq!(stats.flows_http, 1);
         assert_eq!(stats.malformed_downgrades, 0);
@@ -1336,7 +1286,7 @@ mod tests {
             enabled: false,
             ..ProtoConfig::default()
         };
-        let (raw, _) = raw_pipeline(&set, disabled, &[wire.as_slice()]);
+        let (raw, _) = raw_pipeline(&rules, disabled, &[wire.as_slice()]);
         assert!(raw.is_empty(), "raw scan must miss the split signature");
     }
 
@@ -1388,25 +1338,25 @@ mod tests {
 
     #[test]
     fn malformed_chunk_size_fails_open() {
-        let set = PatternSet::new(["attack-sig"]).unwrap();
+        let rules = ScopedRuleset::build(&PatternSet::new(["attack-sig"]).unwrap());
         // Chunk size line is garbage; the signature sits after it and
         // must still be found by the raw fallback.
         let wire = b"POST /u HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\nZZ\r\nattack-sig";
-        let (matches, stats) = raw_pipeline(&set, ProtoConfig::default(), &[wire.as_slice()]);
+        let (matches, stats) = raw_pipeline(&rules, ProtoConfig::default(), &[wire.as_slice()]);
         assert_eq!(stats.malformed_downgrades, 1);
         assert_eq!(matches.len(), 1, "raw fallback must still scan the remainder");
     }
 
     #[test]
     fn chunk_size_leading_zero_flood_fails_open_without_panic() {
-        let set = PatternSet::new(["attack-sig"]).unwrap();
+        let rules = ScopedRuleset::build(&PatternSet::new(["attack-sig"]).unwrap());
         // Hundreds of leading-zero hex digits keep `value` at 0, so
         // only the digit-count guard can stop the line (an unbounded
         // u8 counter would overflow here).
         let mut wire = b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n".to_vec();
         wire.extend(std::iter::repeat_n(b'0', 300));
         wire.extend_from_slice(b"5\r\nattack-sig");
-        let (matches, stats) = raw_pipeline(&set, ProtoConfig::default(), &[&wire]);
+        let (matches, stats) = raw_pipeline(&rules, ProtoConfig::default(), &[&wire]);
         assert_eq!(stats.malformed_downgrades, 1);
         assert_eq!(matches.len(), 1, "raw fallback must still scan the remainder");
     }
@@ -1442,7 +1392,7 @@ mod tests {
 
     #[test]
     fn padded_framing_header_past_line_cap_fails_open() {
-        let set = PatternSet::new(["attack-sig"]).unwrap();
+        let rules = ScopedRuleset::build(&PatternSet::new(["attack-sig"]).unwrap());
         for name in ["Content-Length:", "Transfer-Encoding:"] {
             // OWS padding pushes the value past LINE_CAP; silently
             // skipping the header would desync framing with no counter
@@ -1451,7 +1401,7 @@ mod tests {
             wire.extend_from_slice(name.as_bytes());
             wire.extend(std::iter::repeat_n(b' ', 120));
             wire.extend_from_slice(b"5\r\n\r\nattack-sig");
-            let (matches, stats) = raw_pipeline(&set, ProtoConfig::default(), &[&wire]);
+            let (matches, stats) = raw_pipeline(&rules, ProtoConfig::default(), &[&wire]);
             assert_eq!(
                 stats.malformed_downgrades, 1,
                 "padded {name} must fail open, not vanish"
@@ -1508,24 +1458,24 @@ mod tests {
 
     #[test]
     fn tls_bad_header_fails_open() {
-        let set = PatternSet::new(["attack-sig"]).unwrap();
+        let rules = ScopedRuleset::build(&PatternSet::new(["attack-sig"]).unwrap());
         let mut wire = vec![0x16, 0x03, 0x01, 0x00, 0x02, 0xaa, 0xbb];
         wire.extend_from_slice(&[0x99, 0x03, 0x03]); // bad record type
         wire.extend_from_slice(b"attack-sig");
-        let (matches, stats) = raw_pipeline(&set, ProtoConfig::default(), &[&wire]);
+        let (matches, stats) = raw_pipeline(&rules, ProtoConfig::default(), &[&wire]);
         assert_eq!(stats.malformed_downgrades, 1);
         assert_eq!(matches.len(), 1);
     }
 
     #[test]
     fn mimicry_hint_disagreement_goes_raw() {
-        let set = PatternSet::new(["attack-sig"]).unwrap();
+        let rules = ScopedRuleset::build(&PatternSet::new(["attack-sig"]).unwrap());
         let config = ProtoConfig {
             hint: Some(ProtocolId::Tls),
             ..ProtoConfig::default()
         };
         let wire = b"GET /totally-http HTTP/1.1\r\n\r\nattack-sig";
-        let (matches, stats) = raw_pipeline(&set, config, &[wire.as_slice()]);
+        let (matches, stats) = raw_pipeline(&rules, config, &[wire.as_slice()]);
         assert_eq!(stats.mimicry_suspected, 1);
         assert_eq!(stats.flows_raw, 1);
         assert_eq!(stats.flows_http, 0);
@@ -1534,13 +1484,13 @@ mod tests {
 
     #[test]
     fn tiny_probe_budget_exhausts_to_raw() {
-        let set = PatternSet::new(["attack-sig"]).unwrap();
+        let rules = ScopedRuleset::build(&PatternSet::new(["attack-sig"]).unwrap());
         let config = ProtoConfig {
             probe_budget: 2,
             ..ProtoConfig::default()
         };
         let wire = b"GET / HTTP/1.1\r\n\r\nattack-sig";
-        let (matches, stats) = raw_pipeline(&set, config, &[wire.as_slice()]);
+        let (matches, stats) = raw_pipeline(&rules, config, &[wire.as_slice()]);
         assert_eq!(stats.probe_exhausted, 1);
         assert_eq!(stats.flows_raw, 1);
         assert_eq!(matches.len(), 1);
@@ -1548,28 +1498,26 @@ mod tests {
 
     #[test]
     fn non_protocol_traffic_is_byte_identical_to_raw_scan() {
-        let set = PatternSet::new(["he", "attack-sig"]).unwrap();
+        let rules = ScopedRuleset::build(&PatternSet::new(["he", "attack-sig"]).unwrap());
         let payload: Vec<u8> = (0u32..4096)
             .map(|i| (i.wrapping_mul(2654435761) >> 13) as u8)
             .collect();
         let mut spiked = payload.clone();
         spiked.extend_from_slice(b"xheattack-sigx");
         let chunks: Vec<&[u8]> = spiked.chunks(97).collect();
-        let (via_proto, stats) = raw_pipeline(&set, ProtoConfig::default(), &chunks);
+        let (via_proto, stats) = raw_pipeline(&rules, ProtoConfig::default(), &chunks);
         assert_eq!(stats.flows_raw, 1);
 
-        let rules = ScopedRuleset::build(&set);
-        let full = rules.lane(Lane::Raw);
         let mut state = ScanState::fresh();
         let mut plain = Vec::new();
         for chunk in &chunks {
-            full.scan_chunk_into(&mut state, chunk, &mut plain);
+            rules.scan_chunk_into(Lane::Raw, &mut state, chunk, &mut plain);
         }
         assert_eq!(via_proto, plain, "unclassified flow must equal plain raw scan");
     }
 
     #[test]
-    fn scoped_views_partition_and_remap() {
+    fn lane_masks_partition_the_set() {
         let set = PatternSet::new(["anywhere", "http-only", "tls-only"])
             .unwrap()
             .with_tag(TAG_HTTP, [PatternId(1)])
@@ -1581,34 +1529,25 @@ mod tests {
 
         let payload = b"xx http-only xx tls-only xx anywhere xx";
         let mut out = Vec::new();
-        rules
-            .lane(Lane::Normalized(ProtocolId::Http))
-            .scan_into(payload, &mut out);
-        let mut ids: Vec<u32> = out.iter().map(|m| m.pattern.0).collect();
-        ids.sort_unstable();
-        assert_eq!(ids, vec![0, 1], "http lane: anywhere + http-only, master ids");
-
-        out.clear();
-        rules
-            .lane(Lane::Normalized(ProtocolId::Tls))
-            .scan_into(payload, &mut out);
-        let mut ids: Vec<u32> = out.iter().map(|m| m.pattern.0).collect();
-        ids.sort_unstable();
-        assert_eq!(ids, vec![0, 2], "tls lane: anywhere + tls-only, master ids");
+        let mut ids = |lane| {
+            rules.scan_into(lane, payload, &mut out);
+            out.iter().map(|m| m.pattern.0).collect::<Vec<u32>>()
+        };
+        assert_eq!(ids(Lane::Normalized(ProtocolId::Http)), [1, 0]);
+        assert_eq!(ids(Lane::Normalized(ProtocolId::Tls)), [2, 0]);
+        assert_eq!(ids(Lane::Raw), [1, 2, 0]);
     }
 
     #[test]
     fn bypass_forces_raw_and_counts_once() {
-        let set = PatternSet::new(["attack-sig"]).unwrap();
-        let rules = ScopedRuleset::build(&set);
-        let full = rules.lane(Lane::Raw);
+        let rules = ScopedRuleset::build(&PatternSet::new(["attack-sig"]).unwrap());
         let mut flow = ProtoFlow::new(ScanState::fresh(), ProtoConfig::default());
         let mut stats = ProtocolStats::default();
         let mut out = Vec::new();
         let wire = b"GET / HTTP/1.1\r\nContent-Length: 10\r\n\r\nattack-sig";
         let (head, tail) = wire.split_at(20);
-        let mut sink = |_: Lane, scan: &mut ScanState, bytes: &[u8], out: &mut Vec<Match>| {
-            full.scan_chunk_into(scan, bytes, out)
+        let mut sink = |lane: Lane, scan: &mut ScanState, bytes: &[u8], out: &mut Vec<Match>| {
+            rules.scan_chunk_into(lane, scan, bytes, out)
         };
         flow.deliver(head, false, &mut stats, &mut sink, &mut out);
         assert!(!flow.is_raw());
@@ -1655,13 +1594,12 @@ mod tests {
 
     #[test]
     fn disabled_config_is_pure_passthrough() {
-        let set = PatternSet::new(["attack-sig"]).unwrap();
+        let rules = ScopedRuleset::build(&PatternSet::new(["attack-sig"]).unwrap());
         let config = ProtoConfig {
             enabled: false,
             ..ProtoConfig::default()
         };
-        let (matches, stats) =
-            raw_pipeline(&set, config, &[b"GET attack-sig".as_slice()]);
+        let (matches, stats) = raw_pipeline(&rules, config, &[b"GET attack-sig".as_slice()]);
         assert_eq!(matches.len(), 1);
         assert_eq!(stats.normalized_bytes, 0);
         assert_eq!(stats.flows_http + stats.flows_tls + stats.flows_raw, 0);

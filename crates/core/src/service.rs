@@ -162,10 +162,11 @@ pub struct ServiceConfig {
     /// Per-flow protocol detect/normalize stage. Workers pipeline
     /// reassemble → detect/normalize → scan; disable (or rely on the
     /// fail-open downgrades) to get plain raw-byte scanning. The
-    /// service always scans every lane with the full ruleset, so
-    /// `scoped` is forced off by the workers — honoring it would only
-    /// reset tier-scanner history at classification (see the invariant
-    /// on [`ProtoConfig::scoped`]).
+    /// workers' tier engines carry no lane masks, so every lane is
+    /// scanned with the full ruleset; [`ScopedRuleset`] scoping applies
+    /// to pipelines that scan through one.
+    ///
+    /// [`ScopedRuleset`]: crate::protocol::ScopedRuleset
     pub protocol: ProtoConfig,
     /// Degradation-ladder thresholds.
     pub ladder: LadderConfig,
@@ -646,18 +647,9 @@ struct WorkerCore {
 
 impl WorkerCore {
     fn new(arena: Arc<RulesetArena>, config: &ServiceConfig) -> Result<WorkerCore, ServiceConfigError> {
-        // The worker sink scans every lane with the one full-ruleset
-        // tier engine, so `scoped` must be off (see the invariant on
-        // ProtoConfig::scoped): honoring a user-set flag would reset
-        // tier-scanner history at classification for a lane change
-        // that never happens.
-        let protocol = ProtoConfig {
-            scoped: false,
-            ..config.protocol
-        };
         let template = StreamFlow::new(
             config.reassembly,
-            ProtoFlow::new(TierScan::fresh(), protocol),
+            ProtoFlow::new(TierScan::fresh(), config.protocol),
         );
         let table = FlowTable::try_with_ways(config.flow_capacity, config.flow_ways, template)?;
         let sharded_scratch = arena.exact.scratch();
@@ -674,7 +666,7 @@ impl WorkerCore {
             flow_capacity: config.flow_capacity,
             flow_ways: config.flow_ways,
             reassembly: config.reassembly,
-            protocol,
+            protocol: config.protocol,
             retired_reassembly: crate::reassembly::ReassemblyStats::default(),
             stats: WorkerStats::default(),
             matches: Vec::new(),
@@ -1737,6 +1729,79 @@ mod tests {
     fn arena() -> Arc<RulesetArena> {
         let set = PatternSet::new(["attack-sig", "evil-payload", "he"]).unwrap();
         Arc::new(RulesetArena::build(&set, &TwoStageConfig::with_cores(1), 1).unwrap())
+    }
+
+    // The counter aggregators are written field by field. Each source
+    // block below is a full literal, so a new counter breaks this build
+    // until it is aggregated and listed here.
+    #[test]
+    fn worker_stats_absorb_carries_every_counter() {
+        let src = WorkerStats {
+            packets: 1,
+            tier_bytes: [2, 3, 4],
+            matches: 5,
+            suspect_flags: 6,
+            degrades: 7,
+            recoveries: 8,
+            state_rebuilds: 9,
+            resyncs: 10,
+            swaps: 11,
+            panics: 12,
+            restarts: 13,
+            panic_lost_bytes: 14,
+            protocol: ProtocolStats {
+                delivered_bytes: 15,
+                normalized_bytes: 16,
+                raw_bytes: 17,
+                emitted_bytes: 18,
+                flows_http: 19,
+                flows_tls: 20,
+                flows_raw: 21,
+                malformed_downgrades: 22,
+                probe_exhausted: 23,
+                mimicry_suspected: 24,
+                desync_downgrades: 25,
+                tier_bypassed: 26,
+            },
+        };
+        let mut sum = WorkerStats::default();
+        sum.absorb(&src);
+        assert_eq!(sum, src);
+    }
+
+    #[test]
+    fn add_reassembly_carries_every_counter() {
+        use crate::reassembly::ReassemblyStats;
+        let src = ReassemblyStats {
+            segments: 1,
+            segments_buffered: 2,
+            bytes_buffered: 3,
+            bytes_held: 4,
+            evicted_bytes: 5,
+            bytes_held_peak: 6,
+            dup_bytes: 7,
+            overlap_bytes: 8,
+            overlap_conflicts: 9,
+            holes_skipped: 10,
+            hole_bytes: 11,
+            budget_drops: 12,
+        };
+        let mut live = ReassemblyStats::default();
+        add_reassembly(&mut live, &src, true);
+        assert_eq!(live, src);
+        // The peak combines by max, the monotone counters by sum.
+        add_reassembly(&mut live, &src, true);
+        assert_eq!((live.bytes_held_peak, live.segments), (6, 2));
+        // A retired table's held bytes are lost, not held.
+        let mut retired = ReassemblyStats::default();
+        add_reassembly(&mut retired, &src, false);
+        assert_eq!(
+            retired,
+            ReassemblyStats {
+                bytes_held: 0,
+                ..src
+            }
+        );
     }
 
     #[test]

@@ -507,10 +507,7 @@ impl ShardedMatcher {
                 ids,
             })
             .collect();
-        let mut fold = [0u8; 256];
-        for (b, slot) in fold.iter_mut().enumerate() {
-            *slot = set.fold(b as u8);
-        }
+        let fold = CompiledMatcher::fold_table(set);
         let costs: Vec<usize> = shards.iter().map(|s| s.automaton.memory_bytes()).collect();
         let chunk_bounds = chunk_bounds(&costs, config.cores);
         Ok(ShardedMatcher {

@@ -270,7 +270,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 false,
                 &mut stats,
                 |lane, scan: &mut ScanState, bytes, out| {
-                    rules.lane(lane).scan_chunk_into(scan, bytes, out)
+                    rules.scan_chunk_into(lane, scan, bytes, out)
                 },
                 &mut hits,
             );

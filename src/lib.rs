@@ -47,6 +47,11 @@ pub use dpi_hw as hw;
 pub use dpi_rulesets as rulesets;
 pub use dpi_sim as sim;
 
+/// Compiles and runs the README's code blocks as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
+
 /// The most commonly used types, for glob import.
 pub mod prelude {
     pub use dpi_automaton::{
@@ -66,7 +71,7 @@ pub mod prelude {
         Service, ServiceConfig, ServiceReport, ServiceSim, ServiceStats, ShedConfig,
     };
     pub use dpi_core::{
-        Lane, LaneMatcher, ProtoConfig, ProtoFlow, ProtocolId, ProtocolStats, ScopedRuleset,
+        Lane, ProtoConfig, ProtoFlow, ProtocolId, ProtocolStats, ScopedRuleset,
         TAG_ANY, TAG_HTTP, TAG_TLS,
     };
     pub use dpi_hw::{HwImage, HwMatcher};

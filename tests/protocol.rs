@@ -17,7 +17,7 @@
 //!    byte soups and adversarial segment schedules, and nothing
 //!    panics.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use dpi_accel::prelude::*;
 use dpi_accel::rulesets::{
@@ -30,22 +30,11 @@ use proptest::prelude::*;
 /// blocks. Asserts the fail-open ledger and the reassembly budget on
 /// every step.
 fn proto_pipeline(
-    set: &PatternSet,
+    rules: &ScopedRuleset,
     config: ProtoConfig,
     schedule: &[Segment],
     budget: usize,
 ) -> (Vec<Match>, ProtocolStats, ReassemblyStats) {
-    // The sink below maps lanes to the distinct scoped views, so the
-    // flow must run scoped (see the ProtoConfig::scoped invariant) —
-    // scanner history is masked at lane changes.
-    let config = ProtoConfig {
-        scoped: true,
-        ..config
-    };
-    let rules = ScopedRuleset::build(set);
-    let full = rules.lane(Lane::Raw);
-    let http = rules.lane(Lane::Normalized(ProtocolId::Http));
-    let tls = rules.lane(Lane::Normalized(ProtocolId::Tls));
     let mut flow = StreamFlow::new(
         ReassemblyConfig::new(budget),
         ProtoFlow::new(ScanState::fresh(), config),
@@ -60,13 +49,7 @@ fn proto_pipeline(
                 false,
                 &mut pstats,
                 |lane, scan: &mut ScanState, bytes, out| {
-                    let view = match lane {
-                        Lane::Raw => &full,
-                        Lane::Normalized(ProtocolId::Http) => &http,
-                        Lane::Normalized(ProtocolId::Tls) => &tls,
-                        Lane::Normalized(_) => &full,
-                    };
-                    view.scan_chunk_into(scan, bytes, out);
+                    rules.scan_chunk_into(lane, scan, bytes, out)
                 },
                 out,
             );
@@ -90,20 +73,25 @@ fn proto_pipeline(
 
 /// The reference pipeline: same reassembler, plain `ScanState`, no
 /// protocol stage at all.
-fn raw_pipeline(set: &PatternSet, schedule: &[Segment], budget: usize) -> Vec<Match> {
-    let rules = ScopedRuleset::build(set);
-    let full = rules.lane(Lane::Raw);
+fn raw_pipeline(rules: &ScopedRuleset, schedule: &[Segment], budget: usize) -> Vec<Match> {
     let mut flow = StreamFlow::new(ReassemblyConfig::new(budget), ScanState::fresh());
     let mut out = Vec::new();
     let mut rstats = ReassemblyStats::default();
     let mut scan = |scan: &mut ScanState, chunk: &[u8], out: &mut Vec<Match>| {
-        full.scan_chunk_into(scan, chunk, out);
+        rules.scan_chunk_into(Lane::Raw, scan, chunk, out);
     };
     for seg in schedule {
         flow.ingest(seg.seq, &seg.bytes, &mut scan, &mut out, &mut rstats);
     }
     flow.flush(&mut scan, &mut out, &mut rstats);
     out
+}
+
+/// The one-signature ruleset most tests scan with, compiled once per
+/// test binary.
+fn attack_sig() -> &'static ScopedRuleset {
+    static RULES: OnceLock<ScopedRuleset> = OnceLock::new();
+    RULES.get_or_init(|| ScopedRuleset::build(&PatternSet::new(["attack-sig"]).unwrap()))
 }
 
 fn all_chops() -> Vec<ChopProfile> {
@@ -133,6 +121,7 @@ fn all_segment_profiles() -> Vec<SegmentProfile> {
 #[test]
 fn disabled_and_unclassified_normalizers_equal_raw_scan_across_all_profiles() {
     let set = PatternSet::new(["attack-sig", "evil-payload", "he", "hers"]).unwrap();
+    let rules = ScopedRuleset::build(&set);
     let mut gen = TrafficGenerator::new(0xC0FFEE);
     for chop in all_chops() {
         for profile in all_segment_profiles() {
@@ -147,12 +136,12 @@ fn disabled_and_unclassified_normalizers_equal_raw_scan_across_all_profiles() {
             let schedule = gen.segment_schedule(&packet, &set, chop, profile);
             let budget = packet.payload.len() + 128;
 
-            let reference = raw_pipeline(&set, &schedule, budget);
+            let reference = raw_pipeline(&rules, &schedule, budget);
             let disabled = ProtoConfig {
                 enabled: false,
                 ..ProtoConfig::default()
             };
-            let (off, off_stats, _) = proto_pipeline(&set, disabled, &schedule, budget);
+            let (off, off_stats, _) = proto_pipeline(&rules, disabled, &schedule, budget);
             assert_eq!(
                 off, reference,
                 "disabled normalizer diverged from raw scan under {chop:?}/{profile:?}"
@@ -160,7 +149,7 @@ fn disabled_and_unclassified_normalizers_equal_raw_scan_across_all_profiles() {
             assert_eq!(off_stats.normalized_bytes, 0);
 
             let (on, on_stats, _) =
-                proto_pipeline(&set, ProtoConfig::default(), &schedule, budget);
+                proto_pipeline(&rules, ProtoConfig::default(), &schedule, budget);
             assert_eq!(
                 on, reference,
                 "unclassified flow diverged from raw scan under {chop:?}/{profile:?}"
@@ -178,16 +167,28 @@ fn disabled_and_unclassified_normalizers_equal_raw_scan_across_all_profiles() {
 
 #[test]
 fn http_normalization_is_cut_and_schedule_invariant() {
-    let set = PatternSet::new(["Host: www", "example.com", "attack-sig"]).unwrap();
+    // Every request line opens with one of the method patterns, so the
+    // first one of each stream straddles the content probe.
+    let set = PatternSet::new([
+        "Host: www",
+        "example.com",
+        "attack-sig",
+        "GET /",
+        "POST /",
+        "PUT /",
+        "HEAD /",
+        "DELETE /",
+    ])
+    .unwrap();
     let rules = ScopedRuleset::build(&set);
-    let full = rules.lane(Lane::Raw);
     let mut gen = TrafficGenerator::new(11);
     let stream = gen.http_stream(4, 300, 1.0);
     let mut expect = Vec::new();
-    full.scan_into(&stream.decoded, &mut expect);
+    rules.scan_into(Lane::Raw, &stream.decoded, &mut expect);
     assert!(
-        !expect.is_empty(),
-        "fixture must produce header matches to compare"
+        expect[0].pattern.index() >= 3 && expect[0].end <= "DELETE /".len(),
+        "fixture must open with a request-line match: {:?}",
+        expect.first()
     );
 
     let packet = Packet {
@@ -208,7 +209,7 @@ fn http_normalization_is_cut_and_schedule_invariant() {
         for profile in &deliverable {
             let schedule = gen.segment_schedule(&packet, &set, chop, *profile);
             let (got, pstats, _) = proto_pipeline(
-                &set,
+                &rules,
                 ProtoConfig::default(),
                 &schedule,
                 stream.wire.len() + 256,
@@ -227,6 +228,7 @@ fn http_normalization_is_cut_and_schedule_invariant() {
 #[test]
 fn chunk_split_signatures_found_normalized_and_missed_raw() {
     let set = PatternSet::new(["attack-sig", "evil-payload"]).unwrap();
+    let rules = ScopedRuleset::build(&set);
     let mut gen = TrafficGenerator::new(23);
     let stream = gen.chunked_evasion_stream(&set, 4);
     let schedule = vec![Segment {
@@ -235,7 +237,7 @@ fn chunk_split_signatures_found_normalized_and_missed_raw() {
     }];
     let budget = stream.wire.len() + 64;
 
-    let (got, pstats, _) = proto_pipeline(&set, ProtoConfig::default(), &schedule, budget);
+    let (got, pstats, _) = proto_pipeline(&rules, ProtoConfig::default(), &schedule, budget);
     for &(id, end) in &stream.injected {
         assert!(
             got.iter().any(|m| m.pattern == id && m.end == end),
@@ -248,11 +250,43 @@ fn chunk_split_signatures_found_normalized_and_missed_raw() {
         enabled: false,
         ..ProtoConfig::default()
     };
-    let (raw, _, _) = proto_pipeline(&set, disabled, &schedule, budget);
+    let (raw, _, _) = proto_pipeline(&rules, disabled, &schedule, budget);
     assert!(
         raw.is_empty(),
         "every injection is split by chunk framing; the raw scan must miss all of them: {raw:?}"
     );
+}
+
+#[test]
+fn tls_probe_prefix_and_record_body_are_never_spliced() {
+    // The probe scans `16 03 01` raw; the rest of the record header is
+    // metadata. `\x01Zab` then exists neither on the wire (`01 00 05 5a`)
+    // nor in the record body, only across the probe and the body.
+    let set = PatternSet::new([&b"\x01Zab"[..], &b"Zab"[..]]).unwrap();
+    let rules = ScopedRuleset::build(&set);
+    let wire = b"\x16\x03\x01\x00\x05Zabcd";
+    for cut in 1..=wire.len() {
+        let schedule: Vec<Segment> = [(0, &wire[..cut]), (cut, &wire[cut..])]
+            .into_iter()
+            .filter(|(_, bytes)| !bytes.is_empty())
+            .map(|(seq, bytes)| Segment {
+                seq: seq as u64,
+                bytes: bytes.to_vec(),
+            })
+            .collect();
+        let (got, pstats, _) = proto_pipeline(&rules, ProtoConfig::default(), &schedule, 64);
+        assert_eq!(pstats.flows_tls, 1);
+        // The three probe bytes hold stream offsets 0..3, so the body's
+        // `Zab` ends at decoded offset 6.
+        assert_eq!(
+            got,
+            [Match {
+                end: 6,
+                pattern: PatternId(1)
+            }],
+            "cut at {cut}"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -261,7 +295,7 @@ fn chunk_split_signatures_found_normalized_and_missed_raw() {
 
 #[test]
 fn every_malformation_fails_open_and_remainder_is_scanned() {
-    let set = PatternSet::new(["attack-sig"]).unwrap();
+    let rules = attack_sig();
     for &kind in HTTP_MALFORMATIONS {
         let mut gen = TrafficGenerator::new(31);
         let mut wire = gen.malformed_http_stream(kind);
@@ -283,7 +317,7 @@ fn every_malformation_fails_open_and_remainder_is_scanned() {
         }
         for schedule in [&whole, &pieces] {
             let (got, pstats, _) =
-                proto_pipeline(&set, ProtoConfig::default(), schedule, wire.len() + 64);
+                proto_pipeline(rules, ProtoConfig::default(), schedule, wire.len() + 64);
             assert!(
                 got.iter().any(|m| m.pattern.index() == 0),
                 "{kind:?}: the signature after the hostile framing must still be found"
@@ -306,7 +340,7 @@ fn every_malformation_fails_open_and_remainder_is_scanned() {
 
 #[test]
 fn mimicry_and_probe_exhaustion_fail_open_to_raw_equivalence() {
-    let set = PatternSet::new(["attack-sig"]).unwrap();
+    let rules = attack_sig();
     let mut gen = TrafficGenerator::new(41);
     let mut wire = gen.mimicry_stream(64);
     wire.extend_from_slice(b"..attack-sig..");
@@ -315,7 +349,7 @@ fn mimicry_and_probe_exhaustion_fail_open_to_raw_equivalence() {
         bytes: wire.clone(),
     }];
     let budget = wire.len() + 64;
-    let reference = raw_pipeline(&set, &schedule, budget);
+    let reference = raw_pipeline(rules, &schedule, budget);
     assert!(!reference.is_empty());
 
     // A TLS port hint against plausible HTTP content: trust neither.
@@ -323,7 +357,7 @@ fn mimicry_and_probe_exhaustion_fail_open_to_raw_equivalence() {
         hint: Some(ProtocolId::Tls),
         ..ProtoConfig::default()
     };
-    let (got, pstats, _) = proto_pipeline(&set, tls_hint, &schedule, budget);
+    let (got, pstats, _) = proto_pipeline(rules, tls_hint, &schedule, budget);
     assert_eq!(pstats.mimicry_suspected, 1);
     assert_eq!(pstats.flows_raw, 1);
     assert_eq!(pstats.flows_http, 0, "the hint mismatch must not normalize");
@@ -334,7 +368,7 @@ fn mimicry_and_probe_exhaustion_fail_open_to_raw_equivalence() {
         probe_budget: 2,
         ..ProtoConfig::default()
     };
-    let (got, pstats, _) = proto_pipeline(&set, tiny, &schedule, budget);
+    let (got, pstats, _) = proto_pipeline(rules, tiny, &schedule, budget);
     assert_eq!(pstats.probe_exhausted, 1);
     assert_eq!(got, reference, "probe exhaustion must scan raw bytes");
 }
@@ -376,11 +410,10 @@ proptest! {
             schedule.push(Segment { seq: start as u64, bytes: data[start..cut].to_vec() });
             start = cut;
         }
-        let set = PatternSet::new(["attack-sig"]).unwrap();
         let hints = [None, Some(ProtocolId::Http), Some(ProtocolId::Tls)];
         let config = ProtoConfig { hint: hints[hint_sel], ..ProtoConfig::default() };
         // The helper asserts ledger balance and budget internally.
-        let (_, pstats, _) = proto_pipeline(&set, config, &schedule, data.len() + 64);
+        let (_, pstats, _) = proto_pipeline(attack_sig(), config, &schedule, data.len() + 64);
         prop_assert_eq!(pstats.delivered_bytes, data.len() as u64);
     }
 
@@ -388,7 +421,6 @@ proptest! {
     fn segment_soup_never_panics_and_ledger_balances(
         seeds in proptest::collection::vec(any::<u64>(), 0..40),
     ) {
-        let set = PatternSet::new(["attack-sig"]).unwrap();
         // Each seed expands deterministically into one adversarial
         // segment: arbitrary placement (including zero length), filler
         // derived from the seed.
@@ -404,7 +436,7 @@ proptest! {
             })
             .collect();
         let (_, pstats, _) =
-            proto_pipeline(&set, ProtoConfig::default(), &schedule, 256);
+            proto_pipeline(attack_sig(), ProtoConfig::default(), &schedule, 256);
         prop_assert_eq!(pstats.unaccounted_bytes(), 0);
     }
 }
@@ -428,22 +460,61 @@ fn scoped_rules_never_scan_the_wrong_lane() {
     assert_eq!(rules.lane_len(Lane::Normalized(ProtocolId::Tls)), 2);
 
     let mut out = Vec::new();
-    rules
-        .lane(Lane::Normalized(ProtocolId::Http))
-        .scan_into(b"tls-only-sig anywhere-sig", &mut out);
+    rules.scan_into(
+        Lane::Normalized(ProtocolId::Http),
+        b"tls-only-sig anywhere-sig",
+        &mut out,
+    );
     assert_eq!(out.len(), 1, "HTTP lane must not see TLS-only rules");
-    assert_eq!(out[0].pattern, ids[2], "remapped id must be the global id");
-    out.clear();
-    rules
-        .lane(Lane::Normalized(ProtocolId::Tls))
-        .scan_into(b"http-only-sig anywhere-sig", &mut out);
+    assert_eq!(out[0].pattern, ids[2], "matches carry the set's own ids");
+    rules.scan_into(
+        Lane::Normalized(ProtocolId::Tls),
+        b"http-only-sig anywhere-sig",
+        &mut out,
+    );
     assert_eq!(out.len(), 1, "TLS lane must not see HTTP-only rules");
-    out.clear();
-    rules.lane(Lane::Raw).scan_into(
+    rules.scan_into(
+        Lane::Raw,
         b"http-only-sig tls-only-sig anywhere-sig",
         &mut out,
     );
     assert_eq!(out.len(), 3, "the raw lane always scans the full set");
+}
+
+#[test]
+fn a_lane_with_no_rule_in_scope_reports_nothing() {
+    let set = PatternSet::new(["tls-only-sig", "other-tls-sig"])
+        .unwrap()
+        .with_tag(TAG_TLS, [PatternId(0), PatternId(1)]);
+    let rules = ScopedRuleset::build(&set);
+    let payload = b"tls-only-sig other-tls-sig";
+    let mut out = Vec::new();
+    rules.scan_into(Lane::Normalized(ProtocolId::Http), payload, &mut out);
+    assert!(
+        out.is_empty(),
+        "TLS-only rules reported on HTTP bytes: {out:?}"
+    );
+    assert_eq!(rules.lane_len(Lane::Normalized(ProtocolId::Http)), 0);
+    for lane in [Lane::Normalized(ProtocolId::Tls), Lane::Raw] {
+        rules.scan_into(lane, payload, &mut out);
+        assert_eq!(out.len(), 2, "{lane:?} must report every rule");
+    }
+
+    // Through the pipeline: an HTTP body carrying the signatures reports
+    // nothing, the same wire scanned raw reports both.
+    let mut wire = b"POST / HTTP/1.1\r\nContent-Length: 26\r\n\r\n".to_vec();
+    wire.extend_from_slice(payload);
+    let schedule = vec![Segment {
+        seq: 0,
+        bytes: wire.clone(),
+    }];
+    let (got, pstats, _) = proto_pipeline(&rules, ProtoConfig::default(), &schedule, 64);
+    assert_eq!(pstats.flows_http, 1);
+    assert!(
+        got.is_empty(),
+        "TLS-only rules reported on an HTTP flow: {got:?}"
+    );
+    assert_eq!(raw_pipeline(&rules, &schedule, 64).len(), 2);
 }
 
 #[test]
@@ -473,4 +544,31 @@ fn service_pipeline_normalizes_and_accounts_protocol_bytes() {
             "service must catch the chunk-split occurrence ({id:?}, {end})"
         );
     }
+}
+
+// ---------------------------------------------------------------------------
+// 6. Counter aggregation.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn protocol_stats_absorb_carries_every_counter() {
+    // A full literal: a new counter breaks this build until it is
+    // aggregated and listed here.
+    let src = ProtocolStats {
+        delivered_bytes: 1,
+        normalized_bytes: 2,
+        raw_bytes: 3,
+        emitted_bytes: 4,
+        flows_http: 5,
+        flows_tls: 6,
+        flows_raw: 7,
+        malformed_downgrades: 8,
+        probe_exhausted: 9,
+        mimicry_suspected: 10,
+        desync_downgrades: 11,
+        tier_bypassed: 12,
+    };
+    let mut sum = ProtocolStats::default();
+    sum.absorb(&src);
+    assert_eq!(sum, src);
 }
