@@ -773,12 +773,31 @@ fn best_secs(reps: usize, mut scan: impl FnMut() -> usize) -> (f64, usize) {
     (best, matches)
 }
 
+/// [`best_secs`] for scans that are compared with each other: after one
+/// warm-up each, every round times every scan once, in order, and each
+/// keeps its best — so slow clock drift (thermal throttling, noisy
+/// neighbors) hits all sides equally instead of biasing whichever ran
+/// last. Returns each scan's `(best_seconds, matches)`.
+fn interleaved_best<const N: usize>(
+    reps: usize,
+    mut scans: [&mut dyn FnMut() -> usize; N],
+) -> [(f64, usize); N] {
+    use std::time::Instant;
+    let mut best = scans.each_mut().map(|scan| (f64::INFINITY, scan())); // warm-up
+    for _ in 0..reps {
+        for (scan, (secs, matches)) in scans.iter_mut().zip(best.iter_mut()) {
+            let start = Instant::now();
+            *matches = scan();
+            *secs = secs.min(start.elapsed().as_secs_f64());
+        }
+    }
+    best
+}
+
 /// One measured on/off A/B pair, shared by every experiment that
 /// compares a fast-path switch against its baseline (`sw-throughput`,
-/// `sw-throughput-clean`, `sw-throughput-stride`): alternates the two
-/// scans rep by rep and takes each side's best, so slow clock drift
-/// (thermal throttling, noisy neighbors) hits both sides equally
-/// instead of biasing whichever ran second.
+/// `sw-throughput-clean`, `sw-throughput-stride`): the two scans time
+/// in alternating rounds ([`interleaved_best`]).
 struct AbRow {
     off_secs: f64,
     on_secs: f64,
@@ -801,17 +820,8 @@ fn ab_bench_row(
     mut off: impl FnMut() -> usize,
     mut on: impl FnMut() -> usize,
 ) -> AbRow {
-    use std::time::Instant;
-    let (mut off_matches, mut on_matches) = (off(), on()); // warm-up
-    let (mut off_best, mut on_best) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..reps {
-        let start = Instant::now();
-        off_matches = off();
-        off_best = off_best.min(start.elapsed().as_secs_f64());
-        let start = Instant::now();
-        on_matches = on();
-        on_best = on_best.min(start.elapsed().as_secs_f64());
-    }
+    let [(off_best, off_matches), (on_best, on_matches)] =
+        interleaved_best(reps, [&mut off, &mut on]);
     assert_eq!(
         on_matches, off_matches,
         "fast-path switch must be scan-invisible ({id})"
@@ -1498,11 +1508,49 @@ fn two_stage() {
     let compiled =
         CompiledAutomaton::compile_with_prefilter(&reduced, anchors, Some(pairs));
     let mono = CompiledMatcher::new(&compiled, &master);
-    let mut buf: Vec<Match> = Vec::with_capacity(1024);
-    let (mono_secs, mono_matches) = best_secs(5, || {
-        mono.scan_into(&tls, &mut buf);
-        buf.len()
+
+    // Stage 1 gets the whole per-core L2 (2 MiB on current server
+    // cores). The frontier depth is no longer hand-pinned per ruleset
+    // scale: the profiled build sweeps candidate depths, measures each
+    // cover's real table size and flag rate on the sample stream, and
+    // keeps the best cost-model pick (see
+    // `PrefixCover::build_depth_tuned`). Stage 2 is replay-only, so it
+    // wants few big shards (fewer automata walked per replayed byte),
+    // not cache-resident ones.
+    let mut config = TwoStageConfig::with_cores(1);
+    config.approx = dpi_automaton::ApproxConfig::with_budget(2 << 20);
+    config.exact.budget_bytes = 8 << 20;
+    let scaled = [25_000usize, 100_000].map(|rules| {
+        let set = RulesetGenerator::new().generate(rules);
+        let two = TwoStageMatcher::build_with_profile(&set, &config, &sample)
+            .expect("generated set fits the shard plan");
+        (rules, set, two)
     });
+
+    // The gate compares each two-stage row with the monolith's, so the
+    // three scanners time in alternating rounds: host drift between
+    // them would otherwise read as a ratio.
+    let stream: &[u8] = &tls;
+    let mut buf: Vec<Match> = Vec::with_capacity(1024);
+    let mut scan_two = scaled.each_ref().map(|(_, _, two)| {
+        let (mut scratch, mut out) = (two.scratch(), Vec::with_capacity(1024));
+        move || {
+            two.scan_into(stream, &mut scratch, &mut out);
+            out.len()
+        }
+    });
+    let [scan_25k, scan_100k] = &mut scan_two;
+    let [(mono_secs, mono_matches), (secs_25k, _), (secs_100k, _)] = interleaved_best(
+        5,
+        [
+            &mut || {
+                mono.scan_into(stream, &mut buf);
+                buf.len()
+            },
+            scan_25k,
+            scan_100k,
+        ],
+    );
     emit("monolith-6275-tls", mono_secs);
 
     println!("two-stage scan vs monolith, 1 MiB clean TLS stream\n");
@@ -1533,28 +1581,10 @@ fn two_stage() {
         thousands(mono_matches),
     );
 
-    for rules in [25_000usize, 100_000] {
-        let set = RulesetGenerator::new().generate(rules);
-        // Stage 1 gets the whole per-core L2 (2 MiB on current server
-        // cores). The frontier depth is no longer hand-pinned per
-        // ruleset scale: the profiled build sweeps candidate depths,
-        // measures each cover's real table size and flag rate on the
-        // sample stream, and keeps the best cost-model pick (see
-        // `PrefixCover::build_depth_tuned`). Stage 2 is replay-only, so
-        // it wants few big shards (fewer automata walked per replayed
-        // byte), not cache-resident ones.
-        let mut config = TwoStageConfig::with_cores(1);
-        config.approx = dpi_automaton::ApproxConfig::with_budget(2 << 20);
-        config.exact.budget_bytes = 8 << 20;
-        let two = TwoStageMatcher::build_with_profile(&set, &config, &sample)
-            .expect("generated set fits the shard plan");
+    for ((rules, set, two), secs) in scaled.iter().zip([secs_25k, secs_100k]) {
+        let rules = *rules;
         let mut scratch = two.scratch();
-        let mut out: Vec<Match> = Vec::with_capacity(1024);
-        let (secs, _) = best_secs(5, || {
-            two.scan_into(&tls, &mut scratch, &mut out);
-            out.len()
-        });
-        let stats = two.scan_into(&tls, &mut scratch, &mut out);
+        let stats = two.scan_into(&tls, &mut scratch, &mut buf);
         let tag = format!("rules{}k", rules / 1000);
         emit(&format!("{tag}-tls"), secs);
         value(&format!("{tag}-replay-ppm"), stats.replay_fraction() * 1e6);
@@ -1568,8 +1598,8 @@ fn two_stage() {
         // The speed is only admissible if the composition stays exact:
         // replay an infected stream through both engines.
         let mut gen = TrafficGenerator::new(0xBAD_F00D ^ rules as u64);
-        let infected = gen.infected_packet(1 << 18, &set, 48).payload;
-        let exact = ShardedMatcher::build(&set, &config.exact).expect("same plan as stage 2");
+        let infected = gen.infected_packet(1 << 18, set, 48).payload;
+        let exact = ShardedMatcher::build(set, &config.exact).expect("same plan as stage 2");
         let mut ex_scratch = exact.scratch();
         let mut want: Vec<Match> = Vec::new();
         exact.scan_into(&infected, &mut ex_scratch, &mut want);

@@ -308,10 +308,12 @@ pub struct RulesetArena {
 }
 
 impl RulesetArena {
-    /// Compiles both engines from `set`. `generation` must be strictly
-    /// greater than any arena this one will replace — per-flow scan
-    /// states carry the generation they were built against and
-    /// regenerate when it no longer matches.
+    /// Compiles both engines from `set`: the exact tier's shards, then
+    /// the two-stage tier, whose replay verifier is compiled only when
+    /// its cover can open a window (see [`TwoStageMatcher::exact`]).
+    /// `generation` must be strictly greater than any arena this one
+    /// will replace — per-flow scan states carry the generation they
+    /// were built against and regenerate when it no longer matches.
     pub fn build(
         set: &PatternSet,
         config: &TwoStageConfig,

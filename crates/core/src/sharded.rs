@@ -520,6 +520,22 @@ impl ShardedMatcher {
         })
     }
 
+    /// A matcher with zero shards: it owns no automaton, reports no
+    /// match and holds 0 bytes. The two-stage builder deploys it as the
+    /// verifier when no cover entry can open a replay window, so no
+    /// idle copy of the ruleset is compiled. `set` supplies only the
+    /// case folding.
+    pub(crate) fn empty(set: &PatternSet, config: &ShardedConfig) -> ShardedMatcher {
+        ShardedMatcher {
+            shards: Vec::new(),
+            cores: config.cores.max(1),
+            strategy: SplitStrategy::Prefix,
+            fold: CompiledMatcher::fold_table(set),
+            simd: config.simd,
+            chunk_bounds: chunk_bounds(&[], config.cores),
+        }
+    }
+
     /// Number of shards the pattern set was split into.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
@@ -1292,6 +1308,25 @@ mod tests {
             .map(|s| sharded.shard_len(s))
             .sum();
         assert_eq!(patterns, 4);
+    }
+
+    #[test]
+    fn empty_matcher_scans_every_shape_to_nothing() {
+        let set = PatternSet::new(["he", "she"]).unwrap();
+        let empty = ShardedMatcher::empty(&set, &ShardedConfig::with_cores(2));
+        assert_eq!(empty.shard_count(), 0);
+        assert_eq!(empty.memory_bytes(), 0);
+        assert!(empty.shard_of().is_empty());
+        assert!(empty.find_all(b"ushers").is_empty());
+        assert!(!empty.is_match(b"ushers"));
+        let mut state = empty.flow_state();
+        let mut out = Vec::new();
+        empty.scan_chunk_into(&mut state, b"ushers", &mut empty.scratch(), &mut out);
+        assert!(out.is_empty());
+        assert_eq!(state.shard_count(), 0);
+        let mut batch = Vec::new();
+        empty.scan_stream_into(&[&b"she"[..], b"he"], &mut batch);
+        assert_eq!(batch, vec![Vec::new(), Vec::new()]);
     }
 
     #[test]

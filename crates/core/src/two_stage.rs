@@ -37,11 +37,13 @@
 //! Those flags emit directly and never open windows; only truncations
 //! with longer continuations (`forward > 0`) confirm or window. The
 //! replay verifier therefore holds just the big-family patterns, and
-//! the scan is one fused pass — one compiled-automaton walk with the
-//! same anchor skip lane and pair rows as the monolithic engine,
-//! recording flags that are then processed in stream order against a
-//! single-byte direct-emit sweep of the gaps between them (vectorized
-//! 32 bytes per probe under the `simd` feature).
+//! has zero shards when no family is oversized: no window can open
+//! then, so nothing is compiled for replay. The scan is one fused pass
+//! — one compiled-automaton walk with the same anchor skip lane and
+//! pair rows as the monolithic engine, recording flags that are then
+//! processed in stream order against a single-byte direct-emit sweep
+//! of the gaps between them (vectorized 32 bytes per probe under the
+//! `simd` feature).
 //!
 //! Soundness is inherited from the cover (see
 //! [`dpi_automaton::Flag::window`]): every exact occurrence of an
@@ -310,16 +312,25 @@ pub struct TwoStageStats {
     pub pre_bytes: u64,
     /// Stage-1 flags raised (exact-occurrence flags included).
     pub flags: u64,
-    /// Merged windows replayed through the exact engine.
+    /// Verification episodes, of two kinds: merged windows replayed
+    /// through the exact engine, and flags whose small family was
+    /// confirmed in place by residual comparison (one per such flag).
+    /// A cover with no windowed entry still counts the second kind.
     pub windows: u64,
-    /// Windows that produced no exact match — stage 1's false
-    /// positives.
+    /// Episodes that produced no exact match — stage 1's false
+    /// positives: replay windows with no match, in-place confirms where
+    /// no candidate's residual matched, and each candidate carried
+    /// across a chunk boundary whose residual then fails.
     pub fp_windows: u64,
-    /// Bytes replayed through the exact engine. Each stream byte counts
-    /// at most once per *lane set*: masked window replay feeds only the
-    /// shards owning the flagged family, and a lane joining a window
-    /// late re-reads the gap bytes the group already covered — those
-    /// catch-up bytes count once per joining lane.
+    /// Stream bytes stage 2 read, of two kinds. *Replayed* bytes went
+    /// through the exact engine; each counts at most once per *lane
+    /// set*: masked window replay feeds only the shards owning the
+    /// flagged family, and a lane joining a window late re-reads the
+    /// gap bytes the group already covered — those catch-up bytes count
+    /// once per joining lane. *Compared* bytes are what in-place
+    /// confirms read after a flag: per flag the longest candidate
+    /// examination, plus the bytes a carried candidate reads in the
+    /// next chunk.
     pub verified_bytes: u64,
     /// Window-opening flags recorded but **not** verified — only the
     /// degraded flag-only scan path
@@ -329,7 +340,10 @@ pub struct TwoStageStats {
 }
 
 impl TwoStageStats {
-    /// Fraction of swept bytes that replayed through the exact engine.
+    /// [`verified_bytes`](Self::verified_bytes) over
+    /// [`pre_bytes`](Self::pre_bytes): the share of swept bytes stage 2
+    /// read, replayed and in-place compared bytes alike — so it is
+    /// nonzero even where no window can open.
     pub fn replay_fraction(&self) -> f64 {
         if self.pre_bytes == 0 {
             0.0
@@ -338,8 +352,11 @@ impl TwoStageStats {
         }
     }
 
-    /// Fraction of windows with no exact match (1.0 on clean traffic by
-    /// construction — every window there is a false positive).
+    /// [`fp_windows`](Self::fp_windows) over
+    /// [`windows`](Self::windows): the share of verification episodes,
+    /// replay windows and in-place confirms alike, that found no exact
+    /// match (1.0 on clean traffic by construction — every episode there
+    /// is a false positive).
     pub fn fp_window_rate(&self) -> f64 {
         if self.windows == 0 {
             0.0
@@ -912,12 +929,13 @@ pub struct TwoStageScratch {
 /// [module docs](self) for the scan discipline and soundness argument.
 pub struct TwoStageMatcher {
     pre: PreStage,
-    /// Exact stage over the patterns stage 1 cannot witness exactly
-    /// (the incompletely-covered ones on the prefix path, lengths ≥ 4
-    /// on the gram path; the full set when that subset would be empty).
+    /// Exact stage over the patterns only a window replay can settle:
+    /// the oversized-family ones on the prefix path (zero shards when
+    /// there are none), lengths ≥ 4 on the gram path.
     exact: ShardedMatcher,
     /// Maps the exact stage's local pattern ids back to ids in the
-    /// original set; `None` when the exact stage holds the full set.
+    /// original set; `None` when the exact stage holds the full set or
+    /// no pattern.
     long_ids: Option<Vec<PatternId>>,
     shorts: Option<ShortLane>,
     max_back: u64,
@@ -1094,19 +1112,19 @@ impl TwoStageMatcher {
             }
             // The verifier's local id for a windowed pattern is its
             // position in `verif_ids` when the verifier is the subset,
-            // or its global id when the subset degenerates to the full
-            // set.
-            let full = verif_ids.is_empty() || verif_ids.len() == set.len();
+            // or its global id when the subset is the full set.
+            let full = verif_ids.len() == set.len();
             for (i, &pid) in verif_ids.iter().enumerate() {
                 let cid = trunc_of[pid.index()];
                 let local = if full { pid.0 } else { i as u32 };
                 windowed_local.push((cid, local));
             }
-            let (verifier, long_ids) = if verif_ids.is_empty() || verif_ids.len() == set.len() {
-                // Nothing needs window replay (or everything does): the
-                // verifier carries the full set. With no windowed flags
-                // it stays idle.
-                (set.clone(), None)
+            let (verifier, long_ids) = if verif_ids.is_empty() {
+                // Every flag settles in place, so no window can open:
+                // the verifier gets zero shards.
+                (None, None)
+            } else if full {
+                (Some(set.clone()), None)
             } else {
                 let sub = if set.is_case_insensitive() {
                     PatternSet::new_nocase(&verif_bytes)
@@ -1114,7 +1132,7 @@ impl TwoStageMatcher {
                     PatternSet::new(&verif_bytes)
                 }
                 .expect("subset of a valid set is valid");
-                (sub, Some(verif_ids))
+                (Some(sub), Some(verif_ids))
             };
             // Evict complete, family-less single-byte cover patterns
             // into the dense direct-emit table; keep everything that
@@ -1232,7 +1250,7 @@ impl TwoStageMatcher {
                     }
                 }
                 (
-                    gram_set,
+                    Some(gram_set),
                     Some(ids),
                     Some(ShortLane {
                         fold,
@@ -1242,7 +1260,7 @@ impl TwoStageMatcher {
                     }),
                 )
             } else {
-                (gram_set, None, None)
+                (Some(gram_set), None, None)
             };
             let max_back = u64::from(grams.max_back());
             (
@@ -1255,9 +1273,10 @@ impl TwoStageMatcher {
             )
         };
 
-        let exact = match sample {
-            Some(s) => ShardedMatcher::build_with_profile(&verifier, &config.exact, s)?,
-            None => ShardedMatcher::build(&verifier, &config.exact)?,
+        let exact = match (&verifier, sample) {
+            (None, _) => ShardedMatcher::empty(set, &config.exact),
+            (Some(v), Some(s)) => ShardedMatcher::build_with_profile(v, &config.exact, s)?,
+            (Some(v), None) => ShardedMatcher::build(v, &config.exact)?,
         };
         // Patch the per-family ownership masks into the windowed kept
         // meta now that the verifier's shard plan exists: a window
@@ -1329,8 +1348,10 @@ impl TwoStageMatcher {
         self.max_back
     }
 
-    /// The exact verifier (over the patterns stage 1 cannot witness
-    /// exactly, or the full set when that subset would be empty).
+    /// The exact verifier windows replay through: the patterns of
+    /// oversized truncation families on the prefix path, lengths ≥ 4 on
+    /// the gram path. It has zero shards (and 0 bytes) when no family is
+    /// oversized, since then every flag settles in place.
     pub fn exact(&self) -> &ShardedMatcher {
         &self.exact
     }
@@ -1839,6 +1860,11 @@ mod tests {
         assert_eq!(stats.windows, 0, "complete covers must not open windows");
         assert_eq!(stats.verified_bytes, 0);
         assert!(stats.flags >= out.len() as u64);
+        assert_eq!(
+            two.exact().shard_count(),
+            0,
+            "no window can open: no verifier"
+        );
     }
 
     #[test]
@@ -1881,23 +1907,26 @@ mod tests {
 
     #[test]
     fn fp_accounting_separates_hits_from_misses() {
-        // A 1-byte budget forces the minimum depth-1 cover, so the
-        // decoy's shared prefix flags a window the verifier rejects.
+        // A 1-byte budget forces the minimum depth-1 cover "n", so
+        // every 'n' flags. The family of two confirms in place, so no
+        // window can open and there is no verifier, yet each flag is
+        // an episode that reads the bytes after it.
         let set = PatternSet::new(["needle-alpha", "needle-beta"]).unwrap();
         let config = TwoStageConfig {
             approx: ApproxConfig::with_budget(1),
             exact: ShardedConfig::with_cores(1),
         };
         let two = TwoStageMatcher::build(&set, &config).unwrap();
-        // One real occurrence, one decoy that only matches the prefix.
+        assert_eq!(two.exact().shard_count(), 0);
+        // One real occurrence, and two flags ("needle-nope", "nope")
+        // whose residuals confirm nothing.
         let hay = b"...needle-alpha...needle-nope...".to_vec();
         let mut out = Vec::new();
         let stats = two.scan_into(&hay, &mut two.scratch(), &mut out);
         assert_eq!(out.len(), 1);
-        assert!(stats.windows >= 2);
-        assert!(stats.fp_windows >= 1);
-        assert!(stats.fp_windows < stats.windows);
-        assert!(stats.verified_bytes > 0);
+        assert_eq!(stats.windows, 3, "one confirm episode per flag");
+        assert_eq!(stats.fp_windows, 2);
+        assert!(stats.verified_bytes > 0, "confirms read stream bytes");
         assert!(stats.replay_fraction() < 1.0);
         assert!(stats.fp_window_rate() > 0.0);
     }
@@ -1958,13 +1987,14 @@ mod tests {
     #[test]
     fn all_short_sets_are_covered_completely() {
         // Lengths ≤ 3 always fit the cover whole: everything emits
-        // exactly from stage 1 and the verifier stays idle.
+        // exactly from stage 1 and there is no verifier.
         let (_, two, exact) = build(&["a", "bc", "def"]);
         let hay = b"abcabc-a-bc-def-adef".to_vec();
         let mut out = Vec::new();
         let stats = two.scan_into(&hay, &mut two.scratch(), &mut out);
         assert_eq!(out, exact.find_all(&hay));
         assert_eq!(stats.windows, 0);
+        assert_eq!(two.exact().shard_count(), 0);
     }
 
     #[test]

@@ -19,7 +19,8 @@ use std::sync::{Arc, OnceLock};
 
 use dpi_accel::automaton::{ApproxConfig, Match, PatternSet};
 use dpi_accel::core::service::{
-    FaultKind, FaultPlan, FidelityTier, RulesetArena, Service, ServiceConfig, ServiceSim,
+    FaultKind, FaultPlan, FidelityTier, RulesetArena, Service, ServiceConfig, ServiceReport,
+    ServiceSim,
 };
 use dpi_accel::core::{FlowKey, FlowMatch, ShardedConfig, TwoStageConfig};
 use proptest::prelude::*;
@@ -278,7 +279,17 @@ fn queue_full_sheds_whole_flows_and_resumes_with_resync() {
 
 #[test]
 fn ladder_descends_under_pressure_and_recovers_when_calm() {
-    let arena = shared_arena();
+    ladder_cycle(&shared_arena(), &flow_payload(7, 40 * 97, &[]));
+}
+
+const LADDER_FLOW: FlowKey = FlowKey(0xAAAA);
+
+/// One flow of 40 × 97-byte segments offered at once to a one-worker
+/// simulator whose ladder must descend Exact→TwoStage→FlagOnly under
+/// the backlog and climb back once idle. Returns the tier after every
+/// step and the final report.
+fn ladder_cycle(arena: &Arc<RulesetArena>, payload: &[u8]) -> (Vec<FidelityTier>, ServiceReport) {
+    assert_eq!(payload.len(), 40 * 97);
     let mut config = ServiceConfig::with_workers(1);
     config.queue_cap = 64;
     config.batch = 2;
@@ -286,13 +297,11 @@ fn ladder_descends_under_pressure_and_recovers_when_calm() {
     config.ladder.low_water = 2;
     config.ladder.descend_after = 2;
     config.ladder.ascend_after = 3;
-    let mut sim = ServiceSim::new(Arc::clone(&arena), config).unwrap();
+    let mut sim = ServiceSim::new(Arc::clone(arena), config).unwrap();
 
-    let key = FlowKey(0xAAAA);
-    let payload = flow_payload(7, 40 * 97, &[]);
-    let segs = segments(&payload, 97);
+    let segs = segments(payload, 97);
     for (i, (seq, bytes)) in segs.iter().enumerate() {
-        sim.offer(key, *seq, bytes, i as u64 + 1);
+        sim.offer(LADDER_FLOW, *seq, bytes, i as u64 + 1);
     }
 
     // Drain two packets per step, recording the tier trajectory.
@@ -309,14 +318,59 @@ fn ladder_descends_under_pressure_and_recovers_when_calm() {
     // Idle steps are calm observations: the worker must climb back.
     for _ in 0..8 {
         sim.step();
+        trajectory.push(sim.worker_tier(0));
     }
     assert_eq!(sim.worker_tier(0), FidelityTier::Exact);
     let report = sim.finish();
-    let s = report.stats;
+    let s = &report.stats;
     assert_eq!(s.workers.recoveries, 2, "FlagOnly→TwoStage→Exact exactly");
     // Bytes were scanned at all three tiers, and the attribution sums.
-    assert!(s.workers.tier_bytes.iter().all(|&b| b > 0), "{:?}", s.workers.tier_bytes);
+    assert!(
+        s.workers.tier_bytes.iter().all(|&b| b > 0),
+        "{:?}",
+        s.workers.tier_bytes
+    );
     assert_eq!(s.scanned_bytes(), s.admitted_bytes);
+    (trajectory, report)
+}
+
+/// The degraded tiers over a two-stage matcher with a zero-shard
+/// verifier: the default cover leaves no oversized family here, so no
+/// window can open. The ladder must move exactly as it does over a
+/// windowing arena, and FlagOnly has nothing left unverified.
+#[test]
+fn ladder_over_a_verifier_less_arena_matches_the_windowing_one() {
+    let patterns = pattern_strings();
+    let set = PatternSet::new(&patterns).unwrap();
+    let arena = Arc::new(RulesetArena::build(&set, &TwoStageConfig::with_cores(1), 1).unwrap());
+    assert_eq!(
+        arena.two_stage().exact().shard_count(),
+        0,
+        "the cover must window nothing"
+    );
+    // One occurrence inside every segment, cycling through the set.
+    let plants: Vec<(usize, &str)> = (0..40)
+        .map(|i| (i * 97 + 20, patterns[i % patterns.len()].as_str()))
+        .collect();
+    let payload = flow_payload(7, 40 * 97, &plants);
+
+    let (windowing, windowing_report) = ladder_cycle(&shared_arena(), &payload);
+    let (trajectory, report) = ladder_cycle(&arena, &payload);
+    assert_eq!(trajectory, windowing);
+    let (s, w) = (&report.stats.workers, &windowing_report.stats.workers);
+    assert_eq!(s.tier_bytes, w.tier_bytes);
+    assert_eq!(s.suspect_flags, 0, "no windowed family to leave unverified");
+    assert!(
+        w.suspect_flags > 0,
+        "the windowing arena's FlagOnly skips windows"
+    );
+    let got = by_flow(&report.matches, LADDER_FLOW);
+    for m in &got {
+        assert_true_occurrence(&patterns, &payload, m);
+    }
+    // Every plant sits inside one segment, so none straddles a tier
+    // change: with nothing to verify, even FlagOnly finds them all.
+    assert_eq!(got, reference(&arena, &payload));
 }
 
 // ---------------------------------------------------------------------------

@@ -63,6 +63,18 @@ fn two_stage_equals_single_stage_across_every_chop_profile() {
     let mut gen = TrafficGenerator::new(0x75_57A6E);
     for config in &configs {
         let two = TwoStageMatcher::build(&set, config).unwrap();
+        // The verifier exists only for windows: the default cover
+        // settles every flag in place, so nothing is compiled for
+        // replay; the degenerate cover must window, so it keeps one.
+        if config.approx.budget_bytes == 1 {
+            assert!(
+                two.exact().shard_count() > 0,
+                "a windowing cover needs a verifier"
+            );
+        } else {
+            assert_eq!(two.exact().shard_count(), 0, "idle verifier compiled");
+            assert_eq!(two.exact().memory_bytes(), 0);
+        }
         for profile in chop_profiles() {
             let packet = gen.infected_packet(4096, &set, 6);
             let cuts = gen.chop_points(&packet, &set, profile);
