@@ -67,10 +67,7 @@ mod stream;
 mod trie;
 
 pub use anchor::AnchorSet;
-pub use approx::{
-    replay_profile, ApproxConfig, ApproxCover, ApproxState, Flag, GramCover, PreClassifier,
-    PrefixCover, ReplayProfile,
-};
+pub use approx::{ApproxConfig, ApproxState, Flag, PrefixCover};
 pub use dfa::{Dfa, DfaMatcher};
 pub use match_event::{Match, MultiMatcher};
 pub use naive::NaiveMatcher;

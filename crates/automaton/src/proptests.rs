@@ -4,7 +4,7 @@
 
 #![cfg(test)]
 
-use crate::{Dfa, MultiMatcher, Nfa, PatternSet, StateId, Trie};
+use crate::{Dfa, Nfa, PatternSet, StateId, Trie};
 use proptest::prelude::*;
 
 fn pattern_vec() -> impl Strategy<Value = Vec<Vec<u8>>> {
@@ -156,100 +156,6 @@ proptest! {
                 }
             }
             prop_assert!(seen.iter().all(|&b| b), "pattern lost in split");
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// The tentpole soundness invariant of the approximate
-    /// pre-classifier: whatever the byte budget, **every** exact match
-    /// lies inside some flag's window — for both cover constructions.
-    /// A violation here means the two-stage path can drop a match; the
-    /// pre-classifier is only ever allowed to over-accept.
-    #[test]
-    fn approx_windows_cover_every_exact_match(
-        patterns in pattern_vec(),
-        budget in prop_oneof![Just(1usize), 64usize..4096, Just(1usize << 20)],
-        fill in proptest::collection::vec(any::<u8>(), 0..200),
-        picks in proptest::collection::vec(0usize..16 * 200, 0..8),
-        nocase in any::<bool>(),
-    ) {
-        let set = if nocase {
-            crate::PatternSet::new_nocase(&patterns)
-        } else {
-            crate::PatternSet::new(&patterns)
-        };
-        let Ok(set) = set else { return Ok(()); };
-        // Haystack: random fill with drawn patterns spliced in, so
-        // matches actually occur.
-        let mut hay = fill;
-        for &pick in &picks {
-            let p = &patterns[(pick / 200) % patterns.len()];
-            let pos = (pick % 200) % (hay.len() + 1);
-            hay.splice(pos..pos, p.iter().copied());
-        }
-        let exact = crate::NaiveMatcher::new(&set).find_all(&hay);
-        let config = crate::ApproxConfig::with_budget(budget);
-        let prefix = crate::PrefixCover::build(&set, &config, None);
-        let grams = crate::GramCover::build(&set, &config, None);
-        for (kind, cover) in [
-            ("prefix", &prefix as &dyn crate::PreClassifier),
-            ("grams", &grams as &dyn crate::PreClassifier),
-        ] {
-            let mut windows: Vec<std::ops::Range<u64>> = Vec::new();
-            let mut state = crate::ApproxState::fresh();
-            cover.scan_flags(&mut state, &hay, &mut |f| windows.push(f.window()));
-            for m in &exact {
-                let start = (m.end - set.pattern_len(m.pattern)) as u64;
-                let end = m.end as u64;
-                prop_assert!(
-                    windows.iter().any(|w| w.start <= start && end <= w.end),
-                    "{kind} cover (budget {budget}) dropped match {:?}..{} of {:?}",
-                    start, end, m.pattern
-                );
-            }
-        }
-    }
-
-    /// Flags are invariant under chunking: scanning in arbitrary pieces
-    /// through one `ApproxState` emits exactly the whole-payload flags.
-    #[test]
-    fn approx_flags_are_chunking_invariant(
-        patterns in pattern_vec(),
-        budget in prop_oneof![Just(1usize), 256usize..8192],
-        fill in proptest::collection::vec(any::<u8>(), 1..160),
-        picks in proptest::collection::vec(0usize..16 * 160, 0..6),
-        cuts in proptest::collection::vec(0usize..160, 0..6),
-    ) {
-        let Ok(set) = crate::PatternSet::new(&patterns) else { return Ok(()); };
-        let mut hay = fill;
-        for &pick in &picks {
-            let p = &patterns[(pick / 160) % patterns.len()];
-            let pos = (pick % 160) % (hay.len() + 1);
-            hay.splice(pos..pos, p.iter().copied());
-        }
-        let mut cuts: Vec<usize> = cuts.iter().map(|&c| c % hay.len()).collect();
-        cuts.push(0);
-        cuts.push(hay.len());
-        cuts.sort_unstable();
-        cuts.dedup();
-        let config = crate::ApproxConfig::with_budget(budget);
-        let prefix = crate::PrefixCover::build(&set, &config, None);
-        let grams = crate::GramCover::build(&set, &config, None);
-        for cover in [&prefix as &dyn crate::PreClassifier, &grams] {
-            let mut whole = Vec::new();
-            let mut state = crate::ApproxState::fresh();
-            cover.scan_flags(&mut state, &hay, &mut |f| whole.push((f.end, f.forward)));
-            let mut chunked = Vec::new();
-            let mut state = crate::ApproxState::fresh();
-            for pair in cuts.windows(2) {
-                cover.scan_flags(&mut state, &hay[pair[0]..pair[1]], &mut |f| {
-                    chunked.push((f.end, f.forward))
-                });
-            }
-            prop_assert_eq!(&whole, &chunked);
         }
     }
 }

@@ -1,4 +1,4 @@
-//! Two-stage scanning: an L2-resident approximate pre-classifier in
+//! Two-stage scanning: a small, budgeted approximate pre-classifier in
 //! front of the exact engine, so clean traffic never touches the big
 //! automaton.
 //!
@@ -9,12 +9,16 @@
 //! small-automaton scan rate by splitting the work:
 //!
 //! 1. **Pre-classify.** A small sound cover of the ruleset
-//!    ([`dpi_automaton::PrefixCover`]: a budget-truncated prefix
-//!    automaton, or the Bouma2-style [`dpi_automaton::GramCover`] 2-gram
-//!    atom table — the builder keeps the cheaper sound one) sweeps every
-//!    byte. Its scan tables are built under a per-core L2 budget, so
-//!    this stage runs at cache-resident speed however many rules the
-//!    exact stage carries.
+//!    ([`dpi_automaton::PrefixCover`], a budget-truncated prefix
+//!    automaton) sweeps every byte. [`ApproxConfig::budget_bytes`]
+//!    bounds the cover model's per-state estimate
+//!    ([`PrefixCover::memory_bytes`]), which caps the cover's state
+//!    count however many rules the exact stage carries. It does not
+//!    bound the compiled tables: [`TwoStageMatcher::pre_memory_bytes`]
+//!    also counts the pair rows of [`ShardedConfig::pair_budget_bytes`]
+//!    (~2 MiB by default), and the estimate itself runs low on large
+//!    sets (the generated 25k-rule cover under a 2 MiB budget compiles
+//!    to ~2.9 MiB before its pair rows).
 //! 2. **Verify.** A flag from an incompletely-covered truncation names
 //!    its candidate set exactly: the patterns sharing that prefix. Small
 //!    families (at most `CONFIRM_MAX_FAMILY` = 8 candidates) are settled *in place* by
@@ -72,8 +76,7 @@
 use std::collections::VecDeque;
 
 use dpi_automaton::{
-    ApproxConfig, ApproxState, GramCover, Match, PatternId, PatternSet, PreClassifier, PrefixCover,
-    ScanState, ShardPlanError,
+    ApproxConfig, Match, PatternId, PatternSet, PrefixCover, ScanState, ShardPlanError,
 };
 
 use crate::compiled::{CompiledAutomaton, CompiledMatcher};
@@ -83,8 +86,9 @@ use crate::sharded::{ShardedConfig, ShardedMatcher, ShardedScanState, ShardedScr
 /// budget plus the exact stage's full [`ShardedConfig`].
 #[derive(Debug, Clone, Copy)]
 pub struct TwoStageConfig {
-    /// Pre-classifier (stage 1) build knobs, chiefly the per-core L2
-    /// byte budget its scan tables must fit.
+    /// Pre-classifier (stage 1) build knobs: the byte budget of the
+    /// cover model (see [`ApproxConfig::budget_bytes`] for what it
+    /// bounds).
     pub approx: ApproxConfig,
     /// Exact verifier (stage 2) configuration; also supplies the DTP
     /// and anchor settings the compiled pre-classifier reuses.
@@ -213,96 +217,26 @@ impl SinglesSimd {
     }
 }
 
-/// The deployed stage-1 classifier.
-enum PreStage {
-    /// Budget-truncated prefix automaton, compiled through the same
-    /// reduce/anchor/pair pipeline as the exact engine — stage 1 keeps
-    /// the skip lane and all its clean-traffic speed.
-    ///
-    /// Complete **single-byte** cover patterns that never open windows
-    /// live in `singles` (raw byte → source pattern id) instead of the
-    /// automaton: realistic rulesets carry enough 1-byte content
-    /// strings to hit a third of stream bytes, and each such hit would
-    /// knock the compiled walk off its skip lane. A dense table emits
-    /// them branch-poor in the same fused pass, and evicting them from
-    /// the automaton restores the anchor lane's skip runs for the
-    /// remaining (far sparser) cover. `automaton` is `None` in the
-    /// degenerate case where the table holds the entire cover.
-    Prefix {
-        automaton: Option<Box<(CompiledAutomaton, PatternSet)>>,
-        meta: Vec<FlagMeta>,
-        singles: Box<[u32; 256]>,
-        simd: SinglesSimd,
-        confirm: ConfirmTable,
-    },
-    /// Bouma2-style 2-gram atom table, scanned as-is. Patterns of
-    /// length ≤ 3 are matched by the exact [`ShortLane`] tables instead
-    /// (a 2-gram flag cannot be an exact occurrence witness).
-    Grams(Box<GramCover>),
-}
-
-/// Exact matching tables for patterns of length ≤ 3 on the gram-cover
-/// path: folded-byte → pattern id (sentinel `u32::MAX`), folded-pair →
-/// pattern id, and an open-addressed hash over packed folded triples.
-/// The pair table (256 KiB) and triple table are only allocated when
-/// patterns of that length exist.
-struct ShortLane {
-    fold: [u8; 256],
-    singles: Box<[u32]>,
-    pairs: Option<Box<[u32]>>,
-    triples: Option<TripleTable>,
-}
-
-impl ShortLane {
-    fn memory_bytes(&self) -> usize {
-        256 + self.singles.len() * 4
-            + self.pairs.as_ref().map_or(0, |p| p.len() * 4)
-            + self.triples.as_ref().map_or(0, |t| t.slots.len() * 8)
-    }
-}
-
-/// Linear-probed hash table keyed by a 24-bit packed folded triple; each
-/// slot is `key << 32 | pattern_id` (`u64::MAX` empty). Sized at 2×
-/// occupancy, so lookups terminate in one or two probes.
-struct TripleTable {
-    slots: Box<[u64]>,
-    mask: usize,
-}
-
-impl TripleTable {
-    fn build(entries: &[(u32, u32)]) -> TripleTable {
-        let size = (entries.len() * 2).next_power_of_two().max(16);
-        let mask = size - 1;
-        let mut slots = vec![u64::MAX; size].into_boxed_slice();
-        for &(key, id) in entries {
-            let mut at = Self::hash(key) & mask;
-            while slots[at] != u64::MAX {
-                at = (at + 1) & mask;
-            }
-            slots[at] = u64::from(key) << 32 | u64::from(id);
-        }
-        TripleTable { slots, mask }
-    }
-
-    #[inline]
-    fn hash(key: u32) -> usize {
-        (key.wrapping_mul(0x9E37_79B1) >> 16) as usize
-    }
-
-    #[inline]
-    fn get(&self, key: u32) -> Option<u32> {
-        let mut at = Self::hash(key) & self.mask;
-        loop {
-            let slot = self.slots[at];
-            if slot == u64::MAX {
-                return None;
-            }
-            if (slot >> 32) as u32 == key {
-                return Some(slot as u32);
-            }
-            at = (at + 1) & self.mask;
-        }
-    }
+/// The deployed stage-1 classifier: the budget-truncated prefix
+/// automaton, compiled through the same reduce/anchor/pair pipeline as
+/// the exact engine — stage 1 keeps the skip lane and all its
+/// clean-traffic speed.
+///
+/// Complete **single-byte** cover patterns that never open windows live
+/// in `singles` (raw byte → source pattern id) instead of the
+/// automaton: realistic rulesets carry enough 1-byte content strings to
+/// hit a third of stream bytes, and each such hit would knock the
+/// compiled walk off its skip lane. A dense table emits them
+/// branch-poor in the same fused pass, and evicting them from the
+/// automaton restores the anchor lane's skip runs for the remaining
+/// (far sparser) cover. `automaton` is `None` in the degenerate case
+/// where the table holds the entire cover.
+struct PreStage {
+    automaton: Option<Box<(CompiledAutomaton, PatternSet)>>,
+    meta: Vec<FlagMeta>,
+    singles: Box<[u32; 256]>,
+    simd: SinglesSimd,
+    confirm: ConfirmTable,
 }
 
 /// Counters of one flow's (or one scan's) two-stage progress.
@@ -846,15 +780,8 @@ impl VerifySide {
 /// chunk start can replay bytes from the previous chunk).
 #[derive(Debug, Clone)]
 pub struct TwoStageState {
-    /// Stage-1 registers when the pre-classifier is compiled.
+    /// Stage-1 registers of the compiled cover.
     pre_scan: ScanState,
-    /// Stage-1 registers when the pre-classifier is the gram table.
-    pre_gram: ApproxState,
-    /// Last (up to 3) folded bytes, packed little-recent: the gram
-    /// path's pair and triple lookups key off this rolling history.
-    short_hist: u32,
-    /// How many stream bytes `short_hist` holds (saturates at 3).
-    short_have: u8,
     /// Stream bytes consumed.
     pos: u64,
     /// Residual comparisons cut off by a chunk boundary, resumed
@@ -890,9 +817,6 @@ impl crate::flow::FlowState for TwoStageState {
 
     fn reset_at(&mut self, offset: u64) {
         self.pre_scan.reset_at(offset);
-        self.pre_gram.reset_at(offset);
-        self.short_hist = 0;
-        self.short_have = 0;
         self.pos = offset;
         self.carry.clear();
         let vs = &mut self.vs;
@@ -930,21 +854,19 @@ pub struct TwoStageScratch {
 pub struct TwoStageMatcher {
     pre: PreStage,
     /// Exact stage over the patterns only a window replay can settle:
-    /// the oversized-family ones on the prefix path (zero shards when
-    /// there are none), lengths ≥ 4 on the gram path.
+    /// the oversized-family ones (zero shards when there are none).
     exact: ShardedMatcher,
     /// Maps the exact stage's local pattern ids back to ids in the
     /// original set; `None` when the exact stage holds the full set or
     /// no pattern.
     long_ids: Option<Vec<PatternId>>,
-    shorts: Option<ShortLane>,
     max_back: u64,
     pre_memory: usize,
-    /// Truncation depth the prefix-cover candidate was built at — the
-    /// configured ceiling on sample-less builds, the cost-model frontier
-    /// pick ([`PrefixCover::build_depth_tuned`]) on profiled ones.
+    /// Truncation depth cap the cover was built at —
+    /// [`PrefixCover::MAX_DEPTH`] on sample-less builds, the cost-model
+    /// frontier pick ([`PrefixCover::build_depth_tuned`]) on profiled
+    /// ones.
     pre_depth: usize,
-    kind: &'static str,
 }
 
 impl TwoStageMatcher {
@@ -955,85 +877,42 @@ impl TwoStageMatcher {
     /// Propagates [`ShardPlanError`] from the exact stage's shard
     /// planning; the approximate stage itself cannot fail.
     pub fn build(set: &PatternSet, config: &TwoStageConfig) -> Result<TwoStageMatcher, ShardPlanError> {
-        Self::build_inner(set, config, None, false)
+        Self::build_inner(set, config, None)
     }
 
     /// [`TwoStageMatcher::build`] with every profile-guided layer fed by
-    /// `sample`: cover refinement and cover choice plus the stage-1 and
+    /// `sample`: cover refinement and depth choice plus the stage-1 and
     /// stage-2 pair rows ([`ShardedMatcher::build_with_profile`]).
     pub fn build_with_profile(
         set: &PatternSet,
         config: &TwoStageConfig,
         sample: &[u8],
     ) -> Result<TwoStageMatcher, ShardPlanError> {
-        Self::build_inner(set, config, Some(sample), false)
-    }
-
-    /// Test hook: force the gram-table pre-classifier even when the
-    /// prefix cover models cheaper, so the gram + short-lane path stays
-    /// exercised by suites that would otherwise always get the prefix.
-    #[doc(hidden)]
-    pub fn build_forced_grams(
-        set: &PatternSet,
-        config: &TwoStageConfig,
-    ) -> Result<TwoStageMatcher, ShardPlanError> {
-        Self::build_inner(set, config, None, true)
+        Self::build_inner(set, config, Some(sample))
     }
 
     fn build_inner(
         set: &PatternSet,
         config: &TwoStageConfig,
         sample: Option<&[u8]>,
-        force_grams: bool,
     ) -> Result<TwoStageMatcher, ShardPlanError> {
-        // Candidate 1: prefix cover over the FULL set. Complete
-        // truncations become exact stage-1 emissions, so short patterns
-        // cost nothing extra here. With a traffic sample the builder
-        // walks the measured flag-rate/table-size frontier instead of
-        // taking the configured depth ceiling at face value.
+        // Prefix cover over the FULL set. Complete truncations become
+        // exact stage-1 emissions, so short patterns cost nothing extra
+        // here. With a traffic sample the builder walks the measured
+        // flag-rate/table-size frontier instead of taking the depth
+        // ceiling at face value.
         let (prefix, pre_depth) = match sample {
             Some(s) => PrefixCover::build_depth_tuned(set, &config.approx, s),
             None => (
                 PrefixCover::build(set, &config.approx, None),
-                config.approx.max_depth,
+                PrefixCover::MAX_DEPTH,
             ),
-        };
-        // Candidate 2: gram cover over the length-≥ 4 subset, with the
-        // exact short-lane tables carrying the rest (a 2-gram hit can
-        // never witness an occurrence exactly). When everything is
-        // short the gram cover must carry the full set.
-        let short_count = set.iter().filter(|(_, p)| p.len() <= 3).count();
-        let gram_set: PatternSet = if short_count > 0 && short_count < set.len() {
-            let longs: Vec<&[u8]> = set
-                .iter()
-                .filter(|(_, p)| p.len() >= 4)
-                .map(|(_, p)| p)
-                .collect();
-            if set.is_case_insensitive() {
-                PatternSet::new_nocase(&longs)
-            } else {
-                PatternSet::new(&longs)
-            }
-            .expect("long subset of a valid set is valid")
-        } else {
-            set.clone()
-        };
-        let grams = GramCover::build(&gram_set, &config.approx, sample);
-
-        // Choice: among covers fitting the budget, the lower modelled
-        // replay; if neither fits, the smaller. The prefix replay model
-        // counts only window-opening truncations — complete ones verify
-        // themselves.
-        let rate: f64 = if set.is_case_insensitive() {
-            1.0 / 230.0
-        } else {
-            1.0 / 256.0
         };
         // Family sizes: how many incompletely-covered source patterns
         // share each truncation. Small families are confirmed by direct
-        // residual comparison (a couple of bytes per flag), so only
-        // large families cost a window replay in the model.
-        let cover_len: Vec<usize> = prefix.patterns().iter().map(|(_, t)| t.len()).collect();
+        // residual comparison at the flag; only large ones open windows.
+        let patterns = prefix.patterns();
+        let cover_len: Vec<usize> = patterns.iter().map(|(_, t)| t.len()).collect();
         let trunc_of = prefix.truncation_of();
         let mut family = vec![0u32; cover_len.len()];
         for (pid, bytes) in set.iter() {
@@ -1042,236 +921,136 @@ impl TwoStageMatcher {
                 family[cid] += 1;
             }
         }
-        let prefix_replay: f64 = prefix
-            .patterns()
+        let mut meta: Vec<FlagMeta> = prefix
+            .forward_table()
             .iter()
-            .zip(prefix.forward_table())
             .zip(&family)
-            .map(|(((_, t), &f), &fam)| {
-                if f == 0 {
-                    0.0
-                } else if (fam as usize) <= CONFIRM_MAX_FAMILY {
-                    // Each flag compares `fam` residuals, failing after
-                    // ~1 byte on non-occurrences plus the fold lookup.
-                    rate.powi(t.len() as i32) * f64::from(fam) * 2.0
-                } else {
-                    rate.powi(t.len() as i32) * f64::from(prefix.max_back() + f)
-                }
+            .map(|(&f, &fam)| FlagMeta {
+                exact: u32::MAX,
+                forward: f,
+                // Small incomplete families are confirmed directly at
+                // the flag; only oversized ones open windows.
+                windowed: f > 0 && fam as usize > CONFIRM_MAX_FAMILY,
+                mask: u64::MAX,
             })
-            .sum();
-        let pick_prefix = !force_grams
-            && match (
-                prefix.memory_bytes() <= config.approx.budget_bytes,
-                grams.memory_bytes() <= config.approx.budget_bytes,
-            ) {
-                (true, false) => true,
-                (false, true) => false,
-                (true, true) => prefix_replay <= grams.expected_replay(),
-                (false, false) => prefix.memory_bytes() <= grams.memory_bytes(),
-            };
-
-        // Window-replay shard subsetting bookkeeping (prefix path):
-        // every member of an oversized family as `(cover id, exact-stage
-        // local id)`, plus each kept cover pattern's cover id — enough
-        // to patch the real per-family ownership masks into the kept
-        // meta once the exact stage's shard plan exists.
-        let mut windowed_local: Vec<(u32, u32)> = Vec::new();
-        let mut kept_cid: Vec<u32> = Vec::new();
-        let (mut pre, verifier, long_ids, shorts, max_back, kind) = if pick_prefix {
-            let patterns = prefix.patterns().clone();
-            let forward = prefix.forward_table();
-            let mut meta: Vec<FlagMeta> = forward
-                .iter()
-                .zip(&family)
-                .map(|(&f, &fam)| FlagMeta {
-                    exact: u32::MAX,
-                    forward: f,
-                    // Small incomplete families are confirmed directly
-                    // at the flag; only oversized ones open windows.
-                    windowed: f > 0 && fam as usize > CONFIRM_MAX_FAMILY,
-                    mask: u64::MAX,
-                })
-                .collect();
-            // Per-truncation confirm families (pid + residual), and the
-            // verifier subset: only patterns in oversized families need
-            // the exact engine replay.
-            let mut fam_members: Vec<Vec<(u32, &[u8])>> = vec![Vec::new(); cover_len.len()];
-            let mut verif_ids: Vec<PatternId> = Vec::new();
-            let mut verif_bytes: Vec<&[u8]> = Vec::new();
-            for (pid, bytes) in set.iter() {
-                let cid = trunc_of[pid.index()] as usize;
-                if cover_len[cid] == bytes.len() {
-                    debug_assert_eq!(meta[cid].exact, u32::MAX, "patterns are unique");
-                    meta[cid].exact = pid.0;
-                } else if family[cid] as usize <= CONFIRM_MAX_FAMILY {
-                    fam_members[cid].push((pid.0, &bytes[cover_len[cid]..]));
-                } else {
-                    verif_ids.push(pid);
-                    verif_bytes.push(bytes);
-                }
-            }
-            // The verifier's local id for a windowed pattern is its
-            // position in `verif_ids` when the verifier is the subset,
-            // or its global id when the subset is the full set.
-            let full = verif_ids.len() == set.len();
-            for (i, &pid) in verif_ids.iter().enumerate() {
-                let cid = trunc_of[pid.index()];
-                let local = if full { pid.0 } else { i as u32 };
-                windowed_local.push((cid, local));
-            }
-            let (verifier, long_ids) = if verif_ids.is_empty() {
-                // Every flag settles in place, so no window can open:
-                // the verifier gets zero shards.
-                (None, None)
-            } else if full {
-                (Some(set.clone()), None)
+            .collect();
+        // Per-truncation confirm families (pid + residual), and the
+        // verifier subset: only patterns in oversized families need the
+        // exact engine replay.
+        let mut fam_members: Vec<Vec<(u32, &[u8])>> = vec![Vec::new(); cover_len.len()];
+        let mut verif_ids: Vec<PatternId> = Vec::new();
+        let mut verif_bytes: Vec<&[u8]> = Vec::new();
+        for (pid, bytes) in set.iter() {
+            let cid = trunc_of[pid.index()] as usize;
+            if cover_len[cid] == bytes.len() {
+                debug_assert_eq!(meta[cid].exact, u32::MAX, "patterns are unique");
+                meta[cid].exact = pid.0;
+            } else if family[cid] as usize <= CONFIRM_MAX_FAMILY {
+                fam_members[cid].push((pid.0, &bytes[cover_len[cid]..]));
             } else {
-                let sub = if set.is_case_insensitive() {
-                    PatternSet::new_nocase(&verif_bytes)
-                } else {
-                    PatternSet::new(&verif_bytes)
-                }
-                .expect("subset of a valid set is valid");
-                (Some(sub), Some(verif_ids))
-            };
-            // Evict complete, family-less single-byte cover patterns
-            // into the dense direct-emit table; keep everything that
-            // carries a confirm family or can open a window for the
-            // automaton, building the kept-aligned confirm table on the
-            // way.
-            let mut singles = Box::new([u32::MAX; 256]);
-            let mut kept_bytes: Vec<&[u8]> = Vec::new();
-            let mut kept_meta: Vec<FlagMeta> = Vec::new();
-            let mut confirm = ConfirmTable {
-                off: vec![0],
-                entries: Vec::new(),
-                blob: Vec::new(),
-                fold: Box::new([0u8; 256]),
-            };
-            for raw in 0..=255u8 {
-                confirm.fold[usize::from(raw)] = patterns.fold(raw);
+                verif_ids.push(pid);
+                verif_bytes.push(bytes);
             }
-            for (cid, ((_, t), m)) in patterns.iter().zip(meta).enumerate() {
-                if t.len() == 1 && !m.windowed && fam_members[cid].is_empty() {
-                    // No sharer is incomplete and truncations are
-                    // unique — so `exact` is set.
-                    debug_assert_ne!(m.exact, u32::MAX);
-                    for raw in 0..=255u8 {
-                        if patterns.fold(raw) == t[0] {
-                            singles[usize::from(raw)] = m.exact;
-                        }
-                    }
-                } else {
-                    for &(pid, residual) in &fam_members[cid] {
-                        let start = confirm.blob.len() as u32;
-                        confirm
-                            .blob
-                            .extend(residual.iter().map(|&b| patterns.fold(b)));
-                        confirm.entries.push(ConfirmEntry {
-                            pid,
-                            start,
-                            len: residual.len() as u32,
-                        });
-                    }
-                    confirm.off.push(confirm.entries.len() as u32);
-                    kept_bytes.push(t);
-                    kept_meta.push(m);
-                    kept_cid.push(cid as u32);
-                }
-            }
-            // Compile the kept cover through the exact pipeline — same
-            // reduce, anchors and pair rows as every exact-tier shard.
-            let automaton = if kept_bytes.is_empty() {
-                None
-            } else {
-                let kept = if set.is_case_insensitive() {
-                    PatternSet::new_nocase(&kept_bytes)
-                } else {
-                    PatternSet::new(&kept_bytes)
-                }
-                .expect("subset of a valid cover is valid");
-                let compiled = config.exact.compile(&kept, sample);
-                Some(Box::new((compiled, kept)))
-            };
-            // Lookback only has to reach the start of *windowed*
-            // truncations (complete ones never open windows), so the
-            // depth of fully-covered long patterns does not widen every
-            // window or the per-flow ring.
-            let max_back = kept_meta
-                .iter()
-                .zip(kept_bytes.iter())
-                .filter(|(m, _)| m.windowed)
-                .map(|(_, t)| t.len() as u64)
-                .max()
-                .unwrap_or(0);
-            (
-                PreStage::Prefix {
-                    automaton,
-                    meta: kept_meta,
-                    simd: SinglesSimd::build(&singles),
-                    singles,
-                    confirm,
-                },
-                verifier,
-                long_ids,
-                None,
-                max_back,
-                "prefix-dfa",
-            )
+        }
+        // Window-replay shard subsetting bookkeeping: every member of an
+        // oversized family as `(cover id, exact-stage local id)`, plus
+        // each kept cover pattern's cover id — enough to patch the real
+        // per-family ownership masks into the kept meta once the exact
+        // stage's shard plan exists. The verifier's local id for a
+        // windowed pattern is its position in `verif_ids` when the
+        // verifier is the subset, or its global id when the subset is
+        // the full set.
+        let full = verif_ids.len() == set.len();
+        let windowed_local: Vec<(u32, u32)> = verif_ids
+            .iter()
+            .enumerate()
+            .map(|(i, &pid)| (trunc_of[pid.index()], if full { pid.0 } else { i as u32 }))
+            .collect();
+        let (verifier, long_ids) = if verif_ids.is_empty() {
+            // Every flag settles in place, so no window can open: the
+            // verifier gets zero shards.
+            (None, None)
+        } else if full {
+            (Some(set.clone()), None)
         } else {
-            // Gram path: exact short-lane tables for lengths ≤ 3, the
-            // gram cover + windowed verifier for the rest.
-            let (verifier, long_ids, shorts) = if short_count > 0 && short_count < set.len() {
-                let mut ids = Vec::with_capacity(set.len() - short_count);
-                let mut fold = [0u8; 256];
-                for (b, slot) in fold.iter_mut().enumerate() {
-                    *slot = set.fold(b as u8);
-                }
-                let mut singles = vec![u32::MAX; 256].into_boxed_slice();
-                let mut pairs: Option<Box<[u32]>> = None;
-                let mut triples: Vec<(u32, u32)> = Vec::new();
-                for (id, p) in set.iter() {
-                    match *p {
-                        // Stored patterns are already folded for nocase
-                        // sets, so they index the folded-input tables
-                        // directly.
-                        [b] => singles[usize::from(b)] = id.0,
-                        [a, b] => {
-                            let table = pairs.get_or_insert_with(|| {
-                                vec![u32::MAX; 1 << 16].into_boxed_slice()
-                            });
-                            table[usize::from(a) << 8 | usize::from(b)] = id.0;
-                        }
-                        [a, b, c] => {
-                            let key = u32::from(a) << 16 | u32::from(b) << 8 | u32::from(c);
-                            triples.push((key, id.0));
-                        }
-                        _ => ids.push(id),
+            let sub = if set.is_case_insensitive() {
+                PatternSet::new_nocase(&verif_bytes)
+            } else {
+                PatternSet::new(&verif_bytes)
+            }
+            .expect("subset of a valid set is valid");
+            (Some(sub), Some(verif_ids))
+        };
+        // Evict complete, family-less single-byte cover patterns into
+        // the dense direct-emit table; keep everything that carries a
+        // confirm family or can open a window for the automaton,
+        // building the kept-aligned confirm table on the way.
+        let mut singles = Box::new([u32::MAX; 256]);
+        let mut kept_bytes: Vec<&[u8]> = Vec::new();
+        let mut kept_meta: Vec<FlagMeta> = Vec::new();
+        let mut kept_cid: Vec<u32> = Vec::new();
+        let mut confirm = ConfirmTable {
+            off: vec![0],
+            entries: Vec::new(),
+            blob: Vec::new(),
+            fold: Box::new([0u8; 256]),
+        };
+        for raw in 0..=255u8 {
+            confirm.fold[usize::from(raw)] = patterns.fold(raw);
+        }
+        for (cid, ((_, t), m)) in patterns.iter().zip(meta).enumerate() {
+            if t.len() == 1 && !m.windowed && fam_members[cid].is_empty() {
+                // No sharer is incomplete and truncations are unique —
+                // so `exact` is set.
+                debug_assert_ne!(m.exact, u32::MAX);
+                for raw in 0..=255u8 {
+                    if patterns.fold(raw) == t[0] {
+                        singles[usize::from(raw)] = m.exact;
                     }
                 }
-                (
-                    Some(gram_set),
-                    Some(ids),
-                    Some(ShortLane {
-                        fold,
-                        singles,
-                        pairs,
-                        triples: (!triples.is_empty()).then(|| TripleTable::build(&triples)),
-                    }),
-                )
             } else {
-                (Some(gram_set), None, None)
-            };
-            let max_back = u64::from(grams.max_back());
-            (
-                PreStage::Grams(Box::new(grams)),
-                verifier,
-                long_ids,
-                shorts,
-                max_back,
-                "gram-table",
-            )
+                for &(pid, residual) in &fam_members[cid] {
+                    let start = confirm.blob.len() as u32;
+                    confirm
+                        .blob
+                        .extend(residual.iter().map(|&b| patterns.fold(b)));
+                    confirm.entries.push(ConfirmEntry {
+                        pid,
+                        start,
+                        len: residual.len() as u32,
+                    });
+                }
+                confirm.off.push(confirm.entries.len() as u32);
+                kept_bytes.push(t);
+                kept_meta.push(m);
+                kept_cid.push(cid as u32);
+            }
+        }
+        // Compile the kept cover through the exact pipeline — same
+        // reduce, anchors and pair rows as every exact-tier shard.
+        let automaton = if kept_bytes.is_empty() {
+            None
+        } else {
+            let kept = if set.is_case_insensitive() {
+                PatternSet::new_nocase(&kept_bytes)
+            } else {
+                PatternSet::new(&kept_bytes)
+            }
+            .expect("subset of a valid cover is valid");
+            let compiled = config.exact.compile(&kept, sample);
+            Some(Box::new((compiled, kept)))
         };
+        // Lookback only has to reach the start of *windowed* truncations
+        // (complete ones never open windows), so the depth of
+        // fully-covered long patterns does not widen every window or the
+        // per-flow ring.
+        let max_back = kept_meta
+            .iter()
+            .zip(kept_bytes.iter())
+            .filter(|(m, _)| m.windowed)
+            .map(|(_, t)| t.len() as u64)
+            .max()
+            .unwrap_or(0);
 
         let exact = match (&verifier, sample) {
             (None, _) => ShardedMatcher::empty(set, &config.exact),
@@ -1284,60 +1063,50 @@ impl TwoStageMatcher {
         // Shards at index ≥ 64 contribute no bit — those lanes always
         // scan (see the mask convention in `crate::sharded`).
         if !windowed_local.is_empty() {
-            if let PreStage::Prefix { meta, .. } = &mut pre {
-                let shard_of = exact.shard_of();
-                let mut mask_of = vec![0u64; cover_len.len()];
-                for &(cid, local) in &windowed_local {
-                    let s = shard_of[local as usize];
-                    if s < 64 {
-                        mask_of[cid as usize] |= 1u64 << s;
-                    }
+            let shard_of = exact.shard_of();
+            let mut mask_of = vec![0u64; cover_len.len()];
+            for &(cid, local) in &windowed_local {
+                let s = shard_of[local as usize];
+                if s < 64 {
+                    mask_of[cid as usize] |= 1u64 << s;
                 }
-                for (k, m) in meta.iter_mut().enumerate() {
-                    if m.windowed {
-                        m.mask = mask_of[kept_cid[k] as usize];
-                    }
+            }
+            for (m, &cid) in kept_meta.iter_mut().zip(&kept_cid) {
+                if m.windowed {
+                    m.mask = mask_of[cid as usize];
                 }
             }
         }
-        let mut pre_memory = match &pre {
-            PreStage::Prefix { automaton, .. } => {
-                automaton.as_deref().map_or(0, |(a, _)| a.memory_bytes()) + 256 * 4
-            }
-            PreStage::Grams(g) => g.memory_bytes(),
-        };
-        if let Some(lane) = &shorts {
-            pre_memory += lane.memory_bytes();
-        }
+        let pre_memory = automaton.as_deref().map_or(0, |(a, _)| a.memory_bytes()) + 256 * 4;
         Ok(TwoStageMatcher {
-            pre,
+            pre: PreStage {
+                automaton,
+                meta: kept_meta,
+                simd: SinglesSimd::build(&singles),
+                singles,
+                confirm,
+            },
             exact,
             long_ids,
-            shorts,
             max_back,
             pre_memory,
             pre_depth,
-            kind,
         })
     }
 
-    /// Which cover shape the builder deployed: `"prefix-dfa"` or
-    /// `"gram-table"`.
-    pub fn pre_kind(&self) -> &'static str {
-        self.kind
-    }
-
-    /// Resident bytes of the stage-1 scan tables (the budget-governed
-    /// figure: compiled arena for the prefix cover; the gram tables
-    /// plus the short-pattern tables otherwise).
+    /// Resident bytes of the stage-1 scan tables: the compiled cover's
+    /// arena, including the anchor and pair rows of the exact stage's
+    /// lane stack ([`ShardedConfig::pair_budget_bytes`], ~2 MiB by
+    /// default), plus the 1 KiB single-byte table. Not bounded by
+    /// [`ApproxConfig::budget_bytes`], which bounds only the cover
+    /// model's estimate ([`PrefixCover::memory_bytes`]).
     pub fn pre_memory_bytes(&self) -> usize {
         self.pre_memory
     }
 
-    /// Truncation depth the prefix cover was built at: the configured
-    /// ceiling for sample-less builds, the measured flag-rate/table-size
-    /// frontier pick for profiled ones. Meaningful on the
-    /// `"prefix-dfa"` path; reports the candidate's depth either way.
+    /// Truncation depth cap the cover was built at:
+    /// [`PrefixCover::MAX_DEPTH`] for sample-less builds, the measured
+    /// flag-rate/table-size frontier pick for profiled ones.
     pub fn pre_depth(&self) -> usize {
         self.pre_depth
     }
@@ -1349,9 +1118,9 @@ impl TwoStageMatcher {
     }
 
     /// The exact verifier windows replay through: the patterns of
-    /// oversized truncation families on the prefix path, lengths ≥ 4 on
-    /// the gram path. It has zero shards (and 0 bytes) when no family is
-    /// oversized, since then every flag settles in place.
+    /// oversized truncation families. It has zero shards (and 0 bytes)
+    /// when no family is oversized, since then every flag settles in
+    /// place.
     pub fn exact(&self) -> &ShardedMatcher {
         &self.exact
     }
@@ -1360,9 +1129,6 @@ impl TwoStageMatcher {
     pub fn flow_state(&self) -> TwoStageState {
         TwoStageState {
             pre_scan: ScanState::fresh(),
-            pre_gram: ApproxState::fresh(),
-            short_hist: 0,
-            short_have: 0,
             pos: 0,
             carry: Vec::new(),
             vs: VerifySide {
@@ -1432,9 +1198,9 @@ impl TwoStageMatcher {
     /// big-family patterns are therefore missed; everything reported is
     /// still a true match. This is the overload-shedding tier the
     /// service runtime descends to when even windowed replay cannot
-    /// keep up: per-byte cost collapses to the cache-resident stage-1
-    /// sweep while the suspect counter preserves an honest record of
-    /// what went unverified.
+    /// keep up: per-byte cost collapses to the stage-1 sweep while the
+    /// suspect counter preserves an honest record of what went
+    /// unverified.
     pub fn scan_chunk_flag_only(
         &self,
         state: &mut TwoStageState,
@@ -1470,235 +1236,170 @@ impl TwoStageMatcher {
             base,
         };
 
-        match &self.pre {
-            PreStage::Prefix {
-                automaton,
-                meta,
-                singles,
-                simd,
-                confirm,
-            } => {
-                // The walk records flags and nothing else: the stepper
-                // loop is register-starved, and a callback that touches
-                // the verifier state spills it. Flags are rare (the
-                // singles table absorbs the dense byte-level hits), so
-                // the replayed record stays tiny; the single-byte table
-                // then sweeps the gaps between flags in stream order.
-                let TwoStageState {
-                    pre_scan, vs, carry, ..
-                } = state;
-                // Resume residual comparisons cut off by the previous
-                // chunk boundary; completions join `due` and surface
-                // once the sweep passes their end.
-                if !carry.is_empty() {
-                    let due = &mut scratch.due;
-                    carry.retain_mut(|c| {
-                        let e = &confirm.entries[c.entry as usize];
-                        let from = (e.start + c.matched) as usize;
-                        let res = &confirm.blob[from..(e.start + e.len) as usize];
-                        let take = res.len().min(chunk.len());
-                        let ok = res[..take]
-                            .iter()
-                            .zip(chunk)
-                            .all(|(&r, &b)| r == confirm.fold[usize::from(b)]);
-                        vs.stats.verified_bytes += take as u64;
-                        if !ok {
-                            // The carried candidate was a false
-                            // positive after all.
-                            vs.stats.fp_windows += 1;
-                            return false;
-                        }
-                        if take == res.len() {
-                            due.push(Match {
-                                end: c.end as usize,
-                                pattern: PatternId(e.pid),
-                            });
-                            return false;
-                        }
-                        c.matched += take as u32;
-                        true
-                    });
+        let PreStage {
+            automaton,
+            meta,
+            singles,
+            simd,
+            confirm,
+        } = &self.pre;
+        // The walk records flags and nothing else: the stepper loop is
+        // register-starved, and a callback that touches the verifier
+        // state spills it. Flags are rare (the singles table absorbs the
+        // dense byte-level hits), so the replayed record stays tiny; the
+        // single-byte table then sweeps the gaps between flags in stream
+        // order.
+        let TwoStageState {
+            pre_scan,
+            vs,
+            carry,
+            ..
+        } = state;
+        // Resume residual comparisons cut off by the previous chunk
+        // boundary; completions join `due` and surface once the sweep
+        // passes their end.
+        if !carry.is_empty() {
+            let due = &mut scratch.due;
+            carry.retain_mut(|c| {
+                let e = &confirm.entries[c.entry as usize];
+                let from = (e.start + c.matched) as usize;
+                let res = &confirm.blob[from..(e.start + e.len) as usize];
+                let take = res.len().min(chunk.len());
+                let ok = res[..take]
+                    .iter()
+                    .zip(chunk)
+                    .all(|(&r, &b)| r == confirm.fold[usize::from(b)]);
+                vs.stats.verified_bytes += take as u64;
+                if !ok {
+                    // The carried candidate was a false
+                    // positive after all.
+                    vs.stats.fp_windows += 1;
+                    return false;
                 }
-                scratch.flags.clear();
-                if let Some((compiled, patterns)) = automaton.as_deref() {
-                    let matcher = CompiledMatcher::new(compiled, patterns);
-                    let flags = &mut scratch.flags;
-                    matcher.for_each_match_chunk(pre_scan, chunk, |m| {
-                        flags.push((m.end as u64, m.pattern.0));
+                if take == res.len() {
+                    due.push(Match {
+                        end: c.end as usize,
+                        pattern: PatternId(e.pid),
                     });
+                    return false;
                 }
-                vs.stats.flags += scratch.flags.len() as u64;
-                let flags = std::mem::take(&mut scratch.flags);
-                let mut swept = 0usize;
-                for &(end, pidx) in &flags {
-                    // Retire the open window group at the first flag —
-                    // of any kind — past its end, not just the next
-                    // *windowed* one: while a group is open every swept
-                    // single detours through the pending queue, so a
-                    // group left open across the (often long) gap to
-                    // the next windowed flag drags the whole gap onto
-                    // that slow path. The replay itself is unchanged —
-                    // same target, same early-retirement stop — and
-                    // because retirement only stops at or past the last
-                    // group flag + 2, the flush below provably empties
-                    // `pending` (everything queued inside the group
-                    // ends at or before that flag).
-                    if vs.group_open && end > vs.window_end {
-                        let target = vs.window_end;
-                        vs.feed(&ctx, target, scratch, out);
-                        vs.close_group();
-                        let upto = vs.verified_until;
-                        vs.flush_pending(upto, out);
+                c.matched += take as u32;
+                true
+            });
+        }
+        scratch.flags.clear();
+        if let Some((compiled, patterns)) = automaton.as_deref() {
+            let matcher = CompiledMatcher::new(compiled, patterns);
+            let flags = &mut scratch.flags;
+            matcher.for_each_match_chunk(pre_scan, chunk, |m| {
+                flags.push((m.end as u64, m.pattern.0));
+            });
+        }
+        vs.stats.flags += scratch.flags.len() as u64;
+        let flags = std::mem::take(&mut scratch.flags);
+        let mut swept = 0usize;
+        for &(end, pidx) in &flags {
+            // Retire the open window group at the first flag —
+            // of any kind — past its end, not just the next
+            // *windowed* one: while a group is open every swept
+            // single detours through the pending queue, so a
+            // group left open across the (often long) gap to
+            // the next windowed flag drags the whole gap onto
+            // that slow path. The replay itself is unchanged —
+            // same target, same early-retirement stop — and
+            // because retirement only stops at or past the last
+            // group flag + 2, the flush below provably empties
+            // `pending` (everything queued inside the group
+            // ends at or before that flag).
+            if vs.group_open && end > vs.window_end {
+                let target = vs.window_end;
+                vs.feed(&ctx, target, scratch, out);
+                vs.close_group();
+                let upto = vs.verified_until;
+                vs.flush_pending(upto, out);
+            }
+            let local = end as usize - base as usize;
+            vs.sweep_singles(singles, simd, &ctx, &mut swept, local, out);
+            let fm = &meta[pidx as usize];
+            if fm.exact != u32::MAX {
+                vs.emit_exact(
+                    Match {
+                        end: end as usize,
+                        pattern: PatternId(fm.exact),
+                    },
+                    out,
+                );
+            }
+            if fm.windowed {
+                if flag_only {
+                    vs.stats.suspect_flags += 1;
+                } else {
+                    vs.on_window_flag(&ctx, end, fm.forward, fm.mask, scratch, out);
+                }
+            }
+            // Confirm the flag's residual family in place.
+            let cs = confirm.off[pidx as usize] as usize;
+            let ce = confirm.off[pidx as usize + 1] as usize;
+            if cs != ce {
+                vs.stats.windows += 1;
+                let mut hit = false;
+                // Stream bytes this flag makes stage 2 read:
+                // the candidates all read the same bytes, so
+                // the flag's cost is the longest examination,
+                // not the sum.
+                let mut examined = 0usize;
+                for (i, e) in confirm.entries[cs..ce].iter().enumerate() {
+                    let res = &confirm.blob[e.start as usize..(e.start + e.len) as usize];
+                    let take = res.len().min(chunk.len() - local);
+                    let mut eq = 0usize;
+                    while eq < take && res[eq] == confirm.fold[usize::from(chunk[local + eq])] {
+                        eq += 1;
                     }
-                    let local = end as usize - base as usize;
-                    vs.sweep_singles(singles, simd, &ctx, &mut swept, local, out);
-                    let fm = &meta[pidx as usize];
-                    if fm.exact != u32::MAX {
-                        vs.emit_exact(
-                            Match {
-                                end: end as usize,
-                                pattern: PatternId(fm.exact),
-                            },
-                            out,
-                        );
+                    let ok = eq == take;
+                    examined = examined.max(eq + usize::from(!ok));
+                    if !ok {
+                        continue;
                     }
-                    if fm.windowed {
-                        if flag_only {
-                            vs.stats.suspect_flags += 1;
-                        } else {
-                            vs.on_window_flag(&ctx, end, fm.forward, fm.mask, scratch, out);
-                        }
-                    }
-                    // Confirm the flag's residual family in place.
-                    let cs = confirm.off[pidx as usize] as usize;
-                    let ce = confirm.off[pidx as usize + 1] as usize;
-                    if cs != ce {
-                        vs.stats.windows += 1;
-                        let mut hit = false;
-                        // Stream bytes this flag makes stage 2 read:
-                        // the candidates all read the same bytes, so
-                        // the flag's cost is the longest examination,
-                        // not the sum.
-                        let mut examined = 0usize;
-                        for (i, e) in confirm.entries[cs..ce].iter().enumerate() {
-                            let res =
-                                &confirm.blob[e.start as usize..(e.start + e.len) as usize];
-                            let take = res.len().min(chunk.len() - local);
-                            let mut eq = 0usize;
-                            while eq < take
-                                && res[eq] == confirm.fold[usize::from(chunk[local + eq])]
-                            {
-                                eq += 1;
-                            }
-                            let ok = eq == take;
-                            examined = examined.max(eq + usize::from(!ok));
-                            if !ok {
-                                continue;
-                            }
-                            hit = true;
-                            if take == res.len() {
-                                scratch.due.push(Match {
-                                    end: end as usize + res.len(),
-                                    pattern: PatternId(e.pid),
-                                });
-                            } else {
-                                carry.push(ConfirmCarry {
-                                    entry: (cs + i) as u32,
-                                    matched: take as u32,
-                                    end: end + res.len() as u64,
-                                });
-                            }
-                        }
-                        vs.stats.verified_bytes += examined as u64;
-                        if !hit {
-                            vs.stats.fp_windows += 1;
-                        }
-                    }
-                    // Surface confirmed matches the sweep has passed.
-                    if !scratch.due.is_empty() {
-                        let upto = end as usize;
-                        scratch.due.retain(|&m| {
-                            if m.end <= upto {
-                                push_canonical(out, m);
-                                false
-                            } else {
-                                true
-                            }
+                    hit = true;
+                    if take == res.len() {
+                        scratch.due.push(Match {
+                            end: end as usize + res.len(),
+                            pattern: PatternId(e.pid),
+                        });
+                    } else {
+                        carry.push(ConfirmCarry {
+                            entry: (cs + i) as u32,
+                            matched: take as u32,
+                            end: end + res.len() as u64,
                         });
                     }
                 }
-                scratch.flags = flags;
-                vs.sweep_singles(singles, simd, &ctx, &mut swept, chunk.len(), out);
-                // Every confirmed end lies inside this chunk, so the
-                // final sweep surfaces the rest.
-                for &m in scratch.due.iter() {
-                    push_canonical(out, m);
+                vs.stats.verified_bytes += examined as u64;
+                if !hit {
+                    vs.stats.fp_windows += 1;
                 }
-                scratch.due.clear();
             }
-            PreStage::Grams(g) => {
-                // Exact short-pattern lane: table lookups per byte; the
-                // gram sweep is not interleaved with the lane, so lane
-                // matches always queue until the frontier passes them.
-                if let Some(lane) = &self.shorts {
-                    let mut hist = state.short_hist;
-                    let mut have = state.short_have;
-                    for (i, &raw) in chunk.iter().enumerate() {
-                        let b = lane.fold[usize::from(raw)];
-                        hist = (hist << 8 | u32::from(b)) & 0x00FF_FFFF;
-                        have = (have + 1).min(3);
-                        let end = (base + i as u64 + 1) as usize;
-                        // Up to three patterns can end on this byte
-                        // (one per length); canonical order within an
-                        // end is by global id.
-                        let mut due = [u32::MAX; 3];
-                        due[0] = lane.singles[usize::from(b)];
-                        if have >= 2 {
-                            if let Some(t) = &lane.pairs {
-                                due[1] = t[(hist & 0xFFFF) as usize];
-                            }
-                        }
-                        if have >= 3 {
-                            if let Some(t) = &lane.triples {
-                                due[2] = t.get(hist).unwrap_or(u32::MAX);
-                            }
-                        }
-                        if due != [u32::MAX; 3] {
-                            due.sort_unstable();
-                            for id in due {
-                                if id != u32::MAX {
-                                    state.vs.pending.push_back(Match {
-                                        end,
-                                        pattern: PatternId(id),
-                                    });
-                                }
-                            }
-                        }
-                    }
-                    state.short_hist = hist;
-                    state.short_have = have;
-                }
-                scratch.flags.clear();
-                {
-                    let flags = &mut scratch.flags;
-                    g.scan_flags(&mut state.pre_gram, chunk, &mut |f| {
-                        flags.push((f.end, f.forward));
-                    });
-                }
-                state.vs.stats.flags += scratch.flags.len() as u64;
-                let flags = std::mem::take(&mut scratch.flags);
-                for &(end, forward) in &flags {
-                    if flag_only {
-                        state.vs.stats.suspect_flags += 1;
+            // Surface confirmed matches the sweep has passed.
+            if !scratch.due.is_empty() {
+                let upto = end as usize;
+                scratch.due.retain(|&m| {
+                    if m.end <= upto {
+                        push_canonical(out, m);
+                        false
                     } else {
-                        // Gram flags carry no family identity, so every
-                        // lane replays the window.
-                        state.vs.on_window_flag(&ctx, end, forward, u64::MAX, scratch, out);
+                        true
                     }
-                }
-                scratch.flags = flags;
+                });
             }
         }
+        scratch.flags = flags;
+        vs.sweep_singles(singles, simd, &ctx, &mut swept, chunk.len(), out);
+        // Every confirmed end lies inside this chunk, so the
+        // final sweep surfaces the rest.
+        for &m in scratch.due.iter() {
+            push_canonical(out, m);
+        }
+        scratch.due.clear();
 
         // Replay what the chunk can serve of the active window; close it
         // if it ends inside this chunk — or if the verifier retired it
@@ -1758,10 +1459,8 @@ impl TwoStageMatcher {
 impl std::fmt::Debug for TwoStageMatcher {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TwoStageMatcher")
-            .field("pre_kind", &self.kind)
             .field("pre_memory_bytes", &self.pre_memory)
             .field("max_back", &self.max_back)
-            .field("short_lane", &self.shorts.is_some())
             .field("shards", &self.exact.shard_count())
             .finish()
     }
@@ -1821,9 +1520,7 @@ mod tests {
     #[test]
     fn singles_simd_tables_mirror_the_emit_table() {
         let (_, two, _) = build(&["x", "q", "longer-pattern", "another-rule"]);
-        let PreStage::Prefix { singles, simd, .. } = &two.pre else {
-            panic!("single-byte rules force the prefix path");
-        };
+        let PreStage { singles, simd, .. } = &two.pre;
         let Some((tables, _)) = &simd.inner else {
             return; // CPU without SSSE3: the sweep stays scalar.
         };
@@ -1873,7 +1570,7 @@ mod tests {
         let (tight, _) = build_tight(&["abcd", "cdef", "q", "deface"]);
         let hay = b"xxabcdefqxxcdefabcd-deface-abcdeface".to_vec();
         let whole = exact.find_all(&hay);
-        for matcher in [&two, &tight] {
+        for (budget, matcher) in [("default", &two), ("1-byte", &tight)] {
             for cut in 0..hay.len() {
                 let mut state = matcher.flow_state();
                 let mut scratch = matcher.scratch();
@@ -1881,7 +1578,7 @@ mod tests {
                 matcher.scan_chunk_into(&mut state, &hay[..cut], &mut scratch, &mut out);
                 matcher.scan_chunk_into(&mut state, &hay[cut..], &mut scratch, &mut out);
                 matcher.finish_flow(&mut state, &mut out);
-                assert_eq!(out, whole, "cut at {cut} ({:?})", matcher.pre_kind());
+                assert_eq!(out, whole, "cut at {cut} ({budget} budget)");
                 assert_eq!(state.stats().pre_bytes, hay.len() as u64);
             }
         }
@@ -2034,12 +1731,14 @@ mod tests {
     #[test]
     fn windowed_flags_carry_real_shard_masks() {
         let (_, two, _) = build_masked();
-        assert_eq!(two.pre_kind(), "prefix-dfa");
         assert!(two.exact().shard_count() > 1, "need a multi-shard verifier");
-        let PreStage::Prefix { meta, .. } = &two.pre else {
-            panic!("prefix path expected");
-        };
-        let masks: Vec<u64> = meta.iter().filter(|m| m.windowed).map(|m| m.mask).collect();
+        let masks: Vec<u64> = two
+            .pre
+            .meta
+            .iter()
+            .filter(|m| m.windowed)
+            .map(|m| m.mask)
+            .collect();
         assert!(masks.len() >= 2, "both families must window");
         let all = (1u64 << two.exact().shard_count().min(64)) - 1;
         assert!(
@@ -2187,34 +1886,12 @@ mod tests {
         let two =
             TwoStageMatcher::build_with_profile(&set, &TwoStageConfig::with_cores(1), &sample)
                 .unwrap();
-        if two.pre_kind() == "prefix-dfa" {
-            assert!((2..=6).contains(&two.pre_depth()), "depth {}", two.pre_depth());
-        }
+        assert!(
+            (2..=6).contains(&two.pre_depth()),
+            "depth {}",
+            two.pre_depth()
+        );
         let found = two.find_all(b"zz alpha-signature beta-marker zz");
         assert_eq!(found.len(), 2);
-    }
-
-    #[test]
-    fn forced_gram_cover_with_short_lane_stays_exact() {
-        // The gram + short-lane path: shorts ride the lane tables,
-        // longs window through the gram cover.
-        let set = PatternSet::new(["k", "qz", "wvu", "signature-long", "xylophone"]).unwrap();
-        let two =
-            TwoStageMatcher::build_forced_grams(&set, &TwoStageConfig::with_cores(1)).unwrap();
-        assert_eq!(two.pre_kind(), "gram-table");
-        assert!(format!("{two:?}").contains("short_lane: true"));
-        let exact = ShardedMatcher::build(&set, &ShardedConfig::with_cores(1)).unwrap();
-        let hay = b"kqz-wvukk-signature-long-xylophones-qzwvuk".to_vec();
-        let whole = exact.find_all(&hay);
-        assert_eq!(two.find_all(&hay), whole);
-        for cut in 0..hay.len() {
-            let mut state = two.flow_state();
-            let mut scratch = two.scratch();
-            let mut out = Vec::new();
-            two.scan_chunk_into(&mut state, &hay[..cut], &mut scratch, &mut out);
-            two.scan_chunk_into(&mut state, &hay[cut..], &mut scratch, &mut out);
-            two.finish_flow(&mut state, &mut out);
-            assert_eq!(out, whole, "cut at {cut}");
-        }
     }
 }

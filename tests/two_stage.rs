@@ -6,13 +6,13 @@
 //! boundary inside every injected occurrence, which by construction
 //! lies inside a flagged window).
 //!
-//! The soundness half (approximate accepts ⊇ exact accepts over drawn
-//! rulesets and budgets) is property-pinned in
-//! `crates/automaton/src/proptests.rs`; this suite pins the
-//! *composition*: that window replay through the sharded engine loses
-//! nothing and invents nothing.
+//! It pins both halves. The soundness half: every exact occurrence lies
+//! inside some window of the stage-1 cover (`PrefixCover`), over drawn
+//! rulesets, budgets and payloads, and the cover's flags do not depend
+//! on chunking. The composition half: window replay through the sharded
+//! engine loses nothing and invents nothing.
 
-use dpi_accel::automaton::ApproxConfig;
+use dpi_accel::automaton::{ApproxConfig, ApproxState, NaiveMatcher, PrefixCover};
 use dpi_accel::prelude::*;
 use dpi_accel::rulesets::{extract_preserving, master_ruleset, ChopProfile};
 use proptest::prelude::*;
@@ -54,8 +54,8 @@ fn scan_chunked(
 fn two_stage_equals_single_stage_across_every_chop_profile() {
     let set = extract_preserving(&master_ruleset(), 300, 42);
     let exact = ShardedMatcher::build(&set, &ShardedConfig::with_cores(2)).unwrap();
-    // Both pre-classifier kinds: the natural pick, and a budget so
-    // tight the cover degenerates to depth-1 (maximum over-accept).
+    // Two cover budgets: the default, and one so tight the cover
+    // degenerates to depth 1 (maximum over-accept).
     let configs = [
         ShardedConfig::with_cores(2).two_stage(ApproxConfig::default()),
         ShardedConfig::with_cores(2).two_stage(ApproxConfig::with_budget(1)),
@@ -88,8 +88,8 @@ fn two_stage_equals_single_stage_across_every_chop_profile() {
             let (got, stats) = scan_chunked(&two, &packet.payload, &cuts);
             assert_eq!(
                 got, want,
-                "{}-cover diverged under {profile:?}",
-                two.pre_kind()
+                "cover with a {}-byte budget diverged under {profile:?}",
+                config.approx.budget_bytes
             );
             for &(id, end) in &packet.injected {
                 assert!(
@@ -186,5 +186,99 @@ proptest! {
         let mut scratch = two.scratch();
         two.scan_into(&hay, &mut scratch, &mut whole);
         prop_assert_eq!(&whole, &want, "whole-payload two-stage diverged");
+    }
+}
+
+/// Rulesets over a small alphabet (plus any byte), so drawn patterns
+/// share prefixes and the cover has families to truncate.
+fn pattern_vec() -> impl Strategy<Value = Vec<Vec<u8>>> {
+    proptest::collection::vec(
+        proptest::collection::vec(
+            prop_oneof![Just(b'x'), Just(b'y'), Just(b'z'), any::<u8>()],
+            1..8,
+        ),
+        1..10,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The soundness invariant of the stage-1 cover: whatever the byte
+    /// budget, **every** exact match lies inside some flag's window. A
+    /// violation here means the two-stage path can drop a match; the
+    /// cover is only ever allowed to over-accept.
+    #[test]
+    fn approx_windows_cover_every_exact_match(
+        patterns in pattern_vec(),
+        budget in prop_oneof![Just(1usize), 64usize..4096, Just(1usize << 20)],
+        fill in proptest::collection::vec(any::<u8>(), 0..200),
+        picks in proptest::collection::vec(0usize..16 * 200, 0..8),
+        nocase in any::<bool>(),
+    ) {
+        let set = if nocase {
+            PatternSet::new_nocase(&patterns)
+        } else {
+            PatternSet::new(&patterns)
+        };
+        let Ok(set) = set else { return Ok(()); };
+        // Haystack: random fill with drawn patterns spliced in, so
+        // matches actually occur.
+        let mut hay = fill;
+        for &pick in &picks {
+            let p = &patterns[(pick / 200) % patterns.len()];
+            let pos = (pick % 200) % (hay.len() + 1);
+            hay.splice(pos..pos, p.iter().copied());
+        }
+        let exact = NaiveMatcher::new(&set).find_all(&hay);
+        let cover = PrefixCover::build(&set, &ApproxConfig::with_budget(budget), None);
+        let mut windows: Vec<std::ops::Range<u64>> = Vec::new();
+        let mut state = ApproxState::fresh();
+        cover.scan_flags(&mut state, &hay, &mut |f| windows.push(f.window()));
+        for m in &exact {
+            let start = (m.end - set.pattern_len(m.pattern)) as u64;
+            let end = m.end as u64;
+            prop_assert!(
+                windows.iter().any(|w| w.start <= start && end <= w.end),
+                "cover (budget {budget}) dropped match {:?}..{} of {:?}",
+                start, end, m.pattern
+            );
+        }
+    }
+
+    /// Flags are invariant under chunking: scanning in arbitrary pieces
+    /// through one `ApproxState` emits exactly the whole-payload flags.
+    #[test]
+    fn approx_flags_are_chunking_invariant(
+        patterns in pattern_vec(),
+        budget in prop_oneof![Just(1usize), 256usize..8192],
+        fill in proptest::collection::vec(any::<u8>(), 1..160),
+        picks in proptest::collection::vec(0usize..16 * 160, 0..6),
+        cuts in proptest::collection::vec(0usize..160, 0..6),
+    ) {
+        let Ok(set) = PatternSet::new(&patterns) else { return Ok(()); };
+        let mut hay = fill;
+        for &pick in &picks {
+            let p = &patterns[(pick / 160) % patterns.len()];
+            let pos = (pick % 160) % (hay.len() + 1);
+            hay.splice(pos..pos, p.iter().copied());
+        }
+        let mut cuts: Vec<usize> = cuts.iter().map(|&c| c % hay.len()).collect();
+        cuts.push(0);
+        cuts.push(hay.len());
+        cuts.sort_unstable();
+        cuts.dedup();
+        let cover = PrefixCover::build(&set, &ApproxConfig::with_budget(budget), None);
+        let mut whole = Vec::new();
+        let mut state = ApproxState::fresh();
+        cover.scan_flags(&mut state, &hay, &mut |f| whole.push((f.end, f.forward)));
+        let mut chunked = Vec::new();
+        let mut state = ApproxState::fresh();
+        for pair in cuts.windows(2) {
+            cover.scan_flags(&mut state, &hay[pair[0]..pair[1]], &mut |f| {
+                chunked.push((f.end, f.forward))
+            });
+        }
+        prop_assert_eq!(&whole, &chunked);
     }
 }
