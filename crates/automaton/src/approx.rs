@@ -237,8 +237,8 @@ impl PrefixCover {
     ///
     /// `cost(d) = max(1, mem(d) / budget)² × (1 + 16 × replay(d))`
     ///
-    /// — the same squared cache-cliff penalty the sharded autotuner
-    /// applies when an arena spills its per-core budget, times a replay
+    /// — a squared cache-cliff penalty, applied when an arena spills
+    /// past its per-core budget, times a replay
     /// term weighting each replayed byte at ~16× a stage-1 byte (the
     /// exact stage walks every shard per byte where stage 1 walks one
     /// arena; 16 is the measured order of magnitude at 25k–100k rules,

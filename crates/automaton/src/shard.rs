@@ -8,8 +8,8 @@
 //! own memory ports. The correct software analogue of the paper's
 //! *per-block memories* is therefore the split the paper itself applies
 //! to oversized rulesets (§IV.B): partition the patterns, build one
-//! independent automaton per partition, and give each partition its own
-//! core — its own L1/L2 — instead of its own block RAM.
+//! independent automaton per partition, and size each partition to fit
+//! one core's L1/L2 the way the paper sizes it to a block RAM.
 //!
 //! [`PatternSet::plan_shards`] chooses that partition. It prefers
 //! [`PatternSet::split_by_prefix`] (keeping a start byte's patterns
@@ -145,10 +145,9 @@ impl std::error::Error for ShardPlanError {}
 /// Inputs to [`PatternSet::plan_shards`].
 #[derive(Debug, Clone, Copy)]
 pub struct ShardSpec {
-    /// Preferred shard count — normally the scanning core count. The
-    /// planner starts here and only adds shards (in multiples of this
-    /// hint, so work still divides evenly across cores) while any shard's
-    /// estimate exceeds `budget_bytes`.
+    /// Preferred shard count. The planner starts here and only adds
+    /// shards, in steps of this hint, while any shard's estimate exceeds
+    /// `budget_bytes`.
     pub shards_hint: usize,
     /// Per-shard arena budget in bytes — the cache level each shard
     /// should fit (typically L2; the default is 1 MiB — conservative for
@@ -166,8 +165,8 @@ pub struct ShardSpec {
 }
 
 impl ShardSpec {
-    /// A spec targeting `cores` scanning cores with default budget, cap
-    /// and skew tolerance.
+    /// A spec starting at `cores` shards, with default budget, cap and
+    /// skew tolerance.
     ///
     /// # Examples
     ///
@@ -260,7 +259,7 @@ impl PatternSet {
         seen.len() + 1
     }
 
-    /// Plans a shard layout for scanning this set across cores.
+    /// Plans a shard layout for this set.
     ///
     /// Starts at `spec.shards_hint` shards and grows the count (in
     /// hint-sized steps, capped by `spec.max_shards` and the pattern

@@ -7,8 +7,8 @@
 //! construction, reduction, scanning, baseline comparison, ablations).
 //!
 //! This library holds the pieces shared between them: the paper's
-//! published numbers (for paper-vs-measured rows) and small formatting
-//! helpers.
+//! published numbers (for paper-vs-measured rows), small formatting
+//! helpers and the shard-to-core partition of the per-core rows.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -119,9 +119,57 @@ pub fn thousands(n: usize) -> String {
     out.chars().rev().collect()
 }
 
+/// Splits `costs.len()` items into at most `max_chunks` contiguous chunks
+/// with roughly equal cost sums, returning the boundary indices
+/// (`[0, …, len]`, every chunk non-empty). `repro sharded-throughput`
+/// assigns shards to cores with it, balanced by compiled-arena bytes.
+pub fn chunk_bounds(costs: &[usize], max_chunks: usize) -> Vec<usize> {
+    let n = costs.len();
+    let k = max_chunks.clamp(1, n.max(1));
+    let total = costs.iter().sum::<usize>().max(1);
+    let mut bounds = Vec::with_capacity(k + 1);
+    bounds.push(0usize);
+    let mut acc = 0usize;
+    for (i, &c) in costs.iter().enumerate() {
+        acc += c;
+        let closed = bounds.len(); // chunks closed once we cut here
+        let items_left = n - (i + 1);
+        let chunks_left = k - closed;
+        if closed < k
+            && (acc as u128 * k as u128 >= total as u128 * closed as u128
+                || items_left == chunks_left)
+        {
+            bounds.push(i + 1);
+        }
+    }
+    bounds.push(n);
+    bounds
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn chunk_bounds_properties() {
+        for (costs, k) in [
+            (vec![1usize, 1, 1, 1], 2usize),
+            (vec![5, 1, 1], 3),
+            (vec![1, 1, 5], 3),
+            (vec![100, 1, 1, 1], 4),
+            (vec![7], 4),
+            (vec![3, 3, 3, 3, 3, 3, 3], 3),
+        ] {
+            let bounds = chunk_bounds(&costs, k);
+            assert_eq!(*bounds.first().unwrap(), 0);
+            assert_eq!(*bounds.last().unwrap(), costs.len());
+            assert!(bounds.len() - 1 <= k.min(costs.len()), "{costs:?} k={k}");
+            assert!(
+                bounds.windows(2).all(|w| w[0] < w[1]),
+                "empty chunk in {bounds:?} for {costs:?} k={k}"
+            );
+        }
+    }
 
     #[test]
     fn thousands_formatting() {

@@ -60,12 +60,14 @@
 //! interleaving lanes through one big automaton, [`ShardedMatcher`]
 //! splits the *pattern set* (prefix-grouped, cost-modeled against a
 //! per-core cache budget — [`PatternSet::plan_shards`]), compiles one
-//! small [`CompiledAutomaton`] per shard, and scans payloads across
-//! shards on scoped threads, merging matches back to global pattern ids
-//! in canonical order. That is the software analogue of the paper's
-//! per-block memories: each core owns its automaton the way each block
-//! owns its RAM. See the [`sharded`] module docs for the two scan shapes
-//! (single payload fan-out vs per-flow batches).
+//! small [`CompiledAutomaton`] per shard, and scans a payload through
+//! every shard on the calling thread, merging matches back to global
+//! pattern ids in canonical order. That is the software analogue of the
+//! paper's per-block memories: each shard owns its automaton the way
+//! each block owns its RAM. The cores themselves belong to [`Service`]:
+//! each worker thread scans the flows steered to it, and no other call
+//! in this crate spawns a thread. See the [`sharded`] module docs for
+//! the two scan shapes (whole payload vs resumable per-flow chunks).
 //!
 //! [`PatternSet::plan_shards`]: dpi_automaton::PatternSet::plan_shards
 //!
@@ -126,9 +128,7 @@ pub use service::{
     ServiceConfig, ServiceConfigError, ServiceReport, ServiceSim, ServiceStats, ShedConfig,
     TierScan, WorkerStats,
 };
-pub use sharded::{
-    ShardedConfig, ShardedMatcher, ShardedScanState, ShardedScratch, StreamScratch,
-};
+pub use sharded::{ShardedConfig, ShardedMatcher, ShardedScanState, ShardedScratch};
 pub use stats::{ReductionReport, SplitReductionReport};
 pub use two_stage::{TwoStageConfig, TwoStageMatcher, TwoStageScratch, TwoStageState, TwoStageStats};
 

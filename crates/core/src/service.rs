@@ -31,12 +31,13 @@
 //!   scan state lazily regenerates at its current stream offset on next
 //!   delivery (boundary-local loss, counted). A failed build rolls back
 //!   to the old arena — the service never runs ruleless.
-//! - **Fault isolation.** A panicking worker is caught at the batch
-//!   boundary ([`std::panic::catch_unwind`] in the threaded runtime),
-//!   its flow table is rebuilt, and its flows re-materialize on their
-//!   next segment — the reassembler's budget rule skips the gap the
-//!   dead table took with it and counts the loss as skipped holes —
-//!   boundary-local loss, counted, instead of a dead core.
+//! - **Fault isolation.** A panicking worker is caught per queue item
+//!   ([`std::panic::catch_unwind`] around each item in the threaded
+//!   runtime; the simulator models the unwind), its flow table is
+//!   rebuilt, and its flows re-materialize on their next segment — the
+//!   reassembler's budget rule skips the gap the dead table took with
+//!   it and counts the loss as skipped holes — boundary-local loss,
+//!   counted, instead of a dead core.
 //!
 //! Two drivers share the same `WorkerCore` logic: [`Service`] runs
 //! real threads with swap inboxes and wall-clock latency histograms;
@@ -71,8 +72,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use std::collections::HashSet;
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -126,6 +126,13 @@ impl Default for LadderConfig {
 /// depth has fallen to `resume_below` — the gap is the hysteresis that
 /// stops a flow from resuming into a queue that is about to refuse its
 /// next packet.
+///
+/// Each queue remembers at most [`ServiceConfig::flow_capacity`] shed
+/// flows, so a resident service's gate memory stays bounded. Past that
+/// it forgets one remembered flow per newly shed one; a forgotten flow
+/// that returns is admitted without a resync marker, and reassembly
+/// skips its never-admitted gap and counts it as a hole, as for a flow
+/// the table evicted.
 #[derive(Debug, Clone, Copy)]
 pub struct ShedConfig {
     /// Queue depth a shed flow's queue must fall to before the flow is
@@ -534,7 +541,8 @@ pub struct ServiceStats {
     pub shed_bytes: u64,
     /// Flows newly placed into shedding.
     pub shed_flows: u64,
-    /// Shed flows readmitted (each carries a resync marker).
+    /// Shed flows readmitted (each carries a resync marker). A flow the
+    /// shed gate forgot (see [`ShedConfig`]) returns uncounted here.
     pub resumed_flows: u64,
     /// Packets enqueued.
     pub admitted_packets: u64,
@@ -716,9 +724,10 @@ impl WorkerCore {
                 payload,
             } => self.ingest(key, seq, time, resync, &payload),
             Item::Swap(arena) => self.install(arena),
-            // The drivers intercept Panic before calling process; a
-            // Panic reaching here (e.g. via a future driver) is treated
-            // as the real thing.
+            // `ServiceSim` intercepts Panic and runs `recover` itself;
+            // the threaded runtime lets this panic unwind into the
+            // `catch_unwind` around each item, which recovers the same
+            // way.
             Item::Panic => panic!("injected worker fault"),
         }
     }
@@ -943,15 +952,22 @@ fn steer_hash(key: FlowKey) -> u64 {
 }
 
 /// Producer-side per-queue shed gate: tracks which flows are currently
-/// shed and applies the full/resume hysteresis.
+/// shed and applies the full/resume hysteresis. A flow shed at its last
+/// packet never returns to be removed, so the set holds at most the
+/// worker's flow capacity and, when full, forgets its lowest key (most
+/// remembered flows have ended) before inserting — see [`ShedConfig`].
+/// An ordered set keeps which flow is forgotten independent of hashing,
+/// so [`ServiceSim`] stays deterministic.
 struct ShedGate {
-    shedding: HashSet<u128>,
+    shedding: BTreeSet<u128>,
+    capacity: usize,
 }
 
 impl ShedGate {
-    fn new() -> ShedGate {
+    fn new(capacity: usize) -> ShedGate {
         ShedGate {
-            shedding: HashSet::new(),
+            shedding: BTreeSet::new(),
+            capacity,
         }
     }
 
@@ -965,6 +981,9 @@ impl ShedGate {
                 Gate::Shed { new_flow: false }
             }
         } else if depth >= cap {
+            if self.shedding.len() >= self.capacity {
+                self.shedding.pop_first();
+            }
             self.shedding.insert(key.0);
             Gate::Shed { new_flow: true }
         } else {
@@ -1001,7 +1020,9 @@ struct Steer {
 impl Steer {
     fn new(config: &ServiceConfig) -> Steer {
         Steer {
-            gates: (0..config.workers).map(|_| ShedGate::new()).collect(),
+            gates: (0..config.workers)
+                .map(|_| ShedGate::new(config.flow_capacity))
+                .collect(),
             queue_cap: config.queue_cap,
             resume_below: config.shed.resume_below,
             offered_packets: 0,

@@ -1,4 +1,5 @@
-//! Sharded per-core scan engine: independent compiled automata per core.
+//! Sharded scan engine: the ruleset split into independent compiled
+//! automata, every shard scanned on the calling thread.
 //!
 //! Measurement settled how this workspace scales past one core. The
 //! paper hides the byte→state→byte serial dependency by clocking engines
@@ -6,30 +7,33 @@
 //! interleave (a round-robin batch scanner, since deleted) broke even at
 //! best, because software lanes share one cache hierarchy where hardware
 //! engines own their ports. What *does* translate is the paper's other
-//! axis (§IV.B):
-//! splitting the ruleset itself across blocks. In software the "block"
-//! is a core with its own L1/L2: partition the patterns with
-//! [`PatternSet::plan_shards`], compile one small [`CompiledAutomaton`]
-//! per shard, and scan the payload through every shard concurrently on a
-//! scoped thread pool. Each shard's automaton is a fraction of the
-//! monolith — small enough to stay cache-resident — so per-shard scan
-//! speed rises exactly where the monolithic automaton falls off.
+//! axis (§IV.B): splitting the ruleset itself across blocks. Partition
+//! the patterns with [`PatternSet::plan_shards`], compile one small
+//! [`CompiledAutomaton`] per shard, and scan the payload through every
+//! shard in turn. Each shard's automaton is a fraction of the monolith —
+//! small enough to stay cache-resident — so per-shard scan speed rises
+//! exactly where the monolithic automaton falls off.
+//!
+//! The engine spawns no threads. The cores axis belongs to the service's
+//! workers ([`Service`](crate::Service)): each worker owns the flows
+//! steered to it and drives their chunks through the shards on its own
+//! thread. [`ShardedConfig::cores`] only steps the planner's shard
+//! count. What a shard-per-core layout would gain is a projection from
+//! per-shard timings ([`ShardedMatcher::scan_shard_into`]; the `-percore`
+//! rows of `repro sharded-throughput`).
 //!
 //! Every shard is compiled with its own anchor analysis and, budget
 //! permitting, its own pair table, so every shard runs the composed
-//! lane stack (see `crate::compiled`); the only scan-time switch is
-//! [`ShardedMatcher::with_simd`].
+//! lane stack (see `crate::compiled`); the only lane switch is
+//! [`ShardedConfig::simd`].
 //!
-//! Two scan shapes cover the two deployment scenarios:
+//! Two scan shapes:
 //!
-//! - [`ShardedMatcher::scan_into`] — one large payload, all shards in
-//!   parallel, matches merged back to global [`PatternId`]s in canonical
-//!   `(end, pattern)` order. With `cores = 1` the same API runs the
-//!   shards sequentially on the calling thread (no threads spawned).
-//! - [`ShardedMatcher::scan_stream_into`] — many payloads (the
-//!   millions-of-flows scenario): payloads are partitioned across cores
-//!   and each core runs every shard over its own payloads, so per-flow
-//!   results never cross threads.
+//! - [`ShardedMatcher::scan_into`] — one whole payload, the per-shard
+//!   matches merged back to global [`PatternId`]s in canonical
+//!   `(end, pattern)` order.
+//! - [`ShardedMatcher::scan_chunk_into`] — one chunk of a flow, resumed
+//!   from and suspended into the flow's [`ShardedScanState`].
 //!
 //! Equivalence with the monolithic [`CompiledMatcher`] — and through it
 //! with the reference [`DtpMatcher`](crate::DtpMatcher) and the full DFA
@@ -72,13 +76,11 @@ use dpi_automaton::{
 /// Build-time configuration of a [`ShardedMatcher`].
 #[derive(Debug, Clone, Copy)]
 pub struct ShardedConfig {
-    /// Scanning cores to plan for and to spawn in the parallel scan
-    /// entry points. `1` selects the sequential same-API mode.
+    /// Shard-count step of the planner ([`ShardSpec::for_cores`]): a
+    /// plan holds `cores` shards, growing in steps of `cores` only while
+    /// a shard's estimate exceeds [`ShardedConfig::budget_bytes`]. No
+    /// scan reads it — every scan runs on the calling thread.
     pub cores: usize,
-    /// Preferred shard count the planner starts from (normally equal
-    /// to `cores`; [`ShardedConfig::autotune_shards`] sets it from a
-    /// measured probe scan).
-    pub shards_hint: usize,
     /// Per-shard compiled-arena budget in bytes (the cache level each
     /// shard should fit — typically L2).
     pub budget_bytes: usize,
@@ -112,16 +114,16 @@ pub struct ShardedConfig {
 }
 
 impl ShardedConfig {
-    /// A configuration targeting `cores` cores, inheriting the planner's
-    /// default budget and shard cap from [`ShardSpec::for_cores`] (so the
-    /// two stay in lockstep), with the paper's DTP configuration. For
+    /// A configuration whose plan starts at `cores` shards (see
+    /// [`ShardedConfig::cores`]), inheriting the planner's default
+    /// budget and shard cap from [`ShardSpec::for_cores`] (so the two
+    /// stay in lockstep), with the paper's DTP configuration. For
     /// planner knobs not surfaced here (skew limit, cost model), call
     /// [`PatternSet::plan_shards`] directly.
     pub fn with_cores(cores: usize) -> ShardedConfig {
         let spec = ShardSpec::for_cores(cores);
         ShardedConfig {
             cores: cores.max(1),
-            shards_hint: cores.max(1),
             budget_bytes: spec.budget_bytes,
             max_shards: spec.max_shards,
             dtp: DtpConfig::PAPER,
@@ -172,126 +174,13 @@ impl ShardedConfig {
         };
         CompiledAutomaton::compile_with_prefilter(&reduced, anchors, Some(pairs))
     }
-
-    /// Growth factor a larger shard count must beat in the autotune
-    /// probe before it is preferred — shard proliferation multiplies
-    /// total work (every shard scans every byte), so a bigger count
-    /// has to pay measurably, not within noise.
-    const AUTOTUNE_MARGIN: f64 = 0.90;
-
-    /// Picks the shard count from a **measured probe scan** instead of
-    /// the cost model's guess: for each candidate count (multiples of
-    /// `cores`, doubling up to the planner cap), the largest planned
-    /// shard is compiled and timed over a synthetic probe payload, and
-    /// the candidate minimizing the projected slowest-core time
-    /// (`shards-per-core × measured per-shard time`) wins. Larger
-    /// counts are only taken when they beat the incumbent by a real
-    /// margin, so the chooser settles on `cores` shards whenever the
-    /// ruleset already fits per-core caches — the measured answer to
-    /// the "how many shards?" question the cost model can only
-    /// estimate.
-    ///
-    /// Returns a configuration whose [`ShardedConfig::shards_hint`]
-    /// pins the chosen count as the planner's starting point (the
-    /// per-shard arena budget can still grow it — the cost model stays
-    /// as the cache-residency safety net).
-    ///
-    /// # Errors
-    ///
-    /// [`ShardPlanError::PatternExceedsBudget`] when planning any
-    /// candidate fails (see [`PatternSet::plan_shards`]).
-    pub fn autotune_shards(
-        set: &PatternSet,
-        cores: usize,
-    ) -> Result<ShardedConfig, ShardPlanError> {
-        // Probe payload: low-entropy text mixed with pseudo-random
-        // bytes — enough automaton exercise to expose cache effects
-        // without depending on the traffic crates.
-        let mut probe = Vec::with_capacity(128 * 1024);
-        let mut x: u64 = 0x5EED_CAFE;
-        while probe.len() < 128 * 1024 {
-            probe.extend_from_slice(b"GET /autotune HTTP/1.1\r\nHost: probe\r\n");
-            for _ in 0..24 {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                probe.push((x >> 33) as u8);
-            }
-        }
-        let base = ShardedConfig::with_cores(cores);
-        Self::autotune_shards_with(set, cores, |sub| {
-            // The probe shard carries the exact lane stack the returned
-            // config deploys (prefilter + pair layer under the same
-            // budget) — the chooser's premise is measured cache
-            // residency, and the pair rows are part of the footprint.
-            let compiled = base.compile(sub, None);
-            let matcher = CompiledMatcher::new(&compiled, sub);
-            let mut best = f64::INFINITY;
-            let mut sink = 0usize;
-            for _ in 0..3 {
-                let start = std::time::Instant::now();
-                matcher.for_each_match(&probe, |_| sink += 1);
-                best = best.min(start.elapsed().as_secs_f64());
-            }
-            std::hint::black_box(sink);
-            best / probe.len() as f64
-        })
-    }
-
-    /// The chooser behind [`ShardedConfig::autotune_shards`], with the
-    /// probe measurement injected — `measure` returns a shard's scan
-    /// cost in seconds per byte. Exposed so the selection logic can be
-    /// unit-tested against a synthetic cost model without timing real
-    /// scans.
-    pub fn autotune_shards_with(
-        set: &PatternSet,
-        cores: usize,
-        mut measure: impl FnMut(&PatternSet) -> f64,
-    ) -> Result<ShardedConfig, ShardPlanError> {
-        let cores = cores.max(1);
-        let mut config = ShardedConfig::with_cores(cores);
-        let cap = ShardSpec::for_cores(cores).max_shards.min(set.len().max(1));
-        let mut best: Option<(usize, f64)> = None;
-        let mut n = cores.min(cap);
-        loop {
-            // Plan exactly `n` shards and time the largest one — the
-            // slowest-core bound is what a deployment actually waits
-            // on.
-            let mut spec = ShardSpec::for_cores(cores);
-            spec.shards_hint = n;
-            spec.budget_bytes = usize::MAX;
-            let plan = set.plan_shards(&spec)?;
-            let largest = plan
-                .estimated_bytes
-                .iter()
-                .enumerate()
-                .max_by_key(|&(_, b)| *b)
-                .map(|(i, _)| i)
-                .expect("plans are non-empty");
-            let secs_per_byte = measure(&plan.parts[largest].0);
-            let per_core = plan.len().div_ceil(cores) as f64 * secs_per_byte;
-            let better = match best {
-                None => true,
-                Some((_, incumbent)) => per_core < incumbent * ShardedConfig::AUTOTUNE_MARGIN,
-            };
-            if better {
-                best = Some((plan.len(), per_core));
-            }
-            if n >= cap {
-                break;
-            }
-            n = (n * 2).min(cap);
-        }
-        config.shards_hint = best.expect("at least one candidate").0;
-        Ok(config)
-    }
 }
 
 impl Default for ShardedConfig {
-    /// Targets every core the host exposes.
+    /// [`ShardedConfig::with_cores`]`(1)`: a single-thread scan gains
+    /// nothing from more shards than the per-shard budget asks for.
     fn default() -> Self {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        ShardedConfig::with_cores(cores)
+        ShardedConfig::with_cores(1)
     }
 }
 
@@ -403,40 +292,30 @@ impl ShardedScanState {
 /// The masked-scan lane convention: bit `i` of a `u64` mask selects
 /// shard `i` for the first 64 shards; shards at index 64 and beyond are
 /// always selected (shard counts that large exceed what a single mask
-/// word can subset, and per-core shard plans stay far below it — the
-/// merge fan-in is capped at 64 for the same reason).
+/// word can subset, and shard plans stay far below it — the merge
+/// fan-in is capped at 64 for the same reason).
 #[inline]
 pub(crate) fn lane_in_mask(lane: usize, mask: u64) -> bool {
     lane >= 64 || mask & (1u64 << lane) != 0
 }
 
-/// Reusable per-scan buffers for [`ShardedMatcher::scan_into`]: one match
-/// buffer per shard plus the merge cursors. Keep one per worker and the
-/// scan path performs no steady-state allocation.
+/// Reusable per-scan buffers for [`ShardedMatcher::scan_into`] and
+/// [`ShardedMatcher::scan_chunk_into`]: one match buffer per shard plus
+/// the merge cursors. Keep one per worker and the scan path performs no
+/// steady-state allocation.
 #[derive(Debug, Clone, Default)]
 pub struct ShardedScratch {
     per_shard: Vec<Vec<Match>>,
     cursors: Vec<usize>,
 }
 
-/// Reusable buffers for [`ShardedMatcher::scan_stream_with`]: one
-/// [`ShardedScratch`] per worker thread. Keep one per ingest loop and
-/// repeated stream scans reuse every per-shard buffer's capacity.
-#[derive(Debug, Clone, Default)]
-pub struct StreamScratch {
-    per_worker: Vec<ShardedScratch>,
-}
-
-/// Multi-core scanner over per-shard compiled automata. Build once with
-/// [`ShardedMatcher::build`], scan with [`ShardedMatcher::scan_into`]
-/// (one payload, shards in parallel) or
-/// [`ShardedMatcher::scan_stream_into`] (payload batches, flows in
-/// parallel).
+/// Scanner over per-shard compiled automata, every shard run on the
+/// calling thread. Build once with [`ShardedMatcher::build`], scan whole
+/// payloads with [`ShardedMatcher::scan_into`] and flows chunk by chunk
+/// with [`ShardedMatcher::scan_chunk_into`].
 #[derive(Debug, Clone)]
 pub struct ShardedMatcher {
     shards: Vec<Shard>,
-    /// Worker count for the parallel entry points (1 = sequential mode).
-    cores: usize,
     strategy: SplitStrategy,
     /// Case-fold table shared by every shard (all shards inherit the
     /// original set's case mode).
@@ -445,16 +324,13 @@ pub struct ShardedMatcher {
     /// (honored only when the build and CPU support them — see
     /// [`CompiledMatcher::with_simd`]).
     simd: bool,
-    /// Shard index boundaries assigning contiguous shard runs to worker
-    /// threads, balanced by compiled-arena bytes ([0, …, shard count]).
-    chunk_bounds: Vec<usize>,
 }
 
 impl ShardedMatcher {
     /// Plans a shard layout for `set` (prefix split, falling back to the
     /// round-robin split when prefixes skew — see
-    /// [`PatternSet::plan_shards`]), compiles one automaton per shard,
-    /// and precomputes the core assignment.
+    /// [`PatternSet::plan_shards`]) and compiles one automaton per
+    /// shard.
     ///
     /// # Errors
     ///
@@ -493,7 +369,6 @@ impl ShardedMatcher {
         profile: Option<&[u8]>,
     ) -> Result<ShardedMatcher, ShardPlanError> {
         let mut spec = ShardSpec::for_cores(config.cores);
-        spec.shards_hint = config.shards_hint.max(1);
         spec.budget_bytes = config.budget_bytes;
         spec.max_shards = config.max_shards;
         let plan = set.plan_shards(&spec)?;
@@ -507,16 +382,11 @@ impl ShardedMatcher {
                 ids,
             })
             .collect();
-        let fold = CompiledMatcher::fold_table(set);
-        let costs: Vec<usize> = shards.iter().map(|s| s.automaton.memory_bytes()).collect();
-        let chunk_bounds = chunk_bounds(&costs, config.cores);
         Ok(ShardedMatcher {
             shards,
-            cores: config.cores.max(1),
             strategy,
-            fold,
+            fold: CompiledMatcher::fold_table(set),
             simd: config.simd,
-            chunk_bounds,
         })
     }
 
@@ -528,11 +398,9 @@ impl ShardedMatcher {
     pub(crate) fn empty(set: &PatternSet, config: &ShardedConfig) -> ShardedMatcher {
         ShardedMatcher {
             shards: Vec::new(),
-            cores: config.cores.max(1),
             strategy: SplitStrategy::Prefix,
             fold: CompiledMatcher::fold_table(set),
             simd: config.simd,
-            chunk_bounds: chunk_bounds(&[], config.cores),
         }
     }
 
@@ -541,30 +409,9 @@ impl ShardedMatcher {
         self.shards.len()
     }
 
-    /// Worker count the parallel entry points use.
-    pub fn cores(&self) -> usize {
-        self.cores
-    }
-
     /// Which split strategy the planner selected.
     pub fn strategy(&self) -> SplitStrategy {
         self.strategy
-    }
-
-    /// Enables or disables the SIMD fast-lane kernels for subsequent
-    /// scans — the A/B switch mirroring the per-matcher
-    /// [`CompiledMatcher::with_simd`]. Requesting them is always sound:
-    /// on portable builds or CPUs without SSSE3 the request is ignored
-    /// and the safe scalar lanes run.
-    pub fn with_simd(mut self, enabled: bool) -> Self {
-        self.simd = enabled;
-        self
-    }
-
-    /// Whether the SIMD fast-lane kernels are actually active in shard
-    /// scan loops: requested **and** available on this build and CPU.
-    pub fn simd(&self) -> bool {
-        self.simd && dpi_automaton::simd_available()
     }
 
     /// The pair-transition layer of shard `shard` (present unless the
@@ -618,18 +465,6 @@ impl ShardedMatcher {
         self.shards[shard].set.len()
     }
 
-    /// The contiguous shard ranges assigned to each worker thread by the
-    /// arena-balanced partition — one range per core that
-    /// [`ShardedMatcher::scan_into`] will occupy. Exposed so benches and
-    /// custom executors can reason about (or reproduce) the exact
-    /// per-core workload.
-    pub fn core_assignments(&self) -> Vec<std::ops::Range<usize>> {
-        self.chunk_bounds
-            .windows(2)
-            .map(|w| w[0]..w[1])
-            .collect()
-    }
-
     /// Fresh scratch sized for this matcher. Reuse it across scans; the
     /// inner buffers keep their capacity.
     pub fn scratch(&self) -> ShardedScratch {
@@ -639,20 +474,14 @@ impl ShardedMatcher {
         }
     }
 
-    /// Scans `payload` with every shard — in parallel on
-    /// [`ShardedMatcher::cores`] scoped threads when `cores > 1`,
-    /// sequentially on the calling thread otherwise — and merges the
-    /// per-shard results into `out` in canonical `(end, pattern)` order
-    /// with **global** pattern ids. `out` is cleared first; with a reused
-    /// `scratch` the steady-state scan performs no allocation.
+    /// Scans `payload` with every shard on the calling thread and merges
+    /// the per-shard results into `out` in canonical `(end, pattern)`
+    /// order with **global** pattern ids. `out` is cleared first; with a
+    /// reused `scratch` the steady-state scan performs no allocation.
     pub fn scan_into(&self, payload: &[u8], scratch: &mut ShardedScratch, out: &mut Vec<Match>) {
         scratch.per_shard.resize_with(self.shards.len(), Vec::new);
-        if self.cores <= 1 || self.shards.len() <= 1 {
-            for (shard, buf) in self.shards.iter().zip(scratch.per_shard.iter_mut()) {
-                self.scan_one(shard, payload, buf);
-            }
-        } else {
-            self.scan_shards_parallel(payload, &mut scratch.per_shard);
+        for (shard, buf) in self.shards.iter().zip(scratch.per_shard.iter_mut()) {
+            self.scan_one(shard, payload, buf);
         }
         merge_sorted(&scratch.per_shard, &mut scratch.cursors, out);
     }
@@ -670,11 +499,9 @@ impl ShardedMatcher {
     /// shard, **appending** the merged matches to `out` in canonical
     /// `(end, pattern)` order with stream-absolute ends and global
     /// pattern ids, and leaves `state` suspended for the flow's next
-    /// chunk. Chunks are scanned on the calling thread: per-flow chunks
-    /// are MTU-sized, where a per-chunk thread fan-out costs more than it
-    /// hides — the parallel axis for streaming traffic is flows across
-    /// cores ([`ShardedMatcher::scan_flows_with`]), not shards within a
-    /// chunk.
+    /// chunk. Like every scan here it runs on the calling thread: the
+    /// parallel axis for streaming traffic is flows across the service's
+    /// workers, not shards within a chunk.
     ///
     /// Appending chunk-canonical runs at increasing offsets keeps `out`
     /// globally canonical across the whole stream.
@@ -791,151 +618,10 @@ impl ShardedMatcher {
         map
     }
 
-    /// Streaming batch scan with per-flow state carried between batches —
-    /// the continuous-traffic shape: `payloads[i]` is the next chunk of
-    /// the flow whose state is `states[i]`. Flows are partitioned across
-    /// [`ShardedMatcher::cores`] workers **by flow index** (not by bytes,
-    /// as [`ShardedMatcher::scan_stream_with`] balances one-shot
-    /// batches), so a flow that stays at the same index across batches is
-    /// pinned to the same core — its shard automata and its state stay
-    /// warm in that core's cache. `out` is index-aligned with `payloads`
-    /// and holds **this batch's** matches (stream-absolute ends, global
-    /// ids); accumulate across batches caller-side if needed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `states` and `payloads` lengths differ, or any state has
-    /// the wrong shard count.
-    pub fn scan_flows_with<P: AsRef<[u8]> + Sync>(
-        &self,
-        payloads: &[P],
-        states: &mut [ShardedScanState],
-        scratch: &mut StreamScratch,
-        out: &mut Vec<Vec<Match>>,
-    ) {
-        assert_eq!(
-            payloads.len(),
-            states.len(),
-            "one state per flow payload required"
-        );
-        out.resize_with(payloads.len(), Vec::new);
-        for buf in out.iter_mut() {
-            buf.clear();
-        }
-        if payloads.is_empty() {
-            return;
-        }
-        let workers = self.cores.clamp(1, payloads.len());
-        scratch.per_worker.resize_with(workers, ShardedScratch::default);
-        if workers <= 1 {
-            let worker_scratch = &mut scratch.per_worker[0];
-            for ((payload, state), slot) in
-                payloads.iter().zip(states.iter_mut()).zip(out.iter_mut())
-            {
-                self.scan_chunk_into(state, payload.as_ref(), worker_scratch, slot);
-            }
-            return;
-        }
-        // Even contiguous split by flow *index*: stable across batches,
-        // which is what pins a flow to one core.
-        let n = payloads.len();
-        let mut workers_vec = Vec::with_capacity(workers);
-        let mut rest_out: &mut [Vec<Match>] = out.as_mut_slice();
-        let mut rest_states: &mut [ShardedScanState] = states;
-        let mut lo = 0usize;
-        for (w, worker_scratch) in scratch.per_worker.iter_mut().enumerate() {
-            let hi = (w + 1) * n / workers;
-            let (chunk_out, tail_out) = rest_out.split_at_mut(hi - lo);
-            rest_out = tail_out;
-            let (chunk_states, tail_states) = rest_states.split_at_mut(hi - lo);
-            rest_states = tail_states;
-            let chunk_payloads = &payloads[lo..hi];
-            lo = hi;
-            workers_vec.push(move || {
-                for ((payload, state), slot) in chunk_payloads
-                    .iter()
-                    .zip(chunk_states.iter_mut())
-                    .zip(chunk_out.iter_mut())
-                {
-                    self.scan_chunk_into(state, payload.as_ref(), worker_scratch, slot);
-                }
-            });
-        }
-        fan_out(workers_vec);
-    }
-
-    /// Fresh stream scratch for [`ShardedMatcher::scan_stream_with`].
-    pub fn stream_scratch(&self) -> StreamScratch {
-        StreamScratch::default()
-    }
-
-    /// Scans a batch of payloads — the millions-of-flows shape. Payloads
-    /// are partitioned contiguously across [`ShardedMatcher::cores`]
-    /// workers (balanced by payload bytes); each worker runs **all**
-    /// shards over its own payloads, so the small automata stay resident
-    /// in that core's cache while results never cross threads. `out` is
-    /// index-aligned with `payloads`, each entry in canonical order with
-    /// global ids.
-    ///
-    /// Allocates fresh per-worker scratch each call; ingest loops should
-    /// hold a [`StreamScratch`] and call
-    /// [`ShardedMatcher::scan_stream_with`].
-    pub fn scan_stream_into<P: AsRef<[u8]> + Sync>(
-        &self,
-        payloads: &[P],
-        out: &mut Vec<Vec<Match>>,
-    ) {
-        let mut scratch = self.stream_scratch();
-        self.scan_stream_with(payloads, &mut scratch, out);
-    }
-
-    /// [`ShardedMatcher::scan_stream_into`] with caller-owned per-worker
-    /// buffers — the steady-state shape for loops that scan batch after
-    /// batch.
-    pub fn scan_stream_with<P: AsRef<[u8]> + Sync>(
-        &self,
-        payloads: &[P],
-        scratch: &mut StreamScratch,
-        out: &mut Vec<Vec<Match>>,
-    ) {
-        out.resize_with(payloads.len(), Vec::new);
-        for buf in out.iter_mut() {
-            buf.clear();
-        }
-        if payloads.is_empty() {
-            return;
-        }
-        let workers = self.cores.clamp(1, payloads.len());
-        scratch.per_worker.resize_with(workers, ShardedScratch::default);
-        if workers <= 1 {
-            let worker_scratch = &mut scratch.per_worker[0];
-            for (payload, slot) in payloads.iter().zip(out.iter_mut()) {
-                self.scan_sequential(payload.as_ref(), worker_scratch, slot);
-            }
-            return;
-        }
-        let costs: Vec<usize> = payloads.iter().map(|p| p.as_ref().len()).collect();
-        let bounds = chunk_bounds(&costs, workers);
-        let mut workers_vec = Vec::with_capacity(bounds.len() - 1);
-        let mut rest: &mut [Vec<Match>] = out.as_mut_slice();
-        for (window, worker_scratch) in bounds.windows(2).zip(scratch.per_worker.iter_mut()) {
-            let (lo, hi) = (window[0], window[1]);
-            let (chunk_out, tail) = rest.split_at_mut(hi - lo);
-            rest = tail;
-            let chunk_payloads = &payloads[lo..hi];
-            workers_vec.push(move || {
-                for (payload, slot) in chunk_payloads.iter().zip(chunk_out.iter_mut()) {
-                    self.scan_sequential(payload.as_ref(), worker_scratch, slot);
-                }
-            });
-        }
-        fan_out(workers_vec);
-    }
-
     /// Scans `payload` with a single shard, reporting **global** pattern
-    /// ids in canonical order. Public so callers can drive shards on
-    /// their own executor (and so benches can time shards individually —
-    /// the per-core cost a multi-core deployment pays).
+    /// ids in canonical order. Public so benches can time shards one by
+    /// one: the per-core bound of a shard-per-core layout sums these
+    /// timings over each core's shards.
     ///
     /// # Panics
     ///
@@ -943,35 +629,6 @@ impl ShardedMatcher {
     pub fn scan_shard_into(&self, shard: usize, payload: &[u8], out: &mut Vec<Match>) {
         let shard = &self.shards[shard];
         self.scan_one(shard, payload, out);
-    }
-
-    /// All shards sequentially on the calling thread + merge — the
-    /// per-worker body of the stream entry point.
-    fn scan_sequential(&self, payload: &[u8], scratch: &mut ShardedScratch, out: &mut Vec<Match>) {
-        scratch.per_shard.resize_with(self.shards.len(), Vec::new);
-        for (shard, buf) in self.shards.iter().zip(scratch.per_shard.iter_mut()) {
-            self.scan_one(shard, payload, buf);
-        }
-        merge_sorted(&scratch.per_shard, &mut scratch.cursors, out);
-    }
-
-    /// Fan the shards out over scoped threads, one contiguous
-    /// arena-balanced chunk per core.
-    fn scan_shards_parallel(&self, payload: &[u8], per_shard: &mut [Vec<Match>]) {
-        let mut workers = Vec::with_capacity(self.chunk_bounds.len() - 1);
-        let mut rest = per_shard;
-        for window in self.chunk_bounds.windows(2) {
-            let (lo, hi) = (window[0], window[1]);
-            let (chunk_bufs, tail) = rest.split_at_mut(hi - lo);
-            rest = tail;
-            let shards = &self.shards[lo..hi];
-            workers.push(move || {
-                for (shard, buf) in shards.iter().zip(chunk_bufs.iter_mut()) {
-                    self.scan_one(shard, payload, buf);
-                }
-            });
-        }
-        fan_out(workers);
     }
 
     /// One shard's scan: compiled fast path, local ids translated to
@@ -1007,9 +664,8 @@ impl MultiMatcher for ShardedMatcher {
         self.scan_into(haystack, &mut scratch, out);
     }
 
-    /// Early-exit fast path: shards are probed sequentially on the
-    /// calling thread (spawning threads to maybe-exit-early would cost
-    /// more than it hides) and the first accepting shard wins.
+    /// Early-exit fast path: shards are probed in order and the first
+    /// accepting shard wins.
     fn is_match(&self, haystack: &[u8]) -> bool {
         self.shards.iter().any(|shard| {
             CompiledMatcher::with_shared_fold(
@@ -1023,55 +679,12 @@ impl MultiMatcher for ShardedMatcher {
     }
 }
 
-/// Runs the worker closures on scoped threads — all but the last on
-/// spawned threads, the last on the calling thread, so a fan-out of N
-/// workers occupies exactly N cores. Shared by both scan shapes so the
-/// spawn policy lives in one place.
-fn fan_out<F: FnMut() + Send>(workers: Vec<F>) {
-    let n = workers.len();
-    std::thread::scope(|scope| {
-        for (i, mut worker) in workers.into_iter().enumerate() {
-            if i + 1 == n {
-                worker();
-            } else {
-                scope.spawn(worker);
-            }
-        }
-    });
-}
-
-/// Splits `costs.len()` items into at most `max_chunks` contiguous chunks
-/// with roughly equal cost sums, returning the boundary indices
-/// (`[0, …, len]`, every chunk non-empty).
-fn chunk_bounds(costs: &[usize], max_chunks: usize) -> Vec<usize> {
-    let n = costs.len();
-    let k = max_chunks.clamp(1, n.max(1));
-    let total = costs.iter().sum::<usize>().max(1);
-    let mut bounds = Vec::with_capacity(k + 1);
-    bounds.push(0usize);
-    let mut acc = 0usize;
-    for (i, &c) in costs.iter().enumerate() {
-        acc += c;
-        let closed = bounds.len(); // chunks closed once we cut here
-        let items_left = n - (i + 1);
-        let chunks_left = k - closed;
-        if closed < k
-            && (acc as u128 * k as u128 >= total as u128 * closed as u128
-                || items_left == chunks_left)
-        {
-            bounds.push(i + 1);
-        }
-    }
-    bounds.push(n);
-    bounds
-}
-
 /// K-way merge of per-shard canonical match buffers into one canonical
 /// stream. Shards partition the pattern set, so no two buffers ever hold
 /// the same `(end, pattern)` — the merge is a strict interleave.
 ///
 /// Linear scan over the k cursors per emitted match — O(matches × k).
-/// k is the shard count (≈ cores, capped at 64), so even match-heavy
+/// k is the shard count (a few, capped at 64), so even match-heavy
 /// scans pay a few comparisons per match, dwarfed by the per-byte scan
 /// itself; a heap would add allocation and indirection to save work
 /// that does not show up in profiles at these k.
@@ -1134,14 +747,6 @@ mod tests {
     }
 
     #[test]
-    fn single_core_spawns_no_threads_and_agrees() {
-        let (set, sharded) = build_all(&["alpha", "beta", "gamma", "delta"], 1);
-        assert_eq!(sharded.cores(), 1);
-        let text = b"alphabetagammadelta alpha";
-        assert_eq!(sharded.find_all(text), reference(&set, text));
-    }
-
-    #[test]
     fn global_ids_survive_sharding() {
         let (set, sharded) = build_all(&["aaa", "bbb", "ccc", "ddd", "eee"], 3);
         let found = sharded.find_all(b"xxcccxx");
@@ -1176,52 +781,12 @@ mod tests {
             b"hexadecimal hers",
             b"x",
         ];
+        let mut scratch = sharded.scratch();
         let mut out = Vec::new();
-        sharded.scan_stream_into(&payloads, &mut out);
-        assert_eq!(out.len(), payloads.len());
-        for (payload, got) in payloads.iter().zip(&out) {
-            assert_eq!(got, &reference(&set, payload), "payload {payload:?}");
+        for payload in &payloads {
+            sharded.scan_into(payload, &mut scratch, &mut out);
+            assert_eq!(out, reference(&set, payload), "payload {payload:?}");
         }
-    }
-
-    #[test]
-    fn stream_scan_reuses_outer_buffers() {
-        let (_, sharded) = build_all(&["he", "she"], 2);
-        let payloads: Vec<&[u8]> = vec![b"he he he", b"she"];
-        let mut out = Vec::new();
-        sharded.scan_stream_into(&payloads, &mut out);
-        let caps: Vec<usize> = out.iter().map(Vec::capacity).collect();
-        sharded.scan_stream_into(&payloads, &mut out);
-        assert_eq!(caps, out.iter().map(Vec::capacity).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn stream_scan_with_reuses_worker_scratch() {
-        let (set, sharded) = build_all(&["he", "she", "his", "hers"], 2);
-        let payloads: Vec<&[u8]> = vec![b"ushers", b"his hers", b"nothing", b"she"];
-        let mut scratch = sharded.stream_scratch();
-        let mut out = Vec::new();
-        sharded.scan_stream_with(&payloads, &mut scratch, &mut out);
-        for (payload, got) in payloads.iter().zip(&out) {
-            assert_eq!(got, &reference(&set, payload));
-        }
-        // Second batch through the same scratch: identical results, and
-        // the per-worker shard buffers keep their capacity.
-        let caps: Vec<Vec<usize>> = scratch
-            .per_worker
-            .iter()
-            .map(|s| s.per_shard.iter().map(Vec::capacity).collect())
-            .collect();
-        sharded.scan_stream_with(&payloads, &mut scratch, &mut out);
-        for (payload, got) in payloads.iter().zip(&out) {
-            assert_eq!(got, &reference(&set, payload));
-        }
-        let caps_after: Vec<Vec<usize>> = scratch
-            .per_worker
-            .iter()
-            .map(|s| s.per_shard.iter().map(Vec::capacity).collect())
-            .collect();
-        assert_eq!(caps, caps_after, "worker scratch must be reused");
     }
 
     #[test]
@@ -1324,30 +889,6 @@ mod tests {
         empty.scan_chunk_into(&mut state, b"ushers", &mut empty.scratch(), &mut out);
         assert!(out.is_empty());
         assert_eq!(state.shard_count(), 0);
-        let mut batch = Vec::new();
-        empty.scan_stream_into(&[&b"she"[..], b"he"], &mut batch);
-        assert_eq!(batch, vec![Vec::new(), Vec::new()]);
-    }
-
-    #[test]
-    fn chunk_bounds_properties() {
-        for (costs, k) in [
-            (vec![1usize, 1, 1, 1], 2usize),
-            (vec![5, 1, 1], 3),
-            (vec![1, 1, 5], 3),
-            (vec![100, 1, 1, 1], 4),
-            (vec![7], 4),
-            (vec![3, 3, 3, 3, 3, 3, 3], 3),
-        ] {
-            let bounds = chunk_bounds(&costs, k);
-            assert_eq!(*bounds.first().unwrap(), 0);
-            assert_eq!(*bounds.last().unwrap(), costs.len());
-            assert!(bounds.len() - 1 <= k.min(costs.len()), "{costs:?} k={k}");
-            assert!(
-                bounds.windows(2).all(|w| w[0] < w[1]),
-                "empty chunk in {bounds:?} for {costs:?} k={k}"
-            );
-        }
     }
 
     #[test]
@@ -1377,37 +918,6 @@ mod tests {
             two.scan_chunk_into(&mut wrong, b"aabb", &mut scratch, &mut out)
         }));
         assert!(err.is_err(), "mismatched flow state must be rejected");
-    }
-
-    #[test]
-    fn flow_batches_carry_state_between_batches() {
-        let (set, sharded) = build_all(&["he", "she", "his", "hers"], 2);
-        // Two flows; each flow's payload is delivered in two batches cut
-        // mid-pattern. Batch results must stitch to the whole-payload
-        // matches with stream-absolute offsets.
-        let flows: Vec<&[u8]> = vec![b"usher", b"this hers"];
-        let cut = 3usize;
-        let mut states: Vec<ShardedScanState> =
-            (0..flows.len()).map(|_| sharded.flow_state()).collect();
-        let mut scratch = sharded.stream_scratch();
-        let mut accumulated: Vec<Vec<Match>> = vec![Vec::new(); flows.len()];
-        for batch in 0..2 {
-            let chunks: Vec<&[u8]> = flows
-                .iter()
-                .map(|f| if batch == 0 { &f[..cut] } else { &f[cut..] })
-                .collect();
-            let mut out = Vec::new();
-            sharded.scan_flows_with(&chunks, &mut states, &mut scratch, &mut out);
-            for (acc, batch_matches) in accumulated.iter_mut().zip(&out) {
-                acc.extend_from_slice(batch_matches);
-            }
-        }
-        for (flow, got) in flows.iter().zip(&accumulated) {
-            assert_eq!(got, &reference(&set, flow), "flow {flow:?}");
-        }
-        for state in &states {
-            assert!(state.shard_count() > 0);
-        }
     }
 
     #[test]
@@ -1476,68 +986,6 @@ mod tests {
         for m in [&none, &region, &default] {
             assert_eq!(m.find_all(b"ushers"), reference(&set, b"ushers"));
         }
-    }
-
-    #[test]
-    fn autotune_chooser_follows_the_measured_cost_model() {
-        use dpi_automaton::ShardCostModel;
-        // Synthetic measurement derived from the cost model: scanning
-        // is flat-rate while the shard fits a 24 KiB "cache", then
-        // degrades superlinearly (miss rate × miss latency both grow)
-        // — the cliff shape the real probe measures. A merely linear
-        // penalty would make shard count a wash by construction
-        // (halving per-shard cost while doubling shards per core), and
-        // the chooser must *not* grow on a wash.
-        let model = ShardCostModel::default();
-        let synthetic = |sub: &PatternSet| -> f64 {
-            let bytes = model.estimate(sub) as f64;
-            let penalty = (bytes / 24_576.0).max(1.0);
-            1e-9 * penalty * penalty
-        };
-
-        // Small set: every shard already fits — the chooser must stay
-        // at `cores` shards (more shards would only multiply work).
-        let small: Vec<String> = (0..24)
-            .map(|i| format!("{}p{i:02}", (b'a' + (i % 6) as u8) as char))
-            .collect();
-        let small = PatternSet::new(&small).unwrap();
-        let config = ShardedConfig::autotune_shards_with(&small, 4, synthetic).unwrap();
-        assert_eq!(config.shards_hint, 4);
-
-        // Large set: one shard blows the synthetic cache, and halving
-        // it pays more than the doubled shard count costs — the
-        // chooser must grow past the core count.
-        let large: Vec<String> = (0..4000)
-            .map(|i| format!("{}needle{i:05}x", (b'a' + (i % 23) as u8) as char))
-            .collect();
-        let large = PatternSet::new(&large).unwrap();
-        let config = ShardedConfig::autotune_shards_with(&large, 4, synthetic).unwrap();
-        assert!(
-            config.shards_hint > 4,
-            "expected growth past the core count, got {}",
-            config.shards_hint
-        );
-        // And the resulting hint is honoured by the planner.
-        let m = ShardedMatcher::build(&large, &config).unwrap();
-        assert!(m.shard_count() >= config.shards_hint);
-    }
-
-    #[test]
-    fn autotune_measured_probe_runs_end_to_end() {
-        // The real (timed) probe on a small set: just assert it picks a
-        // sane count and the config builds.
-        let set = diverse_probe_set();
-        let config = ShardedConfig::autotune_shards(&set, 2).unwrap();
-        assert!(config.shards_hint >= 2 || set.len() < 2);
-        let m = ShardedMatcher::build(&set, &config).unwrap();
-        assert_eq!(m.find_all(b"alphabet soup"), reference(&set, b"alphabet soup"));
-    }
-
-    fn diverse_probe_set() -> PatternSet {
-        let strings: Vec<String> = (0..32)
-            .map(|i| format!("{}tune{i:03}", (b'a' + (i % 8) as u8) as char))
-            .collect();
-        PatternSet::new(&strings).unwrap()
     }
 
     #[test]

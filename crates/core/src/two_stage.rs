@@ -96,8 +96,8 @@ pub struct TwoStageConfig {
 }
 
 impl TwoStageConfig {
-    /// Defaults for an `cores`-core deployment: default approximate
-    /// budget, [`ShardedConfig::with_cores`] for the verifier.
+    /// Default approximate budget, and [`ShardedConfig::with_cores`] for
+    /// the verifier: its shard plan starts at `cores` shards.
     pub fn with_cores(cores: usize) -> TwoStageConfig {
         TwoStageConfig {
             approx: ApproxConfig::default(),

@@ -1,5 +1,4 @@
-//! Millions-of-flows scenario: streaming scans through a bounded flow
-//! table.
+//! Flow scenario: streaming scans through a bounded flow table.
 //!
 //! An edge deployment does not see whole payloads; it sees a firehose of
 //! interleaved packets, each belonging to some flow, with patterns
@@ -17,14 +16,15 @@
 //!
 //! Every injected occurrence is found at its exact stream offset even
 //! though every one of them straddles a packet boundary — the point of
-//! the resumable scan core. The batch entry points
-//! ([`ShardedMatcher::scan_stream_into`] / `scan_flows_with`) are shown
-//! for contrast.
+//! the resumable scan core. For contrast the example then scans the
+//! reassembled stream whole, replays the flows as hostile TCP segments
+//! through a reassembler, and hides signatures in HTTP chunk framing.
+//! Everything runs on the calling thread; in the resident service each
+//! worker thread runs this loop over the flows steered to it.
 //!
 //! Run with: `cargo run --release --example flow_scan`
 //!
 //! [`ShardedMatcher`]: dpi_accel::core::ShardedMatcher
-//! [`ShardedMatcher::scan_stream_into`]: dpi_accel::core::ShardedMatcher::scan_stream_into
 //! [`FlowTable`]: dpi_accel::core::FlowTable
 //! [`ShardedScanState`]: dpi_accel::core::ShardedScanState
 //! [`ChopProfile::MidPattern`]: dpi_accel::rulesets::ChopProfile
@@ -43,12 +43,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let set = extract_preserving(&master_ruleset(), 1500, 0xF10);
     let sharded = ShardedMatcher::build(&set, &ShardedConfig::default())?;
     println!(
-        "ruleset: {} strings; sharded into {} automata ({} split) of {} KiB total, {} cores",
+        "ruleset: {} strings; sharded into {} automata ({} split) of {} KiB total",
         set.len(),
         sharded.shard_count(),
         sharded.strategy(),
-        sharded.memory_bytes() / 1024,
-        sharded.cores()
+        sharded.memory_bytes() / 1024
     );
 
     // 512 flows; every fourth one carries an injected occurrence. Each
@@ -140,26 +139,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ground_truth.len()
     );
 
-    // Contrast 1: the per-flow batch shape (state carried between
-    // batches, flows pinned to cores by index).
-    let first_chunks: Vec<&[u8]> = segments.iter().map(|s| s[0]).collect();
-    let mut states: Vec<_> = (0..segments.len()).map(|_| sharded.flow_state()).collect();
-    let mut stream_scratch = sharded.stream_scratch();
-    let mut batch_out = Vec::new();
-    sharded.scan_flows_with(&first_chunks, &mut states, &mut stream_scratch, &mut batch_out);
-    println!(
-        "\nbatch shape: first segment of every flow scanned in one call -> {} matches",
-        batch_out.iter().map(Vec::len).sum::<usize>()
-    );
-
-    // Contrast 2: whole-payload fan-out on a reassembled stream.
+    // Contrast 1: one whole-payload scan of the reassembled stream.
     let stream: Vec<u8> = flows.iter().flat_map(|p| p.payload.clone()).collect();
     let mut out = Vec::new();
     let start = Instant::now();
     sharded.scan_into(&stream, &mut scratch, &mut out);
     let elapsed = start.elapsed().as_secs_f64();
     println!(
-        "fan-out scan of the reassembled {} KiB stream -> {:.0} MB/s, {} matches",
+        "\nwhole-payload scan of the reassembled {} KiB stream -> {:.0} MB/s, {} matches",
         stream.len() / 1024,
         stream.len() as f64 / elapsed / 1e6,
         out.len()
@@ -168,7 +155,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // boundaries), never lose them.
     assert!(out.len() >= alerts.len());
 
-    // Contrast 3: hostile arrival. The same flows now show up as raw TCP
+    // Contrast 2: hostile arrival. The same flows now show up as raw TCP
     // segments — reordered, retransmitted, and overlapped with
     // *conflicting* bytes (the classic IDS evasion). Wrapping each
     // flow's scanner state in a budgeted [`StreamFlow`] reassembler
@@ -251,7 +238,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ground_truth.len()
     );
 
-    // Contrast 4: hostile protocol framing. An attacker hides a
+    // Contrast 3: hostile protocol framing. An attacker hides a
     // signature by splitting it across HTTP chunk bodies — the wire
     // never carries the string contiguously, so even a perfect
     // reassembler + raw scanner misses it. The detect → normalize stage

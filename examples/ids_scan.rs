@@ -10,9 +10,15 @@
 //! The second half shows the intended *software* deployment pattern for
 //! hosts without an accelerator: compile the reduced automaton once, keep
 //! reusable match buffers per worker, and scan with the allocation-free
-//! [`CompiledMatcher::scan_into`].
+//! [`CompiledMatcher::scan_into`]. The same packets then go through a
+//! [`ShardedMatcher`], the ruleset split into cache-sized automata that
+//! [`ShardedMatcher::scan_into`] runs in turn on the calling thread with
+//! one reused scratch.
 //!
 //! Run with: `cargo run --release --example ids_scan`
+//!
+//! [`ShardedMatcher`]: dpi_accel::core::ShardedMatcher
+//! [`ShardedMatcher::scan_into`]: dpi_accel::core::ShardedMatcher::scan_into
 
 use dpi_accel::prelude::*;
 use std::time::Instant;
@@ -139,25 +145,28 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!("software detection: {}/{} injected occurrences found", ground_truth.len(), ground_truth.len());
 
-    // Shard-per-core mode: the multi-core deployment shape. The ruleset
-    // is split into cache-sized automata (the software analogue of the
-    // paper's per-block memories) and each packet batch streams across
-    // every core's shards; matches come back with global pattern ids.
+    // Sharded mode: the ruleset is split into cache-sized automata (the
+    // software analogue of the paper's per-block memories) and every
+    // packet runs through each shard on this thread, one scratch reused
+    // throughout; matches come back with global pattern ids. Threads,
+    // when wanted, belong to the caller: one scanner per worker.
     let sharded = ShardedMatcher::build(&set, &ShardedConfig::with_cores(4))?;
     println!(
-        "\nsharded fast path: {} shards ({} split), {} KiB total flat memory, {} cores",
+        "\nsharded fast path: {} shards ({} split), {} KiB total flat memory",
         sharded.shard_count(),
         sharded.strategy(),
-        sharded.memory_bytes() / 1024,
-        sharded.cores()
+        sharded.memory_bytes() / 1024
     );
-    let mut stream_out = Vec::new();
+    let mut scratch = sharded.scratch();
+    let mut sharded_out: Vec<Vec<Match>> = vec![Vec::new(); packets.len()];
     let start = Instant::now();
-    sharded.scan_stream_into(&packets, &mut stream_out);
+    for (payload, matches) in packets.iter().zip(sharded_out.iter_mut()) {
+        sharded.scan_into(payload, &mut scratch, matches);
+    }
     let elapsed = start.elapsed().as_secs_f64();
-    let sharded_alerts: usize = stream_out.iter().map(Vec::len).sum();
+    let sharded_alerts: usize = sharded_out.iter().map(Vec::len).sum();
     println!(
-        "sharded stream scan:  {} alerts over {} bytes -> {:.0} MB/s",
+        "sharded scan_into:    {} alerts over {} bytes -> {:.0} MB/s",
         sharded_alerts,
         total_bytes,
         total_bytes as f64 / elapsed / 1e6
@@ -168,7 +177,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for &(packet, id, end) in &ground_truth {
         assert!(
-            stream_out[packet].iter().any(|m| m.pattern == id && m.end == end),
+            sharded_out[packet].iter().any(|m| m.pattern == id && m.end == end),
             "sharded path missed pattern {id} in packet {packet}"
         );
     }

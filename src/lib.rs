@@ -63,8 +63,8 @@ pub mod prelude {
         CompiledAutomaton, CompiledMatcher, DtpConfig, DtpMatcher, FlowKey, FlowLookup, FlowMatch,
         FlowPacket, FlowReassembler, FlowSegment, FlowTable, FlowTableStats, OverlapPolicy,
         ReassemblyConfig, ReassemblyStats, ReducedAutomaton, ReductionReport, ShardedConfig,
-        ShardedMatcher, ShardedScanState, ShardedScratch, StreamFlow, StreamScratch,
-        TwoStageConfig, TwoStageMatcher, TwoStageScratch, TwoStageState, TwoStageStats,
+        ShardedMatcher, ShardedScanState, ShardedScratch, StreamFlow, TwoStageConfig,
+        TwoStageMatcher, TwoStageScratch, TwoStageState, TwoStageStats,
     };
     pub use dpi_core::{
         FaultKind, FaultPlan, FidelityTier, LadderConfig, LatencyHistogram, RulesetArena,

@@ -272,6 +272,45 @@ fn queue_full_sheds_whole_flows_and_resumes_with_resync() {
     }
 }
 
+#[test]
+fn shed_gate_memory_is_bounded_by_the_flow_capacity() {
+    // A flow shed at its last packet never returns to leave the gate's
+    // set; a resident service must not remember such flows forever.
+    let arena = shared_arena();
+    let mut config = ServiceConfig::with_workers(1);
+    config.queue_cap = 16;
+    config.shed.resume_below = 4;
+    config.flow_capacity = 64;
+    let plan = FaultPlan::new(vec![(0, FaultKind::SlowWorker(0, 4))]);
+    let mut sim = ServiceSim::with_faults(Arc::clone(&arena), config, plan).unwrap();
+
+    // 16 one-packet flows fill the queue; the next 65 are each shed at
+    // their first packet, one more than the gate may remember.
+    let key = |i: u64| FlowKey(0xA000 + i as u128);
+    let first = flow_payload(7, 64, &[]);
+    let mut time = 0u64;
+    for i in 0..16 + 65 {
+        time += 1;
+        assert_eq!(sim.offer(key(i), 0, &first, time), i < 16);
+    }
+    sim.pump();
+
+    // Every shed flow sends again into a calm queue: the 64 the gate
+    // remembers resume through a resync marker, the forgotten one is
+    // admitted as a plain segment.
+    let second = flow_payload(8, 64, &[]);
+    for i in 16..16 + 65 {
+        time += 1;
+        assert!(sim.offer(key(i), first.len() as u64, &second, time));
+        sim.pump();
+    }
+    let s = sim.finish().stats;
+    assert_eq!(s.shed_flows, 65);
+    assert_eq!(s.resumed_flows, 64);
+    assert_eq!(s.workers.resyncs, 64);
+    assert_eq!(s.offered_packets, s.admitted_packets + s.shed_packets);
+}
+
 // ---------------------------------------------------------------------------
 // 3. Degradation ladder: descends under pressure, recovers when calm,
 //    with exact event counts and per-tier byte attribution.

@@ -1,6 +1,7 @@
-//! Differential suite for the sharded per-core scan engine: whatever the
-//! shard count, core count, split strategy, DTP configuration or scan
-//! entry point, `ShardedMatcher` must report exactly the matches of the
+//! Differential suite for the sharded scan engine: whatever the shard
+//! count (planned from `cores` and the per-shard budget), split
+//! strategy, DTP configuration or scratch reuse across a batch of
+//! payloads, `ShardedMatcher` must report exactly the matches of the
 //! monolithic `CompiledMatcher` (and through it the reference
 //! `DtpMatcher` and the full DFA), with global pattern ids in canonical
 //! `(end, pattern)` order.
@@ -125,8 +126,9 @@ fn degenerate_shapes() {
     assert_eq!(found.len(), 2);
 }
 
-/// The stream entry point must agree with per-payload scanning across
-/// ragged batches (empty payloads included) and core counts.
+/// A batch scanned payload by payload through one reused scratch must
+/// agree with fresh per-payload scans across ragged batches (empty
+/// payloads included) and planned core counts.
 #[test]
 fn stream_scan_equals_per_payload_on_ragged_batches() {
     let set = extract_preserving(&master_ruleset(), 150, 3);
@@ -150,9 +152,12 @@ fn stream_scan_equals_per_payload_on_ragged_batches() {
         .collect();
     for cores in [1usize, 2, 4, 16] {
         let sharded = ShardedMatcher::build(&set, &ShardedConfig::with_cores(cores)).unwrap();
+        let mut scratch = sharded.scratch();
         let mut out = Vec::new();
-        sharded.scan_stream_into(&payloads, &mut out);
-        assert_eq!(out, want, "stream(cores={cores}) diverged");
+        for (i, (payload, want)) in payloads.iter().zip(&want).enumerate() {
+            sharded.scan_into(payload, &mut scratch, &mut out);
+            assert_eq!(&out, want, "payload {i} (cores={cores}) diverged");
+        }
     }
 }
 
@@ -215,8 +220,8 @@ proptest! {
         prop_assert_eq!(sharded.find_all(&haystack), want);
     }
 
-    /// Property: stream scanning a random batch equals scanning each
-    /// payload alone.
+    /// Property: scanning a random batch through one reused scratch
+    /// equals the naive reference on each payload alone.
     #[test]
     fn stream_equals_individual_scans(
         patterns in proptest::collection::vec(
@@ -231,11 +236,12 @@ proptest! {
     ) {
         let Ok(set) = PatternSet::new(&patterns) else { return Ok(()); };
         let sharded = ShardedMatcher::build(&set, &ShardedConfig::with_cores(cores)).unwrap();
+        let naive = NaiveMatcher::new(&set);
+        let mut scratch = sharded.scratch();
         let mut out = Vec::new();
-        sharded.scan_stream_into(&payloads, &mut out);
-        prop_assert_eq!(out.len(), payloads.len());
-        for (payload, got) in payloads.iter().zip(&out) {
-            prop_assert_eq!(got, &sharded.find_all(payload));
+        for payload in &payloads {
+            sharded.scan_into(payload, &mut scratch, &mut out);
+            prop_assert_eq!(&out, &naive.find_all(payload));
         }
     }
 }
