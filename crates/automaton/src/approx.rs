@@ -63,8 +63,8 @@ pub struct ApproxConfig {
     /// cover's states) stays within it. The minimum sound cover, every
     /// 1-byte prefix, is kept whatever the budget. It bounds that
     /// estimate, not a compiled table: a two-stage matcher compiles the
-    /// cover with its exact stage's lane stack, whose pair rows
-    /// (`ShardedConfig::pair_budget_bytes`, ~2 MiB by default) come on
+    /// cover with its exact stage's lane stack, whose anchor tables and
+    /// 16 KiB region pair rows (when dense enough to attach) come on
     /// top. Defaults to [`ApproxConfig::DEFAULT_BUDGET`].
     pub budget_bytes: usize,
 }

@@ -21,9 +21,9 @@
 //! - [`AnchorSet`] — build-time anchor-byte analysis of the DFA (which
 //!   bytes can pull the automaton out of its shallow region), the basis
 //!   of the compiled engine's clean-traffic skip lane;
-//! - [`PairTable`] — budgeted dense `state × byte-pair` transition rows
-//!   over the DFA's hot states, the basis of the compiled engine's
-//!   stride-2 pair-stepping lane.
+//! - [`PairTable`] — the 16 KiB region pair rows (calm and follow
+//!   bitmaps over byte pairs from the anchor analysis's shallow
+//!   region), the basis of the compiled engine's stride-2 lane.
 //!
 //! ## Quick example
 //!

@@ -66,9 +66,8 @@ use std::arch::x86_64::*;
 ///
 /// Plain data — building and modelling it is safe on every target; only
 /// the vector queries (through [`SimdToken`]) touch intrinsics. 64 bytes
-/// per set, so an [`AnchorSet`](crate::AnchorSet) or
-/// [`PairTable`](crate::PairTable) carries its tables at no meaningful
-/// memory cost.
+/// per set, so an [`AnchorSet`](crate::AnchorSet) carries its tables at
+/// no meaningful memory cost.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ByteSetTables {
     /// Plane 1 (`hi < 8`): per lo-nibble, the set of hi rows present.

@@ -23,11 +23,9 @@ fn bench_scans(c: &mut Criterion) {
     let nfa = Nfa::build(&set);
     let reduced = ReducedAutomaton::reduce(&dfa, DtpConfig::PAPER);
     let anchors = AnchorSet::build(&dfa, &set, AnchorSet::DEFAULT_HORIZON);
-    let profile = TrafficGenerator::new(0x9A9A).clean_packet(128 << 10).payload;
-    let pairs =
-        PairTable::build_profiled(&dfa, &set, &anchors, PairTable::DEFAULT_BUDGET, &profile);
+    let pairs = PairTable::build(&dfa, &set, &anchors);
     let lane = CompiledAutomaton::compile_with_prefilter(&reduced, anchors.clone(), None);
-    let compiled = CompiledAutomaton::compile_with_prefilter(&reduced, anchors, Some(pairs));
+    let compiled = CompiledAutomaton::compile_with_prefilter(&reduced, anchors, pairs);
     let bare = CompiledAutomaton::compile(&reduced);
     let image = HwImage::build(&reduced).expect("fits");
     let bitmap = BitmapAc::build(&set);
@@ -45,9 +43,9 @@ fn bench_scans(c: &mut Criterion) {
         b.iter(|| black_box(m.find_all(black_box(p))));
     });
     // "compiled" rows track the shipped default (prefilter lane plus the
-    // stride-2 pair layer); "-nopairs" isolates the pair layer against
-    // the lane alone, and "-stepper" the bare byte stepper — each its
-    // own automaton compiled from the same reduced one, on infected and
+    // region pair rows); "-nopairs" isolates the pair rows against the
+    // lane alone, and "-stepper" the bare byte stepper — each its own
+    // automaton compiled from the same reduced one, on infected and
     // clean payloads.
     for (label, m) in [
         ("compiled", CompiledMatcher::new(&compiled, &set)),

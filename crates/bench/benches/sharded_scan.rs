@@ -24,13 +24,12 @@ fn bench_sharded(c: &mut Criterion) {
     let set = extract_preserving(&master_ruleset(), 1600, 0x5D);
     let dfa = Dfa::build(&set);
     let reduced = ReducedAutomaton::reduce(&dfa, DtpConfig::PAPER);
-    // The monolith carries the lanes every shard carries (anchors plus a
-    // pair table under the per-shard default budget), so the
-    // shard-vs-monolith rows compare layouts, not lane availability.
+    // The monolith carries the lanes every shard carries (anchors plus
+    // the region pair rows where dense enough), so the shard-vs-monolith
+    // rows compare layouts, not lane availability.
     let anchors = AnchorSet::build(&dfa, &set, AnchorSet::DEFAULT_HORIZON);
-    let pairs =
-        PairTable::build_with_region(&dfa, &set, &anchors, ShardedConfig::DEFAULT_PAIR_BUDGET);
-    let compiled = CompiledAutomaton::compile_with_prefilter(&reduced, anchors, Some(pairs));
+    let pairs = PairTable::build(&dfa, &set, &anchors);
+    let compiled = CompiledAutomaton::compile_with_prefilter(&reduced, anchors, pairs);
     let mut gen = TrafficGenerator::new(17);
     let payload = gen.infected_packet(PAYLOAD, &set, 32).payload;
 

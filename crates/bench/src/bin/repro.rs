@@ -851,19 +851,10 @@ fn sw_throughput() {
     let dfa = Dfa::build(&set);
     let reduced = dpi_core::ReducedAutomaton::reduce(&dfa, DtpConfig::PAPER);
     let anchors = AnchorSet::build(&dfa, &set, AnchorSet::DEFAULT_HORIZON);
-    // The production stack: anchor lane plus the stride-2 pair layer,
-    // hot rows ranked by a profile scan over *separate* clean traffic
-    // (never the benchmark payload).
-    let profile = TrafficGenerator::new(0x9A9A).clean_packet(256 * 1024).payload;
-    let pairs = PairTable::build_profiled(
-        &dfa,
-        &set,
-        &anchors,
-        PairTable::DEFAULT_BUDGET,
-        &profile,
-    );
-    let compiled =
-        CompiledAutomaton::compile_with_prefilter(&reduced, anchors, Some(pairs));
+    // The deployed lane stack, as `ShardedConfig` compiles every shard:
+    // the anchor lane plus the region pair rows where they attach.
+    let pairs = PairTable::build(&dfa, &set, &anchors);
+    let compiled = CompiledAutomaton::compile_with_prefilter(&reduced, anchors, pairs);
     let mut gen = TrafficGenerator::new(99);
     let payload = gen.infected_packet(PAYLOAD, &set, 64).payload;
 
@@ -909,7 +900,7 @@ fn sw_throughput() {
     }
     assert_eq!(dtp_matches, fast_matches, "scanners must agree to be comparable");
     println!(
-        "\n(compiled speedup: CSR flat layout, stride-specialized branch-free\n LUT resolution, accept bits folded into transition words, buffer\n reuse, the anchor-byte skip lane over the payload's clean majority\n (A/B in `sw-throughput-clean`), and the stride-2 pair layer over the\n lane's danger bytes and excursions (A/B in `sw-throughput-stride`).\n full_dfa trades ~26x the memory for a plain scan the compiled path\n overtakes)"
+        "\n(compiled speedup: CSR flat layout, stride-specialized branch-free\n LUT resolution, accept bits folded into transition words, buffer\n reuse, the anchor-byte skip lane over the payload's clean majority\n (A/B in `sw-throughput-clean`), and the region pair rows' stride-2\n walk over the lane's danger bytes (A/B in `sw-throughput-stride`).\n full_dfa trades ~26x the memory for a plain scan the compiled path\n overtakes)"
     );
 }
 
@@ -1032,8 +1023,10 @@ fn sw_throughput_clean() {
 ///   skip window — and never danger under any history). This isolates
 ///   the lane walk itself, which is the thing the `simd` feature
 ///   rebuilds, and carries the >=2x assertion;
-/// - **stack** (anchors + pairs, the production stack): the full
-///   lane stack with the vector danger walk in the prefilter lane.
+/// - **stack** (anchors plus the region pair rows where they attach,
+///   the deployed stack): the full lane stack with the vector danger
+///   walk in the prefilter lane. No rows attach at 6,275 rules, so
+///   there the stack is the window lane again.
 ///
 /// Requires the `simd` cargo feature; prints a note and emits no rows
 /// otherwise, so the portable bench pipeline is unaffected.
@@ -1068,9 +1061,7 @@ fn sw_throughput_simd() {
         let dfa = Dfa::build(&set);
         let reduced = dpi_core::ReducedAutomaton::reduce(&dfa, DtpConfig::PAPER);
         let anchors = AnchorSet::build(&dfa, &set, AnchorSet::DEFAULT_HORIZON);
-        let profile = TrafficGenerator::new(0x9A9A).clean_packet(256 * 1024).payload;
-        let pairs =
-            PairTable::build_profiled(&dfa, &set, &anchors, PairTable::DEFAULT_BUDGET, &profile);
+        let pairs = PairTable::build(&dfa, &set, &anchors);
         // Exit-free clean payload: bytes the SWAR skip window cannot
         // skip, yet which never raise danger under any history —
         // the lane consumes them wholesale in both builds, zero
@@ -1099,7 +1090,7 @@ fn sw_throughput_simd() {
                 .collect()
         });
         let lane = CompiledAutomaton::compile_with_prefilter(&reduced, anchors.clone(), None);
-        let compiled = CompiledAutomaton::compile_with_prefilter(&reduced, anchors, Some(pairs));
+        let compiled = CompiledAutomaton::compile_with_prefilter(&reduced, anchors, pairs);
         let mut gen = TrafficGenerator::new(0x51D0);
         let clean = gen.clean_packet(PAYLOAD).payload;
         let infected = gen.infected_packet(PAYLOAD, &set, 64).payload;
@@ -1194,17 +1185,19 @@ fn sw_throughput_simd() {
     );
 }
 
-/// Stride-2 pair layer: the on/off A/B of the budgeted hot-state pair
-/// rows composed with the anchor lane (`dpi_automaton::PairTable` +
-/// the compiled engine's pair lanes).
+/// Stride-2 region pair rows: the on/off A/B of the calm and follow
+/// bitmaps composed with the anchor lane (`dpi_automaton::PairTable` +
+/// the compiled engine's stride-2 lane).
 ///
-/// Both sides run the anchor lane; the switch isolates the pair layer:
-/// region pair rows (the stride-2 calm/follow walk and windows) plus
-/// profile-ranked hot rows (excursion pair-stepping, two bytes per
-/// chained load). Rows are measured whole-payload (the payload streams
-/// through the cache) and cache-warm (a 256 KiB slice rescanned, the
-/// per-core-shard regime) — the layer's benefit is cache-residency-
-/// dependent, and both numbers are the truth.
+/// Both sides run the anchor lane; the switch isolates the region rows
+/// (the stride-2 calm/follow walk and calm-quad windows). Rows are
+/// measured whole-payload (the payload streams through the cache) and
+/// cache-warm (a 256 KiB slice rescanned, the per-core-shard regime) —
+/// the rows' benefit is cache-residency-dependent, and both numbers are
+/// the truth. A ruleset whose calm density sits below
+/// `PairTable::REGION_MIN_DENSITY` gets no rows from `PairTable::build`
+/// (the 6,275-rule master, ~69 %), so it has nothing to switch: the
+/// experiment says so and emits no rows for it.
 ///
 /// BENCH_JSON rows are emitted for every row printed.
 fn sw_throughput_stride() {
@@ -1214,7 +1207,7 @@ fn sw_throughput_stride() {
     const PAYLOAD: usize = 1 << 20;
     const WARM: usize = 256 * 1024;
 
-    println!("stride-2 pair layer, pairs on/off A/B (anchor lane on both sides)\n");
+    println!("stride-2 region pair rows, on/off A/B (anchor lane on both sides)\n");
     println!(
         "{}{}{}{}matches",
         cell("workload", 24),
@@ -1223,7 +1216,6 @@ fn sw_throughput_stride() {
         cell("speedup", 9),
     );
     let master = master_ruleset();
-    let profile = TrafficGenerator::new(0x9A9A).clean_packet(256 * 1024).payload;
     let mut whole_ratios: Vec<f64> = Vec::new();
     let mut warm_ratios: Vec<f64> = Vec::new();
     for (label, set) in [
@@ -1233,20 +1225,14 @@ fn sw_throughput_stride() {
         let dfa = Dfa::build(&set);
         let reduced = dpi_core::ReducedAutomaton::reduce(&dfa, DtpConfig::PAPER);
         let anchors = AnchorSet::build(&dfa, &set, AnchorSet::DEFAULT_HORIZON);
-        let pairs = PairTable::build_profiled(
-            &dfa,
-            &set,
-            &anchors,
-            PairTable::DEFAULT_BUDGET,
-            &profile,
-        );
-        let pair_note = format!(
-            "[{label}] pair layer: {} hot rows, region rows {}, {} B resident ({} B row budget)",
-            pairs.hot_states(),
-            if pairs.has_region_rows() { "yes" } else { "no" },
-            pairs.memory_bytes(),
-            pairs.budget_bytes(),
-        );
+        let Some(pairs) = PairTable::build(&dfa, &set, &anchors) else {
+            println!(
+                "[{label}] no region rows: calm density below the {:.0}% floor, nothing to switch",
+                PairTable::REGION_MIN_DENSITY * 100.0
+            );
+            continue;
+        };
+        let pair_note = format!("[{label}] region rows: {} B resident", pairs.memory_bytes());
         // Off: the same reduced automaton and anchors, no pair table.
         let lane = CompiledAutomaton::compile_with_prefilter(&reduced, anchors.clone(), None);
         let compiled = CompiledAutomaton::compile_with_prefilter(&reduced, anchors, Some(pairs));
@@ -1303,23 +1289,24 @@ fn sw_throughput_stride() {
         );
     }
     // Cache-warm: the stride-2 layer must actually pay where the
-    // payload is resident (measured 1.1-1.5x on the 300-rule row).
+    // payload is resident (measured 1.06-1.11x on the 300-rule row).
     // The hard floor sits below the build-to-build noise band (README:
     // +/-15% between builds) so code-layout shifts cannot flake CI; a
     // measurement under it means the layer actually broke.
+    let warm = *warm_ratios
+        .first()
+        .expect("the 300-rule set carries region rows");
     assert!(
-        warm_ratios[0] >= 0.9,
-        "cache-warm stride speedup collapsed: {:.2}x (floor 0.9x)",
-        warm_ratios[0]
+        warm >= 0.9,
+        "cache-warm stride speedup collapsed: {warm:.2}x (floor 0.9x)"
     );
-    if warm_ratios[0] < 1.05 {
+    if warm < 1.05 {
         eprintln!(
-            "warning: cache-warm stride speedup {:.2}x below the 1.1x target on this host",
-            warm_ratios[0]
+            "warning: cache-warm stride speedup {warm:.2}x below the 1.1x target on this host"
         );
     }
     println!(
-        "\n(both sides run the anchor lane; the switch isolates the pair\n layer. region pair rows make the lane's danger walk stride-2 — the\n follow row consumes a byte's successor at ~97% branch bias, the calm\n row resolves two thirds of danger hits without the exit/rebuild/\n stepper-wake round trip, and calm-quad windows skip binary regions\n the skip bitmap cannot — while profile-ranked hot rows pair-step the\n remaining excursions two bytes per chained load. the whole-payload\n rows stream 1 MiB through the cache hierarchy; the warm rows rescan\n a 256 KiB slice — the regime a per-core shard actually runs in — and\n show the layer's headroom once payload residency stops dominating)"
+        "\n(both sides run the anchor lane; the switch isolates the region\n pair rows, which make the lane's danger walk stride-2 — the follow\n row consumes a byte's successor at ~97% branch bias, the calm row\n resolves two thirds of danger hits without the exit/rebuild/\n stepper-wake round trip, and calm-quad windows skip binary regions\n the skip bitmap cannot. the whole-payload rows stream 1 MiB through\n the cache hierarchy; the warm rows rescan a 256 KiB slice — the\n regime a per-core shard actually runs in. a ruleset below the rows'\n density floor carries none, so it has nothing to switch)"
     );
 }
 
@@ -1338,8 +1325,11 @@ fn sw_throughput_stride() {
 ///   shards are assigned to cores in contiguous runs balanced by arena
 ///   bytes (`dpi_bench::chunk_bounds`), and the slowest core's sum is
 ///   reported. Shards share nothing but read-only arenas, so with that
-///   many free cores the wall clock would be this bound plus scheduling
-///   noise.
+///   many free cores the scan itself would take this bound plus
+///   scheduling noise — but a shard-per-core layout still pays the
+///   k-way merge of the per-shard match streams, which `scan_into`
+///   times and this projection leaves out, so the row is a lower bound
+///   on the wall clock.
 ///
 /// BENCH_JSON rows are emitted for every row printed.
 fn sharded_throughput() {
@@ -1350,19 +1340,14 @@ fn sharded_throughput() {
     let set = master_ruleset();
     let dfa = Dfa::build(&set);
     let reduced = dpi_core::ReducedAutomaton::reduce(&dfa, DtpConfig::PAPER);
-    // The monolith baseline carries the same prefilter + pair-layer
-    // defaults the shards do, so the shard-vs-monolith ratios compare
-    // layouts, not lane availability.
+    // The monolith baseline carries the lanes a shard would (anchors,
+    // plus region pair rows where dense enough — never at 6,275 rules),
+    // so the shard-vs-monolith ratios compare layouts, not lane
+    // availability.
     let anchors =
         dpi_automaton::AnchorSet::build(&dfa, &set, dpi_automaton::AnchorSet::DEFAULT_HORIZON);
-    let pairs = dpi_automaton::PairTable::build_with_region(
-        &dfa,
-        &set,
-        &anchors,
-        dpi_core::sharded::ShardedConfig::DEFAULT_PAIR_BUDGET,
-    );
-    let compiled =
-        CompiledAutomaton::compile_with_prefilter(&reduced, anchors, Some(pairs));
+    let pairs = dpi_automaton::PairTable::build(&dfa, &set, &anchors);
+    let compiled = CompiledAutomaton::compile_with_prefilter(&reduced, anchors, pairs);
     let mut gen = TrafficGenerator::new(0x5AD);
     let payload = gen.infected_packet(PAYLOAD, &set, 64).payload;
 
@@ -1454,7 +1439,7 @@ fn sharded_throughput() {
         );
     }
     println!(
-        "\n(1-thread = every shard scanned in turn on one thread, the plan's\n total work (the `-wall` rows). per-core = the slowest core's measured\n shard scans when the shards are split across `cores` cores; shards\n share only read-only arenas, so with that many free cores the wall\n clock would converge to it. each shard automaton fits the per-core\n cache budget, so per-shard scan rate recovers the small-automaton\n speed the monolith loses to cache misses — that recovery, times\n cores, is the scaling software cannot get from intra-core\n interleaving, where lanes share one cache)"
+        "\n(1-thread = every shard scanned in turn on one thread, the plan's\n total work (the `-wall` rows). per-core = the slowest core's measured\n shard scans when the shards are split across `cores` cores; shards\n share only read-only arenas, so with that many free cores the scan\n would converge to it, plus the k-way merge of the shard match\n streams that the 1-thread rows pay and the projection leaves out.\n each shard automaton fits the per-shard budget, so per-shard scan\n rate recovers the small-automaton speed the monolith loses to cache\n misses — that recovery, times cores, is the scaling software cannot\n get from intra-core interleaving, where lanes share one cache)"
     );
 }
 
@@ -1472,8 +1457,8 @@ fn sharded_throughput() {
 /// Alongside the throughput rows it emits the honesty counters as
 /// value rows (`bytes_per_iter = 0`, value in the `median_ns` slot):
 /// false-positive window rate and replay fraction in parts-per-million,
-/// and stage-1 resident bytes in KiB (the compiled cover with its pair
-/// rows, which the budget does not bound).
+/// and stage-1 resident bytes in KiB (the compiled cover with its
+/// anchor tables, which the budget does not bound).
 fn two_stage() {
     use dpi_automaton::Match;
     use dpi_core::{
@@ -1496,21 +1481,15 @@ fn two_stage() {
     let mbps = |secs: f64| PAYLOAD as f64 / secs / 1e6;
 
     // Baseline: the 6,275-rule monolith with its whole fast-path stack
-    // (prefilter anchors + pair lane), exactly as `sharded-throughput`
-    // builds it.
+    // (prefilter anchors; its calm density attaches no pair rows),
+    // exactly as `sharded-throughput` builds it.
     let master = master_ruleset();
     let dfa = Dfa::build(&master);
     let reduced = dpi_core::ReducedAutomaton::reduce(&dfa, DtpConfig::PAPER);
     let anchors =
         dpi_automaton::AnchorSet::build(&dfa, &master, dpi_automaton::AnchorSet::DEFAULT_HORIZON);
-    let pairs = dpi_automaton::PairTable::build_with_region(
-        &dfa,
-        &master,
-        &anchors,
-        dpi_core::sharded::ShardedConfig::DEFAULT_PAIR_BUDGET,
-    );
-    let compiled =
-        CompiledAutomaton::compile_with_prefilter(&reduced, anchors, Some(pairs));
+    let pairs = dpi_automaton::PairTable::build(&dfa, &master, &anchors);
+    let compiled = CompiledAutomaton::compile_with_prefilter(&reduced, anchors, pairs);
     let mono = CompiledMatcher::new(&compiled, &master);
 
     // Stage 1's cover model gets a budget the size of a per-core L2
@@ -1636,7 +1615,7 @@ fn two_stage() {
         );
     }
     println!(
-        "\n(the stage-1 budget bounds the cover model's per-state estimate, not\n the compiled tables: pre KiB is the compiled cover, pair rows from the\n exact stage's ~2 MiB pair budget included. 1-byte rules ride a\n direct-emit table and short rules the cover keeps whole emit exactly,\n so saturated short lengths cannot flood the windowing. the acceptance\n gate — 100k-rule two-stage >= 6,275-rule monolith per core on clean\n TLS — is asserted by CI over the BENCH_JSON rows)"
+        "\n(the stage-1 budget bounds the cover model's per-state estimate, not\n the compiled tables: pre KiB is the compiled cover with its anchor\n tables (and 16 KiB of region pair rows where they attach). 1-byte rules ride a\n direct-emit table and short rules the cover keeps whole emit exactly,\n so saturated short lengths cannot flood the windowing. the acceptance\n gate — 100k-rule two-stage >= 6,275-rule monolith per core on clean\n TLS — is asserted by CI over the BENCH_JSON rows)"
     );
 }
 
@@ -1678,14 +1657,8 @@ fn flow_throughput() {
             &set,
             dpi_automaton::AnchorSet::DEFAULT_HORIZON,
         );
-        let pairs = dpi_automaton::PairTable::build_with_region(
-            &dfa,
-            &set,
-            &anchors,
-            dpi_automaton::PairTable::DEFAULT_BUDGET,
-        );
-        let compiled =
-            CompiledAutomaton::compile_with_prefilter(&reduced, anchors, Some(pairs));
+        let pairs = dpi_automaton::PairTable::build(&dfa, &set, &anchors);
+        let compiled = CompiledAutomaton::compile_with_prefilter(&reduced, anchors, pairs);
         let matcher = CompiledMatcher::new(&compiled, &set);
         let mut gen = TrafficGenerator::new(0xF70);
         let payload = gen.infected_packet(PAYLOAD, &set, 64).payload;

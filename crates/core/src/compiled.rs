@@ -36,10 +36,10 @@
 //! early-exit `is_match`/`count` fast paths.
 //!
 //! What the automaton carries alone picks the scan loop, once per chunk:
-//! the plain byte stepper for [`CompiledAutomaton::compile`], the anchor
-//! lane for [`CompiledAutomaton::compile_with_prefilter`], and the
-//! composed anchor + pair lane when that constructor was also given a
-//! non-empty [`PairTable`]. The one matcher switch is
+//! the plain byte stepper for [`CompiledAutomaton::compile`], and the
+//! anchor lane for [`CompiledAutomaton::compile_with_prefilter`], which
+//! walks two bytes per test where it can when that constructor was also
+//! given a [`PairTable`]. The one matcher switch is
 //! [`CompiledMatcher::with_simd`], which picks the vector or the scalar
 //! kernels inside the anchor lane.
 //!
@@ -109,10 +109,6 @@ pub const OUTPUT_FLAG: u32 = 1 << 31;
 /// Mask extracting the state index from a tagged transition word.
 pub const STATE_MASK: u32 = OUTPUT_FLAG - 1;
 
-// The pair lane reads [`PairTable::FIN_ACCEPT`] directly as a tagged
-// accept bit; the two encodings must stay in lockstep.
-const _: () = assert!(PairTable::FIN_ACCEPT == OUTPUT_FLAG);
-
 /// A [`ReducedAutomaton`] compiled into flat, pointer-free parallel
 /// arrays for scanning. Build once with [`CompiledAutomaton::compile`]
 /// or [`CompiledAutomaton::compile_with_prefilter`], scan with
@@ -166,9 +162,9 @@ pub struct CompiledAutomaton {
     prefilter: Option<AnchorSet>,
 
     // --- stride-2 fast lane ---
-    /// Budgeted hot-state pair rows enabling the stride-2 pair-stepping
-    /// lane (see [`PairTable`]); only ever `Some` beside `prefilter`,
-    /// and never holding an empty table.
+    /// Region pair rows making the anchor lane consume two bytes per
+    /// test where it can (see [`PairTable`]); only ever `Some` beside
+    /// `prefilter`.
     pairs: Option<PairTable>,
 }
 
@@ -288,16 +284,17 @@ impl CompiledAutomaton {
 
     /// [`CompiledAutomaton::compile`] plus the clean-traffic fast lanes:
     /// embeds the anchor-byte analysis, so matchers over this automaton
-    /// run the SWAR skip lane (see [`AnchorSet`]), and optionally a
-    /// stride-2 pair-transition layer, which the skip lane hands off
-    /// into at every hard exit (see [`PairTable`]). Pairs exist only
-    /// beside anchors, so this is the one way to attach them. An empty
-    /// table (no hot rows, no region rows) is stored as `None`: a
-    /// scanner gains nothing from it.
+    /// run the SWAR skip lane (see [`AnchorSet`]), and optionally the
+    /// region pair rows, which make that lane consume two bytes per test
+    /// where it can (see [`PairTable`]). Pairs exist only beside
+    /// anchors, so this is the one way to attach them; pass what
+    /// [`PairTable::build`] returned.
     ///
     /// `anchors` and `pairs` must be built from the same DFA `reduced`
-    /// was reduced from — the lane's shallow-state bitset and the pair
-    /// words index this automaton's state ids.
+    /// was reduced from — the lane's shallow-state bitset indexes this
+    /// automaton's state ids, and the pair rows quantify over that
+    /// DFA's shallow region, so rows from another DFA would be
+    /// unsound.
     ///
     /// # Panics
     ///
@@ -322,7 +319,7 @@ impl CompiledAutomaton {
         }
         let mut compiled = Self::compile(reduced);
         compiled.prefilter = Some(anchors);
-        compiled.pairs = pairs.filter(|p| !p.is_empty());
+        compiled.pairs = pairs;
         compiled
     }
 
@@ -331,9 +328,8 @@ impl CompiledAutomaton {
         self.prefilter.as_ref()
     }
 
-    /// The embedded pair-transition layer: `Some` only when
-    /// [`CompiledAutomaton::compile_with_prefilter`] was given a
-    /// non-empty table.
+    /// The embedded region pair rows: `Some` only when
+    /// [`CompiledAutomaton::compile_with_prefilter`] was given a table.
     pub fn pairs(&self) -> Option<&PairTable> {
         self.pairs.as_ref()
     }
@@ -833,9 +829,9 @@ impl<'a> CompiledMatcher<'a> {
     /// bytes): `0` = window mode; otherwise the walk-run length before
     /// the next probe.
     ///
-    /// With `PAIRS` (a [`PairTable`] with region rows riding along),
-    /// the same phases consume two bytes per test where they can: the
-    /// window criterion becomes four aligned calm-pair bits
+    /// With `PAIRS` (a [`PairTable`] riding along), the same phases
+    /// consume two bytes per test where they can: the window criterion
+    /// becomes four aligned calm-pair bits
     /// ([`CompiledMatcher::calm_lead`] — strictly more permissive than
     /// the skip bitmap), the walk consumes a non-danger byte's
     /// successor whenever the exact follow row allows
@@ -1212,11 +1208,17 @@ impl<'a> CompiledMatcher<'a> {
     /// the overwhelmingly common case on clean traffic) and the exact
     /// stride-specialized stepper (which re-enters the lane as soon as
     /// the state falls back into the region). Observable behaviour is
-    /// byte-identical to the plain core.
+    /// byte-identical to the plain core. `PAIRS` (with `pt` the
+    /// automaton's [`PairTable`]) only changes how the lane consumes
+    /// bytes; exits, soft accepts and the stepper are shared. History
+    /// registers after a consumed pair are the pair's own folded bytes,
+    /// so suspend/resume at odd stream offsets needs no alignment
+    /// (pinned by `tests/streaming.rs`).
     #[inline(always)]
-    fn scan_chunk_prefilter<const SIMD: bool>(
+    fn scan_chunk_prefilter<const PAIRS: bool, const SIMD: bool>(
         &self,
         pf: &AnchorSet,
+        pt: Option<&PairTable>,
         regs: &mut ScanRegs,
         base: usize,
         chunk: &[u8],
@@ -1229,7 +1231,7 @@ impl<'a> CompiledMatcher<'a> {
         dispatch_stepper!(a, step => {{
             'scan: while i < len {
                 if pf.contains_state(regs.state) {
-                    i = self.lane_advance::<false, SIMD>(pf, None, regs, chunk, i, &mut run);
+                    i = self.lane_advance::<PAIRS, SIMD>(pf, pt, regs, chunk, i, &mut run);
                     if i >= len {
                         break 'scan;
                     }
@@ -1280,120 +1282,11 @@ impl<'a> CompiledMatcher<'a> {
         (!m).trailing_zeros() as usize
     }
 
-    /// The composed fast path — skip lane *plus* stride-2 pair lane —
-    /// used whenever the automaton carries both an [`AnchorSet`] and a
-    /// non-empty [`PairTable`]. Observable behaviour is byte-identical
-    /// to the plain core; what changes is who consumes which bytes:
-    ///
-    /// - the **skip lane** runs exactly as in the pairs-off path
-    ///   (SWAR windows over skippable runs, the danger walk over
-    ///   candidate text), but with the stride-2 *calm resolution*
-    ///   spliced into the walk: a danger hit loads one pair row and,
-    ///   when both half-steps provably return to the region with
-    ///   nothing to report, consumes the two bytes without leaving the
-    ///   walk — no register rebuild, no stepper wake-up. Measured on
-    ///   the infected repro workload those wake-ups (17 k/MiB, ~70
-    ///   cycles of exit/re-entry churn each) dominate the prefiltered
-    ///   scan's losses;
-    /// - a **pair phase** catches the true exits: while the state is
-    ///   hot, excursions below the shallow region consume two bytes
-    ///   per chained pair load ([`PairTable::fin_hot`] keeps the
-    ///   serial dependency at one load per pair), emitting
-    ///   final-accepts directly and deferring interior accepts
-    ///   (`MID_ACCEPT`, rare) to the byte stepper for exact interior
-    ///   emission;
-    /// - the **byte phase** (the stride-specialized `step_k` stepper)
-    ///   covers cold states, interior accepts and the odd head/tail
-    ///   byte, handing back to the lane or the pair phase as soon as
-    ///   the state allows.
-    ///
-    /// History registers after a consumed pair are the pair's own
-    /// folded bytes, so suspend/resume at odd stream offsets needs no
-    /// alignment (pinned by `tests/streaming.rs`).
-    #[inline(always)]
-    fn scan_chunk_pair_lane<const CALM: bool, const SIMD: bool>(
-        &self,
-        pf: &AnchorSet,
-        pt: &PairTable,
-        regs: &mut ScanRegs,
-        base: usize,
-        chunk: &[u8],
-        mut on_match: impl FnMut(usize, PatternId),
-    ) {
-        let a = self.automaton;
-        let len = chunk.len();
-        let mut i = 0usize;
-        let mut run = 0usize;
-        dispatch_stepper!(a, step => {{
-            'scan: while i < len {
-                if pf.contains_state(regs.state) {
-                    i = self.lane_advance::<CALM, SIMD>(pf, Some(pt), regs, chunk, i, &mut run);
-                    if i >= len {
-                        break 'scan;
-                    }
-                    // Soft exit: a shallow accept (single-byte pattern),
-                    // emitted in-lane exactly as in the pairs-off path.
-                    let c = chunk[i];
-                    if pf.is_soft(regs.prev, c) {
-                        let landed = pf.depth1_state(c);
-                        for &p in a.output(landed) {
-                            on_match(base + i + 1, p);
-                        }
-                        regs.state = landed;
-                        regs.prev2 = regs.prev;
-                        regs.prev = self.fold[c as usize] as u32;
-                        i += 1;
-                        continue 'scan;
-                    }
-                }
-                // Pair phase: excursion stepping, two bytes per chained
-                // load while hot; back to the lane the moment the state
-                // re-enters the region.
-                let mut hot = pt.hot_index(regs.state);
-                while hot != PairTable::NO_HOT && i + 2 <= len {
-                    let w = pt.word(hot, chunk[i], chunk[i + 1]);
-                    if w & PairTable::MID_ACCEPT != 0 {
-                        break;
-                    }
-                    regs.prev2 = self.fold[chunk[i] as usize] as u32;
-                    regs.prev = self.fold[chunk[i + 1] as usize] as u32;
-                    regs.state = w & PairTable::TARGET_MASK;
-                    i += 2;
-                    if w & OUTPUT_FLAG != 0 {
-                        for &p in a.output(regs.state) {
-                            on_match(base + i, p);
-                        }
-                    }
-                    if pf.contains_state(regs.state) {
-                        continue 'scan;
-                    }
-                    hot = PairTable::fin_hot(w);
-                }
-                // Byte phase: cold states, interior accepts, odd tail.
-                while i < len {
-                    let tagged = regs.advance_with(a, self.fold[chunk[i] as usize], step);
-                    i += 1;
-                    if tagged & OUTPUT_FLAG != 0 {
-                        for &p in a.output(tagged & STATE_MASK) {
-                            on_match(base + i, p);
-                        }
-                    }
-                    if pf.contains_state(regs.state) {
-                        continue 'scan;
-                    }
-                    if i + 2 <= len && pt.contains_state(regs.state) {
-                        continue 'scan;
-                    }
-                }
-            }
-        }});
-    }
-
     /// One branch on what the automaton carries, then into the matching
     /// monomorphized resumable core: the plain byte stepper without
-    /// anchors, the anchor lane with them, and the composed pair lane
-    /// when a pair table rides along too (region rows or not, picked
-    /// from the table the builder measured worth attaching).
+    /// anchors, and the anchor lane with them — stride-2 when region
+    /// pair rows ride along (the builder attaches them only where they
+    /// measured worth it), vector or scalar per the matcher's switch.
     #[inline(always)]
     fn scan_chunk_impl(
         &self,
@@ -1406,26 +1299,19 @@ impl<'a> CompiledMatcher<'a> {
         let Some(pf) = a.prefilter() else {
             return self.scan_chunk_plain(regs, base, chunk, on_match);
         };
-        let simd = self.simd();
-        let Some(pt) = a.pairs() else {
-            return if simd {
-                self.scan_chunk_prefilter::<true>(pf, regs, base, chunk, on_match)
-            } else {
-                self.scan_chunk_prefilter::<false>(pf, regs, base, chunk, on_match)
-            };
-        };
-        match (pt.has_region_rows(), simd) {
+        let pt = a.pairs();
+        match (pt.is_some(), self.simd()) {
             (true, true) => {
-                self.scan_chunk_pair_lane::<true, true>(pf, pt, regs, base, chunk, on_match)
+                self.scan_chunk_prefilter::<true, true>(pf, pt, regs, base, chunk, on_match)
             }
             (true, false) => {
-                self.scan_chunk_pair_lane::<true, false>(pf, pt, regs, base, chunk, on_match)
+                self.scan_chunk_prefilter::<true, false>(pf, pt, regs, base, chunk, on_match)
             }
             (false, true) => {
-                self.scan_chunk_pair_lane::<false, true>(pf, pt, regs, base, chunk, on_match)
+                self.scan_chunk_prefilter::<false, true>(pf, pt, regs, base, chunk, on_match)
             }
             (false, false) => {
-                self.scan_chunk_pair_lane::<false, false>(pf, pt, regs, base, chunk, on_match)
+                self.scan_chunk_prefilter::<false, false>(pf, pt, regs, base, chunk, on_match)
             }
         }
     }
@@ -1851,72 +1737,51 @@ mod tests {
     }
 
     /// The three lane stacks over one reduced automaton: bare (the plain
-    /// byte stepper), anchors only (the skip lane), and anchors + pairs
-    /// (the composed pair lane).
-    fn figure1_stacks(horizon: u8, budget: usize) -> (PatternSet, [CompiledAutomaton; 3]) {
+    /// byte stepper), anchors only (the skip lane), and anchors + region
+    /// pair rows (the stride-2 lane).
+    fn figure1_stacks(horizon: u8) -> (PatternSet, [CompiledAutomaton; 3]) {
         let set = PatternSet::new(["he", "she", "his", "hers"]).unwrap();
         let dfa = Dfa::build(&set);
         let reduced = ReducedAutomaton::reduce(&dfa, DtpConfig::PAPER);
         let anchors = AnchorSet::build(&dfa, &set, horizon);
-        let pairs = PairTable::build_with_region(&dfa, &set, &anchors, budget);
+        let pairs = PairTable::build(&dfa, &set, &anchors);
+        assert!(pairs.is_some(), "figure 1 is dense enough at h{horizon}");
         let stacks = [
             CompiledAutomaton::compile(&reduced),
             CompiledAutomaton::compile_with_prefilter(&reduced, anchors.clone(), None),
-            CompiledAutomaton::compile_with_prefilter(&reduced, anchors, Some(pairs)),
+            CompiledAutomaton::compile_with_prefilter(&reduced, anchors, pairs),
         ];
         (set, stacks)
     }
 
     #[test]
-    fn empty_pair_table_is_stored_as_none() {
-        let (_, [_, _, paired]) = figure1_stacks(1, PairTable::DEFAULT_BUDGET);
-        assert!(paired.pairs().is_some());
-        // A table with neither hot rows nor region rows never attaches.
-        let (set, reduced) = figure1();
-        let dfa = Dfa::build(&set);
-        let anchors = AnchorSet::build(&dfa, &set, 1);
-        let empty = PairTable::build_with_region(&dfa, &set, &anchors, 0);
-        assert!(empty.is_empty());
-        let compiled = CompiledAutomaton::compile_with_prefilter(&reduced, anchors, Some(empty));
-        assert!(compiled.pairs().is_none());
-        assert!(compiled.prefilter().is_some());
-    }
-
-    #[test]
     fn pair_lane_is_scan_invisible_under_every_mode() {
-        // The composed pair lane and the anchor lane agree with the plain
-        // stepper on matches, counts and is_match, across horizons and
-        // budget shapes (region rows only, region + hot rows, default).
+        // The stride-2 lane and the anchor lane agree with the plain
+        // stepper on matches, counts and is_match, across horizons.
         for horizon in 0..=2u8 {
-            for budget in [
-                PairTable::REGION_ROW_BYTES,
-                PairTable::REGION_ROW_BYTES + 2 * PairTable::ROW_BYTES,
-                PairTable::DEFAULT_BUDGET,
+            let (set, [bare, lane, paired]) = figure1_stacks(horizon);
+            let plain = CompiledMatcher::new(&bare, &set);
+            let lane_only = CompiledMatcher::new(&lane, &set);
+            let both = CompiledMatcher::new(&paired, &set);
+            for text in [
+                &b"ushers and she said his hers"[..],
+                b"",
+                b"h",
+                b"he",
+                b"zzzzzzzzzzzzzzzzherszzzzzzzz",
+                b"hhhhhhhhhhhhhhhh",
+                b"xxhexxx shishershe",
+                b"zzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzs",
             ] {
-                let (set, [bare, lane, paired]) = figure1_stacks(horizon, budget);
-                let plain = CompiledMatcher::new(&bare, &set);
-                let lane_only = CompiledMatcher::new(&lane, &set);
-                let both = CompiledMatcher::new(&paired, &set);
-                for text in [
-                    &b"ushers and she said his hers"[..],
-                    b"",
-                    b"h",
-                    b"he",
-                    b"zzzzzzzzzzzzzzzzherszzzzzzzz",
-                    b"hhhhhhhhhhhhhhhh",
-                    b"xxhexxx shishershe",
-                    b"zzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzs",
-                ] {
-                    let want = plain.find_all(text);
-                    for (name, m) in [("both", &both), ("lane", &lane_only)] {
-                        assert_eq!(
-                            m.find_all(text),
-                            want,
-                            "{name} diverged (h{horizon}, budget {budget}) on {text:?}"
-                        );
-                        assert_eq!(m.count(text), want.len());
-                        assert_eq!(m.is_match(text), !want.is_empty());
-                    }
+                let want = plain.find_all(text);
+                for (name, m) in [("both", &both), ("lane", &lane_only)] {
+                    assert_eq!(
+                        m.find_all(text),
+                        want,
+                        "{name} diverged (h{horizon}) on {text:?}"
+                    );
+                    assert_eq!(m.count(text), want.len());
+                    assert_eq!(m.is_match(text), !want.is_empty());
                 }
             }
         }
@@ -1926,7 +1791,7 @@ mod tests {
     fn pair_lane_chunked_scan_equals_whole_payload() {
         // Every split point, including odd offsets and cuts inside the
         // stride-2 windows and mid-pair.
-        let (set, [_, _, paired]) = figure1_stacks(1, PairTable::DEFAULT_BUDGET);
+        let (set, [_, _, paired]) = figure1_stacks(1);
         let matcher = CompiledMatcher::new(&paired, &set);
         let payload = b"zzzzzzzzzzzzzzhers zzzzzzzzzzzz she";
         let whole = matcher.find_all(payload);
@@ -1943,8 +1808,9 @@ mod tests {
 
     #[test]
     fn pair_table_memory_accounted() {
-        let (_, [_, lane, paired]) = figure1_stacks(1, PairTable::DEFAULT_BUDGET);
+        let (_, [_, lane, paired]) = figure1_stacks(1);
         let pairs = paired.pairs().expect("table present");
+        assert_eq!(pairs.memory_bytes(), PairTable::REGION_ROW_BYTES);
         assert_eq!(
             paired.memory_bytes(),
             lane.memory_bytes() + pairs.memory_bytes()
@@ -1957,9 +1823,11 @@ mod tests {
         let anchors = AnchorSet::build(&Dfa::build(&set), &set, 1);
         let other = PatternSet::new(["completely", "different"]).unwrap();
         let other_dfa = Dfa::build(&other);
-        let table = PairTable::build(&other_dfa, &other, PairTable::ROW_BYTES);
+        let other_anchors = AnchorSet::build(&other_dfa, &other, 1);
+        let table = PairTable::build(&other_dfa, &other, &other_anchors);
+        assert!(table.is_some());
         let err = std::panic::catch_unwind(|| {
-            CompiledAutomaton::compile_with_prefilter(&reduced, anchors, Some(table))
+            CompiledAutomaton::compile_with_prefilter(&reduced, anchors, table)
         });
         assert!(err.is_err(), "foreign pair table must be rejected");
     }

@@ -1152,7 +1152,7 @@ impl ScopedRuleset {
             Some(bits.into_boxed_slice())
         };
         ScopedRuleset {
-            automaton: ShardedConfig::with_cores(1).compile(set, None),
+            automaton: ShardedConfig::with_cores(1).compile(set),
             fold: CompiledMatcher::fold_table(set),
             http: mask(TAG_HTTP),
             tls: mask(TAG_TLS),

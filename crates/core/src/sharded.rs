@@ -22,10 +22,10 @@
 //! per-shard timings ([`ShardedMatcher::scan_shard_into`]; the `-percore`
 //! rows of `repro sharded-throughput`).
 //!
-//! Every shard is compiled with its own anchor analysis and, budget
-//! permitting, its own pair table, so every shard runs the composed
-//! lane stack (see `crate::compiled`); the only lane switch is
-//! [`ShardedConfig::simd`].
+//! Every shard is compiled with its own anchor analysis and, where its
+//! calm density allows, its own region pair rows, so every shard runs
+//! the lane stack its automaton measured worth carrying (see
+//! `crate::compiled`); the only lane switch is [`ShardedConfig::simd`].
 //!
 //! Two scan shapes:
 //!
@@ -94,17 +94,6 @@ pub struct ShardedConfig {
     /// so its anchor set is smaller than the master's and its skip lane
     /// skips strictly more of the same traffic.
     pub anchor_horizon: u8,
-    /// Per-shard byte budget for the stride-2 pair-transition layer (see
-    /// [`PairTable::build_with_region`]). Each shard derives its **own**
-    /// [`PairTable`] — a shard's automaton is a fraction of the
-    /// monolith's, so the same budget covers a larger share of its hot
-    /// states. The budget buys region rows first
-    /// ([`PairTable::REGION_ROW_BYTES`], attached only where the shard's
-    /// calm density reaches [`PairTable::REGION_MIN_DENSITY`]), then hot
-    /// rows of [`PairTable::ROW_BYTES`] each. A budget below
-    /// [`PairTable::REGION_ROW_BYTES`] buys neither: those shards carry
-    /// no table and run the anchor lane alone.
-    pub pair_budget_bytes: usize,
     /// Run every shard's scan loops on the SIMD fast-lane kernels
     /// (default on; see [`CompiledMatcher::with_simd`]). Inert — the
     /// safe scalar lanes run — unless the crate was built with the
@@ -128,7 +117,6 @@ impl ShardedConfig {
             max_shards: spec.max_shards,
             dtp: DtpConfig::PAPER,
             anchor_horizon: AnchorSet::DEFAULT_HORIZON,
-            pair_budget_bytes: Self::DEFAULT_PAIR_BUDGET,
             simd: true,
         }
     }
@@ -149,30 +137,17 @@ impl ShardedConfig {
         }
     }
 
-    /// Default per-shard pair-layer budget: the region pair rows plus
-    /// 8 hot rows (~2 MiB). Shard automata are cache-budget-sized
-    /// fractions of the master, so eight hot states cover a larger
-    /// occupancy share per shard than the monolith's 16-row default
-    /// does for the whole set; only the touched cache lines of a row
-    /// become resident.
-    pub const DEFAULT_PAIR_BUDGET: usize =
-        PairTable::REGION_ROW_BYTES + 8 * PairTable::ROW_BYTES;
-
     /// Compiles `set` with the lane stack this configuration deploys:
-    /// its own anchor analysis plus its own pair table under
-    /// [`ShardedConfig::pair_budget_bytes`], hot rows ranked by
-    /// occupancy over `profile` when given, by in-degree otherwise.
-    /// Every shard and the two-stage prefix automaton are built here.
-    pub(crate) fn compile(&self, set: &PatternSet, profile: Option<&[u8]>) -> CompiledAutomaton {
+    /// its own anchor analysis plus the region pair rows
+    /// [`PairTable::build`] attaches where the calm density reaches
+    /// [`PairTable::REGION_MIN_DENSITY`] (16 KiB each). Every shard, the
+    /// two-stage prefix automaton and the scoped ruleset are built here.
+    pub(crate) fn compile(&self, set: &PatternSet) -> CompiledAutomaton {
         let dfa = Dfa::build(set);
         let reduced = ReducedAutomaton::reduce(&dfa, self.dtp);
         let anchors = AnchorSet::build(&dfa, set, self.anchor_horizon);
-        let budget = self.pair_budget_bytes;
-        let pairs = match profile {
-            Some(sample) => PairTable::build_profiled(&dfa, set, &anchors, budget, sample),
-            None => PairTable::build_with_region(&dfa, set, &anchors, budget),
-        };
-        CompiledAutomaton::compile_with_prefilter(&reduced, anchors, Some(pairs))
+        let pairs = PairTable::build(&dfa, set, &anchors);
+        CompiledAutomaton::compile_with_prefilter(&reduced, anchors, pairs)
     }
 }
 
@@ -343,31 +318,6 @@ impl ShardedMatcher {
         set: &PatternSet,
         config: &ShardedConfig,
     ) -> Result<ShardedMatcher, ShardPlanError> {
-        Self::build_inner(set, config, None)
-    }
-
-    /// [`ShardedMatcher::build`] with profile-guided pair layers: each
-    /// shard's hot pair rows are ranked by the occupancy of a scan
-    /// over `sample` (see [`PairTable::build_profiled`]) instead of
-    /// the static in-degree proxy. `sample` should be representative
-    /// traffic; it is scanned once per shard at build time.
-    ///
-    /// # Errors
-    ///
-    /// As [`ShardedMatcher::build`].
-    pub fn build_with_profile(
-        set: &PatternSet,
-        config: &ShardedConfig,
-        sample: &[u8],
-    ) -> Result<ShardedMatcher, ShardPlanError> {
-        Self::build_inner(set, config, Some(sample))
-    }
-
-    fn build_inner(
-        set: &PatternSet,
-        config: &ShardedConfig,
-        profile: Option<&[u8]>,
-    ) -> Result<ShardedMatcher, ShardPlanError> {
         let mut spec = ShardSpec::for_cores(config.cores);
         spec.budget_bytes = config.budget_bytes;
         spec.max_shards = config.max_shards;
@@ -377,7 +327,7 @@ impl ShardedMatcher {
             .parts
             .into_iter()
             .map(|(sub, ids)| Shard {
-                automaton: config.compile(&sub, profile),
+                automaton: config.compile(&sub),
                 set: sub,
                 ids,
             })
@@ -414,10 +364,9 @@ impl ShardedMatcher {
         self.strategy
     }
 
-    /// The pair-transition layer of shard `shard` (present unless the
-    /// budget bought neither region rows nor a hot row — see
-    /// [`ShardedConfig::pair_budget_bytes`]). Exposed so tests and
-    /// benches can inspect per-shard hot-set coverage and memory.
+    /// The region pair rows of shard `shard`: present where the shard's
+    /// calm density reaches [`PairTable::REGION_MIN_DENSITY`]. Exposed
+    /// so tests and benches can see which shards run the stride-2 lane.
     ///
     /// # Panics
     ///
@@ -931,60 +880,18 @@ mod tests {
 
     #[test]
     fn paired_shards_equal_anchor_only_shards() {
-        // The composed pair lane against the anchor lane alone: a zero
-        // pair budget compiles the same shards without a table.
+        // Every shard of a sparse set carries its 16 KiB region rows,
+        // and the stride-2 lane scans as the bare stepper does.
         let set = PatternSet::new(["he", "she", "his", "hers"]).unwrap();
         let on = ShardedMatcher::build(&set, &ShardedConfig::with_cores(2)).unwrap();
         for s in 0..on.shard_count() {
             let pt = on.shard_pairs(s).expect("shard pair table");
-            assert!(pt.has_region_rows(), "shard {s} missing region rows");
+            assert_eq!(pt.memory_bytes(), PairTable::REGION_ROW_BYTES, "shard {s}");
         }
-        let mut config = ShardedConfig::with_cores(2);
-        config.pair_budget_bytes = 0;
-        let off = ShardedMatcher::build(&set, &config).unwrap();
-        assert!(off.shard_pairs(0).is_none());
-        let text = b"zzzzzzzzzzzzushers and she said his hers";
-        assert_eq!(on.find_all(text), off.find_all(text));
-        assert_eq!(on.find_all(text), reference(&set, text));
-        assert_eq!(on.is_match(text), off.is_match(text));
-    }
-
-    #[test]
-    fn profiled_build_is_equivalent() {
-        let set = PatternSet::new(["he", "she", "his", "hers", "hex"]).unwrap();
-        let sample = b"xxhe hers zzz hex shishershe".repeat(64);
-        let profiled =
-            ShardedMatcher::build_with_profile(&set, &ShardedConfig::with_cores(2), &sample)
-                .unwrap();
-        let plain = ShardedMatcher::build(&set, &ShardedConfig::with_cores(2)).unwrap();
-        let text = b"ushers and she said hex his hers";
-        assert_eq!(profiled.find_all(text), plain.find_all(text));
-        assert_eq!(profiled.find_all(text), reference(&set, text));
-    }
-
-    #[test]
-    fn pair_budget_shapes_the_shard_table() {
-        // Pins the `pair_budget_bytes` doc: below the region rows no
-        // table; exactly the region rows buys them and no hot row; the
-        // default buys both. Every shape scans identically.
-        let set = PatternSet::new(["he", "she"]).unwrap();
-        let with_budget = |budget: usize| {
-            let mut config = ShardedConfig::with_cores(1);
-            config.pair_budget_bytes = budget;
-            ShardedMatcher::build(&set, &config).unwrap()
-        };
-        let none = with_budget(PairTable::REGION_ROW_BYTES - 1);
-        assert!(none.shard_pairs(0).is_none());
-        let region = with_budget(PairTable::REGION_ROW_BYTES);
-        let pt = region.shard_pairs(0).expect("region rows attach");
-        assert!(pt.has_region_rows());
-        assert_eq!(pt.hot_states(), 0);
-        let default = with_budget(ShardedConfig::DEFAULT_PAIR_BUDGET);
-        let pt = default.shard_pairs(0).expect("default table attaches");
-        assert!(pt.has_region_rows());
-        assert!(pt.hot_states() > 0);
-        for m in [&none, &region, &default] {
-            assert_eq!(m.find_all(b"ushers"), reference(&set, b"ushers"));
+        for text in [&b"zzzzzzzzzzzzushers and she said his hers"[..], b"zzzz"] {
+            let want = reference(&set, text);
+            assert_eq!(on.find_all(text), want);
+            assert_eq!(on.is_match(text), !want.is_empty());
         }
     }
 

@@ -15,10 +15,10 @@
 //!    ([`PrefixCover::memory_bytes`]), which caps the cover's state
 //!    count however many rules the exact stage carries. It does not
 //!    bound the compiled tables: [`TwoStageMatcher::pre_memory_bytes`]
-//!    also counts the pair rows of [`ShardedConfig::pair_budget_bytes`]
-//!    (~2 MiB by default), and the estimate itself runs low on large
-//!    sets (the generated 25k-rule cover under a 2 MiB budget compiles
-//!    to ~2.9 MiB before its pair rows).
+//!    also counts the cover's anchor tables and, where its calm density
+//!    allows, its 16 KiB region pair rows, and the estimate itself runs
+//!    low on large sets (the generated 25k-rule cover under a 2 MiB
+//!    budget compiles to ~2.9 MiB).
 //! 2. **Verify.** A flag from an incompletely-covered truncation names
 //!    its candidate set exactly: the patterns sharing that prefix. Small
 //!    families (at most `CONFIRM_MAX_FAMILY` = 8 candidates) are settled *in place* by
@@ -880,9 +880,10 @@ impl TwoStageMatcher {
         Self::build_inner(set, config, None)
     }
 
-    /// [`TwoStageMatcher::build`] with every profile-guided layer fed by
-    /// `sample`: cover refinement and depth choice plus the stage-1 and
-    /// stage-2 pair rows ([`ShardedMatcher::build_with_profile`]).
+    /// [`TwoStageMatcher::build`] with the cover's refinement and depth
+    /// choice fed by `sample` ([`PrefixCover::build_depth_tuned`]). The
+    /// compiled stage-1 automaton and the verifier are built exactly as
+    /// [`TwoStageMatcher::build`] builds them.
     pub fn build_with_profile(
         set: &PatternSet,
         config: &TwoStageConfig,
@@ -1037,7 +1038,7 @@ impl TwoStageMatcher {
                 PatternSet::new(&kept_bytes)
             }
             .expect("subset of a valid cover is valid");
-            let compiled = config.exact.compile(&kept, sample);
+            let compiled = config.exact.compile(&kept);
             Some(Box::new((compiled, kept)))
         };
         // Lookback only has to reach the start of *windowed* truncations
@@ -1052,10 +1053,9 @@ impl TwoStageMatcher {
             .max()
             .unwrap_or(0);
 
-        let exact = match (&verifier, sample) {
-            (None, _) => ShardedMatcher::empty(set, &config.exact),
-            (Some(v), Some(s)) => ShardedMatcher::build_with_profile(v, &config.exact, s)?,
-            (Some(v), None) => ShardedMatcher::build(v, &config.exact)?,
+        let exact = match &verifier {
+            None => ShardedMatcher::empty(set, &config.exact),
+            Some(v) => ShardedMatcher::build(v, &config.exact)?,
         };
         // Patch the per-family ownership masks into the windowed kept
         // meta now that the verifier's shard plan exists: a window
@@ -1095,9 +1095,9 @@ impl TwoStageMatcher {
     }
 
     /// Resident bytes of the stage-1 scan tables: the compiled cover's
-    /// arena, including the anchor and pair rows of the exact stage's
-    /// lane stack ([`ShardedConfig::pair_budget_bytes`], ~2 MiB by
-    /// default), plus the 1 KiB single-byte table. Not bounded by
+    /// arena, including the anchor tables and region pair rows of the
+    /// exact stage's lane stack (16 KiB, attached where the cover's calm
+    /// density allows), plus the 1 KiB single-byte table. Not bounded by
     /// [`ApproxConfig::budget_bytes`], which bounds only the cover
     /// model's estimate ([`PrefixCover::memory_bytes`]).
     pub fn pre_memory_bytes(&self) -> usize {

@@ -89,9 +89,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---- software fast path: the same ruleset without an accelerator ----
     //
     // Production shape: compile once with the clean-traffic fast lanes
-    // (the anchor-byte prefilter plus the stride-2 pair layer — what the
-    // compiled automaton carries picks the scan loop) and reuse match
-    // buffers across scans.
+    // (the anchor-byte prefilter plus the region pair rows where the
+    // set's calm density attaches them — what the compiled automaton
+    // carries picks the scan loop) and reuse match buffers across scans.
     let dfa = Dfa::build(&set);
     let reduced = ReducedAutomaton::reduce(&dfa, DtpConfig::PAPER);
     let anchors = AnchorSet::build(&dfa, &set, AnchorSet::DEFAULT_HORIZON);
@@ -100,15 +100,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         anchors.skippable_bytes(),
         anchors.pair_count()
     );
-    let pairs = PairTable::build_with_region(&dfa, &set, &anchors, PairTable::DEFAULT_BUDGET);
-    let compiled = CompiledAutomaton::compile_with_prefilter(&reduced, anchors, Some(pairs));
+    let pairs = PairTable::build(&dfa, &set, &anchors);
+    let compiled = CompiledAutomaton::compile_with_prefilter(&reduced, anchors, pairs);
     let matcher = CompiledMatcher::new(&compiled, &set);
     let pair_lane = match compiled.pairs() {
-        Some(p) => format!(
-            "on ({} hot rows, region rows {})",
-            p.hot_states(),
-            if p.has_region_rows() { "yes" } else { "no" }
-        ),
+        Some(p) => format!("on (region rows, {} KiB)", p.memory_bytes() / 1024),
         None => "off".to_string(),
     };
     println!(

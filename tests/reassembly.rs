@@ -23,20 +23,17 @@ use dpi_accel::rulesets::{extract_preserving, master_ruleset, ChopProfile, Segme
 use proptest::prelude::*;
 
 /// Compiles `set` with anchors and, with `pairs`, the full default
-/// fast-path stack (anchors + pair layer), mirroring
-/// `tests/streaming.rs`.
+/// fast-path stack (anchors + region pair rows where they attach),
+/// mirroring `tests/streaming.rs`.
 fn compiled_anchored(set: &PatternSet, pairs: bool) -> CompiledAutomaton {
     let dfa = Dfa::build(set);
     let reduced = ReducedAutomaton::reduce(&dfa, DtpConfig::PAPER);
     let anchors = AnchorSet::build(&dfa, set, AnchorSet::DEFAULT_HORIZON);
-    let table = pairs.then(|| {
-        PairTable::build_with_region(
-            &dfa,
-            set,
-            &anchors,
-            PairTable::REGION_ROW_BYTES + 2 * PairTable::ROW_BYTES,
-        )
-    });
+    let table = if pairs {
+        PairTable::build(&dfa, set, &anchors)
+    } else {
+        None
+    };
     CompiledAutomaton::compile_with_prefilter(&reduced, anchors, table)
 }
 

@@ -19,6 +19,33 @@ fn monolith_find_all(set: &PatternSet, config: DtpConfig, text: &[u8]) -> Vec<Ma
     CompiledMatcher::new(&compiled, set).find_all(text)
 }
 
+/// Every shard the planner emits fits the per-shard budget it was
+/// planned under, compiled lanes included — the property that makes a
+/// shard "cache-sized". Checked on the master ruleset and a 300-rule
+/// extract, at each core count, under the default 1 MiB budget and a
+/// 256 KiB one.
+#[test]
+fn every_shard_fits_its_budget() {
+    let master = master_ruleset();
+    let small = extract_preserving(&master, 300, 0x0B07);
+    for (label, set) in [("master", &master), ("300", &small)] {
+        for cores in [1usize, 2, 4, 8] {
+            for budget in [ShardedConfig::with_cores(cores).budget_bytes, 256 << 10] {
+                let mut config = ShardedConfig::with_cores(cores);
+                config.budget_bytes = budget;
+                let sharded = ShardedMatcher::build(set, &config).unwrap();
+                for s in 0..sharded.shard_count() {
+                    let bytes = sharded.shard_memory_bytes(s);
+                    assert!(
+                        bytes <= budget,
+                        "{label} cores={cores}: shard {s} holds {bytes} B over its {budget} B budget"
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// Sharded results must equal the monolith's on generated traffic, for
 /// every core count and for tight budgets that force many shards.
 #[test]

@@ -39,18 +39,14 @@ use dpi_accel::rulesets::{
 /// The three lane stacks over one reduced automaton, by name.
 type Stacks = [(&'static str, CompiledAutomaton); 3];
 
-/// The bare byte stepper, the anchor lane alone, and anchors + pair
-/// layer at `horizon` (the full fast-path stack, last).
+/// The bare byte stepper, the anchor lane alone, and anchors + region
+/// pair rows at `horizon` where they attach (the full fast-path stack,
+/// last).
 fn build_stacks(set: &PatternSet, horizon: u8) -> Stacks {
     let dfa = Dfa::build(set);
     let reduced = ReducedAutomaton::reduce(&dfa, DtpConfig::PAPER);
     let anchors = AnchorSet::build(&dfa, set, horizon);
-    let pairs = PairTable::build_with_region(
-        &dfa,
-        set,
-        &anchors,
-        PairTable::REGION_ROW_BYTES + 2 * PairTable::ROW_BYTES,
-    );
+    let pairs = PairTable::build(&dfa, set, &anchors);
     [
         ("bare", CompiledAutomaton::compile(&reduced)),
         (
@@ -59,7 +55,7 @@ fn build_stacks(set: &PatternSet, horizon: u8) -> Stacks {
         ),
         (
             "anchors+pairs",
-            CompiledAutomaton::compile_with_prefilter(&reduced, anchors, Some(pairs)),
+            CompiledAutomaton::compile_with_prefilter(&reduced, anchors, pairs),
         ),
     ]
 }
@@ -241,12 +237,7 @@ fn calm_pair_rescue_straddling_probe_windows() {
     let stacks = build_stacks(&set, AnchorSet::DEFAULT_HORIZON);
     let dfa = Dfa::build(&set);
     let anchors = AnchorSet::build(&dfa, &set, AnchorSet::DEFAULT_HORIZON);
-    let pairs = PairTable::build_with_region(
-        &dfa,
-        &set,
-        &anchors,
-        PairTable::REGION_ROW_BYTES + 2 * PairTable::ROW_BYTES,
-    );
+    let pairs = PairTable::build(&dfa, &set, &anchors).expect("300-rule set carries region rows");
 
     let filler = (0..=255u8)
         .find(|&b| anchors.is_skippable(b))
@@ -314,15 +305,9 @@ fn calm_pairs_are_never_danger_keyed() {
         let dfa = Dfa::build(&set);
         for horizon in 1u8..=2 {
             let anchors = AnchorSet::build(&dfa, &set, horizon);
-            let pairs = PairTable::build_with_region(
-                &dfa,
-                &set,
-                &anchors,
-                PairTable::REGION_ROW_BYTES + 2 * PairTable::ROW_BYTES,
-            );
-            if !pairs.has_region_rows() {
+            let Some(pairs) = PairTable::build(&dfa, &set, &anchors) else {
                 continue;
-            }
+            };
             for c in 0..=255u8 {
                 for d in 0..=255u8 {
                     assert!(

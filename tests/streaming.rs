@@ -21,20 +21,17 @@ use dpi_accel::rulesets::{chop, extract_preserving, master_ruleset, ChopProfile}
 use proptest::prelude::*;
 
 /// Compiles `set` with anchors at the default horizon and, with
-/// `pairs`, the full default fast-path stack: a pair layer with region
-/// rows and two hot rows on top.
+/// `pairs`, the full default fast-path stack: the region pair rows
+/// where the set's calm density attaches them.
 fn compiled_anchored(set: &PatternSet, pairs: bool) -> CompiledAutomaton {
     let dfa = Dfa::build(set);
     let reduced = ReducedAutomaton::reduce(&dfa, DtpConfig::PAPER);
     let anchors = AnchorSet::build(&dfa, set, AnchorSet::DEFAULT_HORIZON);
-    let table = pairs.then(|| {
-        PairTable::build_with_region(
-            &dfa,
-            set,
-            &anchors,
-            PairTable::REGION_ROW_BYTES + 2 * PairTable::ROW_BYTES,
-        )
-    });
+    let table = if pairs {
+        PairTable::build(&dfa, set, &anchors)
+    } else {
+        None
+    };
     CompiledAutomaton::compile_with_prefilter(&reduced, anchors, table)
 }
 

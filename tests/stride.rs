@@ -1,15 +1,14 @@
-//! Stride-2 pair-lane equivalence suite: the pair layer must be
+//! Stride-2 lane equivalence suite: the region pair rows must be
 //! *scan-invisible*.
 //!
 //! For every workload shape — clean, infected and adversarial payloads,
 //! whole or packetized under every [`ChopProfile`] (including cuts at
 //! odd stream offsets and inside calm-pair windows), case-sensitive and
-//! nocase, at every anchor horizon — an automaton compiled with the pair
-//! layer must report byte-for-byte the matches of the same reduced
-//! automaton compiled with anchors only and compiled bare, which in turn
-//! equal the reference matchers. Covers [`CompiledMatcher`] and
-//! [`ShardedMatcher`], plus budget shapes from region-rows-only up to
-//! the profiled default.
+//! nocase, at every anchor horizon — an automaton compiled with the
+//! region pair rows must report byte-for-byte the matches of the same
+//! reduced automaton compiled with anchors only and compiled bare, which
+//! in turn equal the reference matchers. Covers [`CompiledMatcher`] and
+//! [`ShardedMatcher`].
 
 use dpi_accel::automaton::NaiveMatcher;
 use dpi_accel::prelude::*;
@@ -25,38 +24,28 @@ struct Stacks {
     bare: CompiledAutomaton,
     /// Anchors at the horizon: the skip lane alone.
     lane: CompiledAutomaton,
-    /// Anchors plus the pair layer under the budget.
+    /// Anchors plus the region pair rows, where the set's calm density
+    /// attaches them.
     paired: CompiledAutomaton,
 }
 
 /// Compiles `set` bare, with anchors at `horizon`, and with anchors plus
-/// a pair layer under `budget`.
-fn build(set: &PatternSet, horizon: u8, budget: usize) -> Stacks {
+/// the region pair rows.
+fn build(set: &PatternSet, horizon: u8) -> Stacks {
     let dfa = Dfa::build(set);
     let reduced = ReducedAutomaton::reduce(&dfa, DtpConfig::PAPER);
     let anchors = AnchorSet::build(&dfa, set, horizon);
-    let pairs = PairTable::build_with_region(&dfa, set, &anchors, budget);
+    let pairs = PairTable::build(&dfa, set, &anchors);
     Stacks {
         bare: CompiledAutomaton::compile(&reduced),
         lane: CompiledAutomaton::compile_with_prefilter(&reduced, anchors.clone(), None),
-        paired: CompiledAutomaton::compile_with_prefilter(&reduced, anchors, Some(pairs)),
+        paired: CompiledAutomaton::compile_with_prefilter(&reduced, anchors, pairs),
         reduced,
     }
 }
 
-/// The budget shapes worth distinguishing: region rows alone (stride-2
-/// walk, no excursion stepping), hot rows riding along, and the
-/// default.
-fn budgets() -> [usize; 3] {
-    [
-        PairTable::REGION_ROW_BYTES,
-        PairTable::REGION_ROW_BYTES + 2 * PairTable::ROW_BYTES,
-        PairTable::DEFAULT_BUDGET,
-    ]
-}
-
 /// Lane + pairs ≡ lane only ≡ bare stepper ≡ DtpMatcher on generated
-/// traffic, across horizons and budgets.
+/// traffic, across horizons.
 #[test]
 fn generated_traffic_equivalence_across_horizons_and_budgets() {
     let master = master_ruleset();
@@ -67,29 +56,27 @@ fn generated_traffic_equivalence_across_horizons_and_budgets() {
         let infected = gen.infected_packet(16 << 10, &set, 24).payload;
         let crafted = adversarial_payload(&set, 4 << 10);
         for horizon in 0..=AnchorSet::MAX_HORIZON {
-            for budget in budgets() {
-                let stacks = build(&set, horizon, budget);
-                let dtp = DtpMatcher::new(&stacks.reduced, &set);
-                let both = CompiledMatcher::new(&stacks.paired, &set);
-                let lane_only = CompiledMatcher::new(&stacks.lane, &set);
-                let stepper = CompiledMatcher::new(&stacks.bare, &set);
-                for (label, payload) in
-                    [("clean", &clean), ("infected", &infected), ("adversarial", &crafted)]
-                {
-                    let want = dtp.find_all(payload);
-                    for (name, m) in [
-                        ("lane+pairs", &both),
-                        ("lane-only", &lane_only),
-                        ("stepper", &stepper),
-                    ] {
-                        assert_eq!(
-                            m.find_all(payload),
-                            want,
-                            "{name} diverged (n={n} h={horizon} budget={budget} {label})"
-                        );
-                        assert_eq!(m.count(payload), want.len());
-                        assert_eq!(m.is_match(payload), !want.is_empty());
-                    }
+            let stacks = build(&set, horizon);
+            let dtp = DtpMatcher::new(&stacks.reduced, &set);
+            let both = CompiledMatcher::new(&stacks.paired, &set);
+            let lane_only = CompiledMatcher::new(&stacks.lane, &set);
+            let stepper = CompiledMatcher::new(&stacks.bare, &set);
+            for (label, payload) in
+                [("clean", &clean), ("infected", &infected), ("adversarial", &crafted)]
+            {
+                let want = dtp.find_all(payload);
+                for (name, m) in [
+                    ("lane+pairs", &both),
+                    ("lane-only", &lane_only),
+                    ("stepper", &stepper),
+                ] {
+                    assert_eq!(
+                        m.find_all(payload),
+                        want,
+                        "{name} diverged (n={n} h={horizon} {label})"
+                    );
+                    assert_eq!(m.count(payload), want.len());
+                    assert_eq!(m.is_match(payload), !want.is_empty());
                 }
             }
         }
@@ -106,7 +93,7 @@ fn generated_traffic_equivalence_across_horizons_and_budgets() {
 fn odd_offset_chop_profiles_with_alternating_resume() {
     let master = master_ruleset();
     let set = extract_preserving(&master, 120, 9);
-    let stacks = build(&set, AnchorSet::DEFAULT_HORIZON, budgets()[2]);
+    let stacks = build(&set, AnchorSet::DEFAULT_HORIZON);
     let dtp = DtpMatcher::new(&stacks.reduced, &set);
     let on = CompiledMatcher::new(&stacks.paired, &set);
     let off = CompiledMatcher::new(&stacks.lane, &set);
@@ -180,7 +167,7 @@ fn odd_offset_chop_profiles_with_alternating_resume() {
 #[test]
 fn cuts_inside_calm_windows_and_mid_pair() {
     let set = PatternSet::new(["hers", "she", "attack", "x"]).unwrap();
-    let stacks = build(&set, AnchorSet::DEFAULT_HORIZON, budgets()[2]);
+    let stacks = build(&set, AnchorSet::DEFAULT_HORIZON);
     assert!(stacks.paired.pairs().is_some());
     let m = CompiledMatcher::new(&stacks.paired, &set);
     // Candidate-but-calm text around the patterns keeps the walk in
@@ -219,7 +206,7 @@ fn danger_exit_rebuild_boundary_alignment() {
     let set = extract_preserving(&master_ruleset(), 120, 0x77);
     let dfa = Dfa::build(&set);
     let anchors = AnchorSet::build(&dfa, &set, AnchorSet::DEFAULT_HORIZON);
-    let stacks = build(&set, AnchorSet::DEFAULT_HORIZON, budgets()[2]);
+    let stacks = build(&set, AnchorSet::DEFAULT_HORIZON);
     let mut gen = TrafficGenerator::new(0xD4E);
     let payload = gen.infected_packet(1536, &set, 6).payload;
     let both = CompiledMatcher::new(&stacks.paired, &set);
@@ -256,49 +243,20 @@ fn danger_exit_rebuild_boundary_alignment() {
 fn nocase_pair_lane_equivalence() {
     let set = PatternSet::new_nocase(["Attack", "GET /", "hers", "Z"]).unwrap();
     for horizon in 0..=AnchorSet::MAX_HORIZON {
-        for budget in budgets() {
-            let stacks = build(&set, horizon, budget);
-            let dtp = DtpMatcher::new(&stacks.reduced, &set);
-            let on = CompiledMatcher::new(&stacks.paired, &set);
-            let lane_only = CompiledMatcher::new(&stacks.lane, &set);
-            for payload in [
-                &b"ATTACK at dawn: get / HeRs aTtAcK z"[..],
-                b"zzzzZZZZzzzzZZZZattackZZZZ",
-                b"GeT /index gEt hers HERS Z z",
-            ] {
-                let want = dtp.find_all(payload);
-                assert_eq!(on.find_all(payload), want, "h={horizon} b={budget}");
-                assert_eq!(lane_only.find_all(payload), want, "h={horizon} b={budget}");
-            }
+        let stacks = build(&set, horizon);
+        assert!(stacks.paired.pairs().is_some(), "h={horizon}");
+        let dtp = DtpMatcher::new(&stacks.reduced, &set);
+        let on = CompiledMatcher::new(&stacks.paired, &set);
+        let lane_only = CompiledMatcher::new(&stacks.lane, &set);
+        for payload in [
+            &b"ATTACK at dawn: get / HeRs aTtAcK z"[..],
+            b"zzzzZZZZzzzzZZZZattackZZZZ",
+            b"GeT /index gEt hers HERS Z z",
+        ] {
+            let want = dtp.find_all(payload);
+            assert_eq!(on.find_all(payload), want, "h={horizon}");
+            assert_eq!(lane_only.find_all(payload), want, "h={horizon}");
         }
-    }
-}
-
-/// The profiled build is equivalent to the in-degree build whatever the
-/// sample (selection changes which states are fast, never what is
-/// found) — including a sample that is itself the scanned payload.
-#[test]
-fn profiled_selection_is_scan_invisible() {
-    let master = master_ruleset();
-    let set = extract_preserving(&master, 80, 3);
-    let dfa = Dfa::build(&set);
-    let reduced = ReducedAutomaton::reduce(&dfa, DtpConfig::PAPER);
-    let mut gen = TrafficGenerator::new(5);
-    let payload = gen.infected_packet(8 << 10, &set, 10).payload;
-    let dtp = DtpMatcher::new(&reduced, &set);
-    let want = dtp.find_all(&payload);
-    for sample in [&b""[..], b"zzzz", &payload] {
-        let anchors = AnchorSet::build(&dfa, &set, AnchorSet::DEFAULT_HORIZON);
-        let pairs = PairTable::build_profiled(
-            &dfa,
-            &set,
-            &anchors,
-            PairTable::DEFAULT_BUDGET,
-            sample,
-        );
-        let compiled = CompiledAutomaton::compile_with_prefilter(&reduced, anchors, Some(pairs));
-        let m = CompiledMatcher::new(&compiled, &set);
-        assert_eq!(m.find_all(&payload), want, "sample len {}", sample.len());
     }
 }
 
@@ -331,15 +289,14 @@ fn mixed_payload(len: usize) -> impl Strategy<Value = Vec<u8>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Any packetization, any horizon, any budget shape: the pair lane
-    /// and the anchor lane stream exactly the naive whole-payload scan.
+    /// Any packetization, any horizon: the stride-2 lane and the anchor
+    /// lane stream exactly the naive whole-payload scan.
     #[test]
     fn pair_lane_streaming_equivalence(
         patterns in mixed_patterns(),
         payload in mixed_payload(160),
         raw_cuts in proptest::collection::vec(any::<prop::sample::Index>(), 0..24),
         horizon in 0..3u8,
-        budget_idx in 0..3usize,
     ) {
         let Ok(set) = PatternSet::new(&patterns) else { return Ok(()); };
         let naive = NaiveMatcher::new(&set).find_all(&payload);
@@ -352,7 +309,7 @@ proptest! {
         cuts.dedup();
         let segments = chop(&payload, &cuts);
 
-        let stacks = build(&set, horizon, budgets()[budget_idx]);
+        let stacks = build(&set, horizon);
         for (name, m) in [
             ("lane+pairs", CompiledMatcher::new(&stacks.paired, &set)),
             ("lane-only", CompiledMatcher::new(&stacks.lane, &set)),
@@ -387,7 +344,7 @@ proptest! {
         cuts.sort_unstable();
         cuts.dedup();
         let segments = chop(&payload, &cuts);
-        let stacks = build(&set, AnchorSet::DEFAULT_HORIZON, budgets()[1]);
+        let stacks = build(&set, AnchorSet::DEFAULT_HORIZON);
         let both = CompiledMatcher::new(&stacks.paired, &set);
         let lane = CompiledMatcher::new(&stacks.lane, &set);
         let stepper = CompiledMatcher::new(&stacks.bare, &set);
