@@ -2026,7 +2026,8 @@ fn sim_validate() {
 /// the measured scan capacity.
 fn service_robustness() {
     use dpi_core::{
-        FlowKey, FlowState, RulesetArena, Service, ServiceConfig, TwoStageConfig,
+        ExactEngine, FidelityTier, FlowKey, FlowState, RulesetArena, Service, ServiceConfig,
+        TwoStageConfig,
     };
     use std::sync::Arc;
     use std::time::Instant;
@@ -2049,11 +2050,10 @@ fn service_robustness() {
     let mix = TrafficGenerator::new(0x5EC_0DE).service_mix(FLOWS, FLOW_LEN, SEG, &set, 8, 6);
     let total_bytes: u64 = mix.iter().map(|(_, s)| s.bytes.len() as u64).sum();
 
-    // Calibrate each fidelity tier's *chunked* scan rate over this very
-    // byte stream — the per-segment path the workers actually run, so
-    // "1x" means "exactly what one worker can scan at full fidelity",
-    // independent of the host machine.
-    let tier_bps = |tier: usize| {
+    // Calibrate each rung the arena has at its *chunked* scan rate over
+    // this very byte stream — the per-segment path the workers actually
+    // run, through the engine that serves the rung.
+    let rung_bps = |tier: FidelityTier| {
         let mut out = Vec::new();
         let mut exact_scratch = arena.exact().scratch();
         let mut two_scratch = arena.two_stage().scratch();
@@ -2061,48 +2061,36 @@ fn service_robustness() {
         let mut two_state = arena.two_stage().flow_state();
         let (secs, _) = best_secs(3, || {
             out.clear();
-            match tier {
-                0 => {
-                    exact_state.reset_at(0);
-                    for (_, s) in &mix {
-                        arena.exact().scan_chunk_into(
-                            &mut exact_state,
-                            &s.bytes,
-                            &mut exact_scratch,
-                            &mut out,
-                        );
-                    }
-                }
-                1 => {
-                    two_state.reset_at(0);
-                    for (_, s) in &mix {
-                        arena.two_stage().scan_chunk_into(
-                            &mut two_state,
-                            &s.bytes,
-                            &mut two_scratch,
-                            &mut out,
-                        );
-                    }
-                }
-                _ => {
-                    two_state.reset_at(0);
-                    for (_, s) in &mix {
-                        arena.two_stage().scan_chunk_flag_only(
-                            &mut two_state,
-                            &s.bytes,
-                            &mut two_scratch,
-                            &mut out,
-                        );
-                    }
+            exact_state.reset_at(0);
+            two_state.reset_at(0);
+            for (_, s) in &mix {
+                match (tier, arena.exact_engine()) {
+                    (FidelityTier::Exact, ExactEngine::Sharded) => arena.exact().scan_chunk_into(
+                        &mut exact_state,
+                        &s.bytes,
+                        &mut exact_scratch,
+                        &mut out,
+                    ),
+                    (FidelityTier::Exact, ExactEngine::TwoStage) => arena
+                        .two_stage()
+                        .scan_chunk_into(&mut two_state, &s.bytes, &mut two_scratch, &mut out),
+                    (FidelityTier::FlagOnly, _) => arena.two_stage().scan_chunk_flag_only(
+                        &mut two_state,
+                        &s.bytes,
+                        &mut two_scratch,
+                        &mut out,
+                    ),
                 }
             }
             out.len()
         });
         total_bytes as f64 / secs
     };
-    let exact_bps = tier_bps(0);
-    let two_bps = tier_bps(1);
-    let flag_bps = tier_bps(2);
+    let rates: Vec<String> = arena
+        .rungs()
+        .iter()
+        .map(|&tier| format!("{tier:?} {:.0} MB/s", rung_bps(tier) / 1e6))
+        .collect();
 
     // The deterministic simulator over the same mix: the whole service
     // path (steer, queue, flow table, reassembly, tier dispatch) minus
@@ -2142,10 +2130,11 @@ fn service_robustness() {
         .unwrap_or(1);
     println!("resident service runtime, {FLOWS} flows x {} KiB, {workers} workers", FLOW_LEN / 1024);
     println!(
-        "calibrated chunk rate: exact {:.0} MB/s, two-stage {:.0} MB/s, flag-only {:.0} MB/s\nresident service rate (sim, full path): {:.0} MB/s\n",
-        exact_bps / 1e6,
-        two_bps / 1e6,
-        flag_bps / 1e6,
+        "exact engine: {:?} ({} shards); rungs: {}\ncalibrated chunk rate: {}\nresident service rate (sim, full path): {:.0} MB/s\n",
+        arena.exact_engine(),
+        arena.exact().shard_count(),
+        arena.rungs().len(),
+        rates.join(", "),
         service_bps / 1e6,
     );
     println!(
@@ -2205,7 +2194,7 @@ fn service_robustness() {
         let p99 = report.latency.quantile(0.99) as f64 / 1e3;
         let p999 = report.latency.quantile(0.999) as f64 / 1e3;
         let shed_pct = 100.0 * s.shed_bytes as f64 / s.offered_bytes as f64;
-        let degraded = s.workers.tier_bytes[1] + s.workers.tier_bytes[2];
+        let degraded = s.workers.tier_bytes[1];
         let degraded_pct = if scanned > 0 {
             100.0 * degraded as f64 / scanned as f64
         } else {
@@ -2250,7 +2239,7 @@ fn service_robustness() {
         assert_eq!(s.offered_bytes, total_bytes);
     }
     println!(
-        "\n(offered load is paced against the calibrated scan rate; past 1x the\n shed gate drops whole flows with exact accounting and the fidelity\n ladder trades match granularity for drain rate — the ledger\n `admitted == scanned + panic-lost` holds at every load)"
+        "\n(offered load is paced against the simulator's full-path rate; past 1x\n the shed gate drops whole flows with exact accounting, and only where\n the arena has a FlagOnly rung does the ladder trade match granularity\n for drain rate — the ledger `admitted == scanned + panic-lost` holds at\n every load)"
     );
 }
 

@@ -132,6 +132,10 @@ pub const GATES: &[(&str, Bound)] = &[
     ("service/load2x-shed-pct", Diff("service/load15x-shed-pct", -1.0, INF)),
     ("service/load2x-p99-us", Value(-INF, 250_000.0)),
     ("service/load2x-flows-resident", Value(-INF, 96.0)),
+    // The 6,275-rule master plans one exact shard, so its arena has one
+    // rung: no byte may scan below Exact at any load.
+    ("service/load1x-degraded-pct", Value(0.0, 0.0)),
+    ("service/load2x-degraded-pct", Value(0.0, 0.0)),
     // protocol-robustness: every chunk-boundary-split signature is found
     // on the normalized stream and none on the raw scan; the fail-open
     // ledger balances; the detect + normalize stage on well-formed HTTP

@@ -1165,7 +1165,7 @@ impl<'a> CompiledMatcher<'a> {
     /// reproduces any region state exactly; every replayed state is
     /// lane-cleared, so there is nothing to emit). Shared by
     /// [`CompiledMatcher::lane_advance`] and
-    /// [`CompiledMatcher::window_advance`].
+    /// [`CompiledMatcher::lane_advance_simd`].
     #[inline(always)]
     fn rebuild_lane_regs(
         &self,

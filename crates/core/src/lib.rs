@@ -124,9 +124,9 @@ pub use reassembly::{
 };
 pub use reduce::{ReducedAutomaton, ReductionMismatch, StoredTransitions};
 pub use service::{
-    FaultKind, FaultPlan, FidelityTier, LadderConfig, LatencyHistogram, RulesetArena, Service,
-    ServiceConfig, ServiceConfigError, ServiceReport, ServiceSim, ServiceStats, ShedConfig,
-    TierScan, WorkerStats,
+    ExactEngine, FaultKind, FaultPlan, FidelityTier, LadderConfig, LatencyHistogram, RulesetArena,
+    Service, ServiceConfig, ServiceConfigError, ServiceReport, ServiceSim, ServiceStats,
+    ShedConfig, TierScan, WorkerStats,
 };
 pub use sharded::{ShardedConfig, ShardedMatcher, ShardedScanState, ShardedScratch};
 pub use stats::{ReductionReport, SplitReductionReport};

@@ -20,12 +20,14 @@
 //!   segment — a stream is either scanned contiguously or visibly cut,
 //!   never silently corrupted. Every shed byte is counted.
 //! - **Degradation ladder.** Under sustained queue pressure a worker
-//!   descends [`FidelityTier::Exact`] → [`FidelityTier::TwoStage`] →
-//!   [`FidelityTier::FlagOnly`], with hysteresis in both directions, and
-//!   climbs back automatically when the queue drains. Per-tier fidelity
-//!   is documented on [`FidelityTier`]; per-tier scanned bytes are
-//!   counted so a capture's effective fidelity is auditable after the
-//!   fact.
+//!   descends from [`FidelityTier::Exact`] to [`FidelityTier::FlagOnly`],
+//!   with hysteresis in both directions, and climbs back automatically
+//!   when the queue drains. A rung exists only where it walks fewer
+//!   automata per byte than the rung above ([`RulesetArena::rungs`]);
+//!   on a one-rung arena shedding alone answers overload. Per-tier
+//!   fidelity is documented on [`FidelityTier`]; per-tier scanned bytes
+//!   are counted so a capture's effective fidelity is auditable after
+//!   the fact.
 //! - **Hot-swap.** A new ruleset compiles into a fresh [`RulesetArena`]
 //!   off the worker threads, then flips in by [`Arc`] swap; each flow's
 //!   scan state lazily regenerates at its current stream offset on next
@@ -47,11 +49,14 @@
 //!
 //! # Fidelity ladder
 //!
-//! | Tier | Engine | Fidelity |
-//! |------|--------|----------|
-//! | [`Exact`](FidelityTier::Exact) | sharded full-set matcher | exact: every occurrence of every pattern |
-//! | [`TwoStage`](FidelityTier::TwoStage) | stage-1 sweep + windowed exact replay | exact (byte-equivalent to `Exact`), cheaper on clean traffic, dearer on flag-dense traffic |
-//! | [`FlagOnly`](FidelityTier::FlagOnly) | stage-1 sweep only | reported matches all true; windowed-family occurrences missed but **counted** as [`suspect_flags`](crate::two_stage::TwoStageStats::suspect_flags) |
+//! [`RulesetArena::build`] reads both the engine behind `Exact` and the
+//! rungs below it from the shard plan, counting automaton walks per
+//! byte; nothing is timed and no option selects them.
+//!
+//! | Tier | Engine | Fidelity | Exists |
+//! |------|--------|----------|--------|
+//! | [`Exact`](FidelityTier::Exact) | the sharded matcher (every shard per byte) on a one-shard plan; the two-stage matcher (one cover walk per byte, verifier shards only over flagged windows) on a multi-shard plan — see [`ExactEngine`] | exact: every occurrence of every pattern; both engines emit the same stream | always |
+//! | [`FlagOnly`](FidelityTier::FlagOnly) | the two-stage matcher's stage-1 sweep without window replay | reported matches all true; windowed-family occurrences missed but **counted** as [`suspect_flags`](crate::two_stage::TwoStageStats::suspect_flags) | only where `Exact` runs the two-stage engine over a verifier with shards |
 //!
 //! # Example
 //!
@@ -300,24 +305,52 @@ impl From<ReassemblyConfigError> for ServiceConfigError {
 // Arena, tiers, per-flow state
 // ---------------------------------------------------------------------------
 
-/// One generation of compiled rules: the exact sharded matcher (the
-/// [`Exact`](FidelityTier::Exact) tier) and the two-stage matcher (the
-/// [`TwoStage`](FidelityTier::TwoStage) and
-/// [`FlagOnly`](FidelityTier::FlagOnly) tiers) built from the same
-/// pattern set. Workers hold it behind an [`Arc`]; a hot-swap builds
-/// the next generation off-thread and flips the pointer, so scan paths
-/// never wait on a build.
+/// Which compiled engine serves [`FidelityTier::Exact`]. Both emit the
+/// same match stream in the same order (`tests/two_stage.rs`);
+/// [`RulesetArena::build`] picks the one that walks fewer automata per
+/// byte.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ExactEngine {
+    /// [`ShardedMatcher`]: every byte through every shard.
+    Sharded,
+    /// [`TwoStageMatcher`]: every byte through one cover automaton, and
+    /// through the verifier's shards only inside flagged windows.
+    TwoStage,
+}
+
+/// One generation of compiled rules: the sharded matcher and the
+/// two-stage matcher built from the same pattern set, plus the choice,
+/// made once from the shard plan, of which serves
+/// [`Exact`](FidelityTier::Exact) and which rungs the ladder has.
+/// Workers hold it behind an [`Arc`]; a hot-swap builds the next
+/// generation off-thread and flips the pointer, so scan paths never
+/// wait on a build.
 #[derive(Debug)]
 pub struct RulesetArena {
     exact: ShardedMatcher,
     two: TwoStageMatcher,
+    engine: ExactEngine,
+    rungs: &'static [FidelityTier],
     generation: u64,
 }
 
 impl RulesetArena {
-    /// Compiles both engines from `set`: the exact tier's shards, then
-    /// the two-stage tier, whose replay verifier is compiled only when
+    /// Compiles both engines from `set`: the sharded matcher, then the
+    /// two-stage matcher, whose replay verifier is compiled only when
     /// its cover can open a window (see [`TwoStageMatcher::exact`]).
+    /// The sharded matcher is built even where it does not serve: it is
+    /// the reference the two-stage stream is checked against.
+    ///
+    /// The engine behind `Exact` is read from the plan, never timed:
+    /// the sharded engine walks [`ShardedMatcher::shard_count`]
+    /// automata per byte, the two-stage engine one cover automaton plus
+    /// verifier shards over flagged windows only. So the two-stage
+    /// engine serves when the plan has more than one shard; a tie keeps
+    /// the sharded engine, which pays no singles sweep and no confirm
+    /// step. [`FlagOnly`](FidelityTier::FlagOnly) exists only where it
+    /// skips walks `Exact` makes: over a two-stage `Exact` whose
+    /// verifier has shards.
+    ///
     /// `generation` must be strictly greater than any arena this one
     /// will replace — per-flow scan states carry the generation they
     /// were built against and regenerate when it no longer matches.
@@ -328,21 +361,49 @@ impl RulesetArena {
     ) -> Result<RulesetArena, ShardPlanError> {
         let exact = ShardedMatcher::build(set, &config.exact)?;
         let two = TwoStageMatcher::build(set, config)?;
+        let engine = if exact.shard_count() > 1 {
+            ExactEngine::TwoStage
+        } else {
+            ExactEngine::Sharded
+        };
+        let rungs: &'static [FidelityTier] =
+            if engine == ExactEngine::TwoStage && two.exact().shard_count() > 0 {
+                &[FidelityTier::Exact, FidelityTier::FlagOnly]
+            } else {
+                &[FidelityTier::Exact]
+            };
         Ok(RulesetArena {
             exact,
             two,
+            engine,
+            rungs,
             generation,
         })
     }
 
-    /// The exact-tier engine.
+    /// The sharded engine. It serves `Exact` only where
+    /// [`exact_engine`](Self::exact_engine) says so, but every arena
+    /// holds it as the reference for the match stream.
     pub fn exact(&self) -> &ShardedMatcher {
         &self.exact
     }
 
-    /// The two-stage engine (also serves the flag-only tier).
+    /// The two-stage engine: serves `Exact` where
+    /// [`exact_engine`](Self::exact_engine) says so, and `FlagOnly`
+    /// wherever that rung exists.
     pub fn two_stage(&self) -> &TwoStageMatcher {
         &self.two
+    }
+
+    /// The engine that serves [`FidelityTier::Exact`].
+    pub fn exact_engine(&self) -> ExactEngine {
+        self.engine
+    }
+
+    /// The ladder's rungs, most faithful first: `[Exact]`, or `[Exact,
+    /// FlagOnly]` where `FlagOnly` walks fewer automata than `Exact`.
+    pub fn rungs(&self) -> &'static [FidelityTier] {
+        self.rungs
     }
 
     /// This arena's generation number.
@@ -351,56 +412,40 @@ impl RulesetArena {
     }
 }
 
-/// The graceful-degradation ladder, cheapest-fidelity last. See the
-/// [module docs](self) for the per-tier fidelity table.
+/// The graceful-degradation ladder, most faithful first. Which rungs a
+/// worker can stand on is its arena's call ([`RulesetArena::rungs`]);
+/// see the [module docs](self) for the per-tier fidelity table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum FidelityTier {
-    /// Single-stage sharded exact matching: every byte through every
-    /// shard.
+    /// Every occurrence of every pattern, from the engine
+    /// [`RulesetArena::exact_engine`] names.
     Exact,
-    /// Two-stage matching: byte-equivalent results to `Exact`, with
-    /// stage-2 cost only on flagged windows.
-    TwoStage,
-    /// Stage-1 sweep only: true-positive matches still emitted,
-    /// windowed-family occurrences recorded as suspect flags instead of
-    /// verified.
+    /// The two-stage engine's stage-1 sweep only: true-positive matches
+    /// still emitted, windowed-family occurrences recorded as suspect
+    /// flags instead of verified.
     FlagOnly,
 }
 
 impl FidelityTier {
-    /// Index into per-tier counter arrays.
+    /// Index into per-tier counter arrays and into
+    /// [`RulesetArena::rungs`].
     fn index(self) -> usize {
         match self {
             FidelityTier::Exact => 0,
-            FidelityTier::TwoStage => 1,
-            FidelityTier::FlagOnly => 2,
-        }
-    }
-
-    /// The next-cheaper tier (self when already at the bottom).
-    fn lower(self) -> FidelityTier {
-        match self {
-            FidelityTier::Exact => FidelityTier::TwoStage,
-            _ => FidelityTier::FlagOnly,
-        }
-    }
-
-    /// The next-richer tier (self when already at the top).
-    fn higher(self) -> FidelityTier {
-        match self {
-            FidelityTier::FlagOnly => FidelityTier::TwoStage,
-            _ => FidelityTier::Exact,
+            FidelityTier::FlagOnly => 1,
         }
     }
 }
 
 /// Per-flow scanner state that survives tier moves and ruleset swaps:
-/// the concrete engine state plus the arena generation it was built
-/// against. Materialization is lazy — a flow touched after a swap or an
-/// `Exact`↔`TwoStage` tier move rebuilds its state *at its current
-/// stream offset* on next delivery ([`FlowState::reset_at`] semantics:
-/// boundary-local loss only, and the rebuild is counted). Moves between
-/// `TwoStage` and `FlagOnly` share one state and lose nothing.
+/// the state of the engine its arena runs, plus the arena generation it
+/// was built against. The state follows the engine, not the tier:
+/// `Exact` and `FlagOnly` on a two-stage arena share one two-stage
+/// state, so moves between them rebuild nothing and drop nothing.
+/// Materialization is lazy — a flow touched after a swap rebuilds its
+/// state *at its current stream offset* on next delivery
+/// ([`FlowState::reset_at`] semantics: boundary-local loss only, and
+/// the rebuild is counted).
 #[derive(Debug, Clone)]
 pub struct TierScan {
     generation: u64,
@@ -412,7 +457,7 @@ enum TierKind {
     /// Not yet materialized against any arena; scanning will resume at
     /// `at`.
     Fresh { at: u64 },
-    Exact(ShardedScanState),
+    Sharded(ShardedScanState),
     // Boxed: a two-stage state is several times the size of the other
     // variants, and a TierScan is per-flow — millions of resident
     // flows would otherwise all pay the largest variant's footprint.
@@ -432,7 +477,7 @@ impl TierScan {
     pub fn offset(&self) -> u64 {
         match &self.kind {
             TierKind::Fresh { at } => *at,
-            TierKind::Exact(s) => s.offset(),
+            TierKind::Sharded(s) => s.offset(),
             TierKind::Two(s) => s.offset(),
         }
     }
@@ -447,7 +492,7 @@ impl FlowState for TierScan {
     fn reset_at(&mut self, offset: u64) {
         match &mut self.kind {
             TierKind::Fresh { at } => *at = offset,
-            TierKind::Exact(s) => s.reset_at(offset),
+            TierKind::Sharded(s) => s.reset_at(offset),
             TierKind::Two(s) => FlowState::reset_at(s.as_mut(), offset),
         }
     }
@@ -463,13 +508,13 @@ pub struct WorkerStats {
     /// Segments processed.
     pub packets: u64,
     /// Bytes delivered to the scan stage per tier, indexed
-    /// `[exact, two_stage, flag_only]`. A byte counts where it was
+    /// `[exact, flag_only]`. A byte counts where it was
     /// delivered, after reassembly — so the sum is delivered bytes, not
     /// admitted bytes (duplicates are trimmed, buffered bytes count when
     /// delivered or flushed). The protocol stage's ledger
     /// ([`ProtocolStats`]) splits the same total into normalized vs
     /// raw-scanned bytes.
-    pub tier_bytes: [u64; 3],
+    pub tier_bytes: [u64; 2],
     /// Matches emitted.
     pub matches: u64,
     /// Window-opening flags recorded unverified by flag-only scans —
@@ -503,7 +548,7 @@ pub struct WorkerStats {
 impl WorkerStats {
     fn absorb(&mut self, other: &WorkerStats) {
         self.packets += other.packets;
-        for i in 0..3 {
+        for i in 0..2 {
             self.tier_bytes[i] += other.tier_bytes[i];
         }
         self.matches += other.matches;
@@ -684,15 +729,15 @@ impl WorkerCore {
     }
 
     /// One ladder observation: called with the queue depth seen when
-    /// the worker takes a batch.
+    /// the worker takes a batch. The arena's rungs bound the moves, so
+    /// on a one-rung arena the tier never leaves `Exact`.
     fn observe_queue(&mut self, depth: usize) {
         if depth >= self.ladder.high_water {
             self.calm_batches = 0;
             self.overload_batches += 1;
             if self.overload_batches >= self.ladder.descend_after {
                 self.overload_batches = 0;
-                let next = self.tier.lower();
-                if next != self.tier {
+                if let Some(&next) = self.arena.rungs.get(self.tier.index() + 1) {
                     self.tier = next;
                     self.stats.degrades += 1;
                 }
@@ -702,9 +747,8 @@ impl WorkerCore {
             self.calm_batches += 1;
             if self.calm_batches >= self.ladder.ascend_after {
                 self.calm_batches = 0;
-                let next = self.tier.higher();
-                if next != self.tier {
-                    self.tier = next;
+                if let Some(i) = self.tier.index().checked_sub(1) {
+                    self.tier = self.arena.rungs[i];
                     self.stats.recoveries += 1;
                 }
             }
@@ -778,9 +822,12 @@ impl WorkerCore {
 
     fn install(&mut self, arena: Arc<RulesetArena>) {
         // Scratches are sized to the arena's shard plan; rebuild them
-        // with it. Flow states regenerate lazily on next delivery.
+        // with it. Flow states regenerate lazily on next delivery. A
+        // tier the new arena has no rung for clamps to its lowest one.
         self.sharded_scratch = arena.exact.scratch();
         self.two_scratch = arena.two.scratch();
+        let lowest = arena.rungs[arena.rungs.len() - 1];
+        self.tier = self.tier.min(lowest);
         self.arena = arena;
         self.stats.swaps += 1;
     }
@@ -851,7 +898,7 @@ struct TierSink<'a> {
 impl TierSink<'_> {
     /// Delivers one reassembled chunk through the flow's protocol stage
     /// into the tier engine, materializing the flow's scan state for
-    /// the current arena and tier first.
+    /// the current arena first.
     fn deliver(&mut self, flow: &mut ProtoFlow<TierScan>, chunk: &[u8], out: &mut Vec<Match>) {
         let (arena, tier) = (self.arena, self.tier);
         self.tally.tier_bytes[tier.index()] += chunk.len() as u64;
@@ -868,9 +915,9 @@ impl TierSink<'_> {
             bypass,
             &mut self.tally.protocol,
             |_lane, scan: &mut TierScan, bytes: &[u8], out: &mut Vec<Match>| {
-                materialize(arena, tier, scan, &mut self.tally.state_rebuilds);
+                materialize(arena, scan, &mut self.tally.state_rebuilds, out);
                 match (&mut scan.kind, tier) {
-                    (TierKind::Exact(state), _) => {
+                    (TierKind::Sharded(state), _) => {
                         arena
                             .exact
                             .scan_chunk_into(state, bytes, self.sharded_scratch, out);
@@ -882,7 +929,7 @@ impl TierSink<'_> {
                             .scan_chunk_flag_only(state, bytes, self.two_scratch, out);
                         self.tally.suspect_flags += state.stats().suspect_flags - s0;
                     }
-                    (TierKind::Two(state), _) => {
+                    (TierKind::Two(state), FidelityTier::Exact) => {
                         arena
                             .two
                             .scan_chunk_into(state, bytes, self.two_scratch, out);
@@ -895,46 +942,60 @@ impl TierSink<'_> {
     }
 }
 
-/// Ensures `scan` holds a state for (`arena`, `tier`): rebuilds it at
-/// the flow's current stream offset when the generation or the engine
-/// family changed. `TwoStage` and `FlagOnly` share the `Two` state, so
-/// ladder moves between them rebuild nothing.
-fn materialize(arena: &RulesetArena, tier: FidelityTier, scan: &mut TierScan, rebuilds: &mut u64) {
-    let compatible = scan.generation == arena.generation
+/// Ensures `scan` holds a state of the engine `arena` runs: rebuilds it
+/// at the flow's current stream offset when the generation or the
+/// engine changed. The tier plays no part, so ladder moves rebuild
+/// nothing.
+fn materialize(
+    arena: &RulesetArena,
+    scan: &mut TierScan,
+    rebuilds: &mut u64,
+    out: &mut Vec<Match>,
+) {
+    let current = scan.generation == arena.generation
         && match &scan.kind {
             TierKind::Fresh { .. } => false,
-            TierKind::Exact(_) => tier == FidelityTier::Exact,
-            TierKind::Two(_) => tier != FidelityTier::Exact,
+            TierKind::Sharded(_) => arena.engine == ExactEngine::Sharded,
+            TierKind::Two(_) => arena.engine == ExactEngine::TwoStage,
         };
-    if !compatible {
-        rebuild(arena, tier, scan, rebuilds);
+    if !current {
+        rebuild(arena, scan, rebuilds, out);
     }
 }
 
 /// The rare half of [`materialize`], kept out of line so the per-chunk
-/// check stays small in the scan loop.
+/// check stays small in the scan loop. A replaced two-stage state first
+/// emits the matches it found and still holds behind its verify
+/// frontier ([`TwoStageMatcher::finish_flow`] reads no tables, so the
+/// new arena's matcher serves for the old state).
 #[cold]
-fn rebuild(arena: &RulesetArena, tier: FidelityTier, scan: &mut TierScan, rebuilds: &mut u64) {
-    let wants_exact = tier == FidelityTier::Exact;
+fn rebuild(arena: &RulesetArena, scan: &mut TierScan, rebuilds: &mut u64, out: &mut Vec<Match>) {
     let at = scan.offset();
-    let was_live = !matches!(scan.kind, TierKind::Fresh { .. });
-    scan.kind = if wants_exact {
-        let mut state = arena.exact.flow_state();
-        if at > 0 {
-            state.reset_at(at);
+    let kind = match arena.engine {
+        ExactEngine::Sharded => {
+            let mut state = arena.exact.flow_state();
+            if at > 0 {
+                state.reset_at(at);
+            }
+            TierKind::Sharded(state)
         }
-        TierKind::Exact(state)
-    } else {
-        let mut state = arena.two.flow_state();
-        if at > 0 {
-            FlowState::reset_at(&mut state, at);
+        ExactEngine::TwoStage => {
+            let mut state = arena.two.flow_state();
+            if at > 0 {
+                FlowState::reset_at(&mut state, at);
+            }
+            TierKind::Two(Box::new(state))
         }
-        TierKind::Two(Box::new(state))
     };
-    scan.generation = arena.generation;
-    if was_live {
-        *rebuilds += 1;
+    match std::mem::replace(&mut scan.kind, kind) {
+        TierKind::Fresh { .. } => {}
+        TierKind::Sharded(_) => *rebuilds += 1,
+        TierKind::Two(mut old) => {
+            arena.two.finish_flow(&mut old, out);
+            *rebuilds += 1;
+        }
     }
+    scan.generation = arena.generation;
 }
 
 // ---------------------------------------------------------------------------
@@ -1761,7 +1822,7 @@ mod tests {
     fn worker_stats_absorb_carries_every_counter() {
         let src = WorkerStats {
             packets: 1,
-            tier_bytes: [2, 3, 4],
+            tier_bytes: [2, 3],
             matches: 5,
             suspect_flags: 6,
             degrades: 7,

@@ -805,13 +805,14 @@ impl TwoStageState {
 /// Two-stage states slot directly into a [`FlowTable`](crate::FlowTable):
 /// slot reuse resets everything in place (no reallocation beyond
 /// clearing the ring and queues), and a reassembly hole-skip
-/// (`FlowReassembler::skip_to`)
-/// resumes the scan at the new offset with boundary-local loss — both
-/// stages history-masked, any suspended window abandoned (its bytes are
-/// gone), counters kept.
+/// (`FlowReassembler::skip_to`), a shed-resume resync or a protocol
+/// downgrade resumes the scan at the new offset with boundary-local
+/// loss — both stages history-masked, any suspended window abandoned
+/// (its bytes are gone), counters and already-found matches kept.
 impl crate::flow::FlowState for TwoStageState {
     fn reset(&mut self) {
         self.reset_at(0);
+        self.vs.pending.clear();
         self.vs.stats = TwoStageStats::default();
     }
 
@@ -825,7 +826,9 @@ impl crate::flow::FlowState for TwoStageState {
         vs.window_end = offset;
         vs.group_flag_end = 0;
         vs.ring.clear();
-        vs.pending.clear();
+        // `pending` stays: its matches were found, and each ends at or
+        // before the old position, so before anything this state can
+        // emit next. The next chunk or `finish_flow` emits them.
         vs.group_open = false;
         vs.group_had_match = false;
         // Every lane was just reset to `offset` == the frontier.

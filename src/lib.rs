@@ -67,8 +67,8 @@ pub mod prelude {
         TwoStageMatcher, TwoStageScratch, TwoStageState, TwoStageStats,
     };
     pub use dpi_core::{
-        FaultKind, FaultPlan, FidelityTier, LadderConfig, LatencyHistogram, RulesetArena,
-        Service, ServiceConfig, ServiceReport, ServiceSim, ServiceStats, ShedConfig,
+        ExactEngine, FaultKind, FaultPlan, FidelityTier, LadderConfig, LatencyHistogram,
+        RulesetArena, Service, ServiceConfig, ServiceReport, ServiceSim, ServiceStats, ShedConfig,
     };
     pub use dpi_core::{
         Lane, ProtoConfig, ProtoFlow, ProtocolId, ProtocolStats, ScopedRuleset,

@@ -19,16 +19,16 @@ use std::sync::{Arc, OnceLock};
 
 use dpi_accel::automaton::{ApproxConfig, Match, PatternSet};
 use dpi_accel::core::service::{
-    FaultKind, FaultPlan, FidelityTier, RulesetArena, Service, ServiceConfig, ServiceReport,
-    ServiceSim,
+    ExactEngine, FaultKind, FaultPlan, FidelityTier, RulesetArena, Service, ServiceConfig,
+    ServiceReport, ServiceSim,
 };
 use dpi_accel::core::{FlowKey, FlowMatch, ShardedConfig, TwoStageConfig};
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------------
-// Fixture: a ruleset with real windowed families (so the two-stage and
-// flag-only tiers behave differently from the exact tier), plus
-// deterministic traffic.
+// Fixture: a ruleset with real windowed families over a two-shard plan
+// (so the two-stage engine serves Exact and the flag-only rung skips
+// real replay work), plus deterministic traffic.
 // ---------------------------------------------------------------------------
 
 fn pattern_strings() -> Vec<String> {
@@ -312,21 +312,60 @@ fn shed_gate_memory_is_bounded_by_the_flow_capacity() {
 }
 
 // ---------------------------------------------------------------------------
-// 3. Degradation ladder: descends under pressure, recovers when calm,
-//    with exact event counts and per-tier byte attribution.
+// 3. Degradation ladder: the arena's plan picks the Exact engine and the
+//    rungs; the ladder descends under pressure, recovers when calm, with
+//    exact event counts and per-tier byte attribution.
 // ---------------------------------------------------------------------------
 
 #[test]
+fn the_plan_picks_the_exact_engine_and_the_rungs() {
+    let set = PatternSet::new(pattern_strings()).unwrap();
+    // One exact shard: the sharded engine walks one automaton per byte,
+    // as the cover does, so it serves and no rung is cheaper.
+    let one = RulesetArena::build(&set, &TwoStageConfig::with_cores(1), 1).unwrap();
+    assert_eq!(one.exact().shard_count(), 1);
+    assert_eq!(one.exact_engine(), ExactEngine::Sharded);
+    assert_eq!(one.rungs(), [FidelityTier::Exact]);
+    // Two or more shards over a windowing verifier: the cover serves
+    // Exact, and FlagOnly skips the verifier's replay walks.
+    let windowing = shared_arena();
+    assert!(windowing.exact().shard_count() >= 2);
+    assert!(windowing.two_stage().exact().shard_count() > 0);
+    assert_eq!(windowing.exact_engine(), ExactEngine::TwoStage);
+    assert_eq!(
+        windowing.rungs(),
+        [FidelityTier::Exact, FidelityTier::FlagOnly]
+    );
+    // Two or more shards over a zero-shard verifier: FlagOnly would do
+    // exactly Exact's work, so the ladder has one rung.
+    let mut config = two_stage_config();
+    config.approx = ApproxConfig::default();
+    let settled = RulesetArena::build(&set, &config, 1).unwrap();
+    assert!(settled.exact().shard_count() >= 2);
+    assert_eq!(settled.two_stage().exact().shard_count(), 0);
+    assert_eq!(settled.exact_engine(), ExactEngine::TwoStage);
+    assert_eq!(settled.rungs(), [FidelityTier::Exact]);
+}
+
+#[test]
 fn ladder_descends_under_pressure_and_recovers_when_calm() {
-    ladder_cycle(&shared_arena(), &flow_payload(7, 40 * 97, &[]));
+    let (trajectory, report) = ladder_cycle(&shared_arena(), &flow_payload(7, 40 * 97, &[]));
+    assert!(trajectory.contains(&FidelityTier::FlagOnly));
+    let s = &report.stats.workers;
+    assert_eq!(s.degrades, 1, "Exact→FlagOnly exactly");
+    assert_eq!(s.recoveries, 1, "FlagOnly→Exact exactly");
+    // Bytes were scanned at both tiers, and one two-stage state served
+    // both: the moves rebuilt nothing.
+    assert!(s.tier_bytes.iter().all(|&b| b > 0), "{:?}", s.tier_bytes);
+    assert_eq!(s.state_rebuilds, 0);
 }
 
 const LADDER_FLOW: FlowKey = FlowKey(0xAAAA);
 
 /// One flow of 40 × 97-byte segments offered at once to a one-worker
-/// simulator whose ladder must descend Exact→TwoStage→FlagOnly under
-/// the backlog and climb back once idle. Returns the tier after every
-/// step and the final report.
+/// simulator whose ladder sees depth past `high_water` for most of the
+/// drain, then 8 idle steps. Returns the tier after every step and the
+/// final report; the worker ends at Exact whatever rungs `arena` has.
 fn ladder_cycle(arena: &Arc<RulesetArena>, payload: &[u8]) -> (Vec<FidelityTier>, ServiceReport) {
     assert_eq!(payload.len(), 40 * 97);
     let mut config = ServiceConfig::with_workers(1);
@@ -343,73 +382,47 @@ fn ladder_cycle(arena: &Arc<RulesetArena>, payload: &[u8]) -> (Vec<FidelityTier>
         sim.offer(LADDER_FLOW, *seq, bytes, i as u64 + 1);
     }
 
-    // Drain two packets per step, recording the tier trajectory.
+    // Drain two packets per step, then idle: idle steps are calm
+    // observations, so the worker must climb back.
     let mut trajectory = vec![sim.worker_tier(0)];
     while sim.stats().workers.packets < 40 {
         sim.step();
         trajectory.push(sim.worker_tier(0));
     }
-    assert!(trajectory.contains(&FidelityTier::TwoStage));
-    assert!(trajectory.contains(&FidelityTier::FlagOnly));
-    let mid = sim.stats();
-    assert_eq!(mid.workers.degrades, 2, "Exact→TwoStage→FlagOnly exactly");
-
-    // Idle steps are calm observations: the worker must climb back.
     for _ in 0..8 {
         sim.step();
         trajectory.push(sim.worker_tier(0));
     }
     assert_eq!(sim.worker_tier(0), FidelityTier::Exact);
     let report = sim.finish();
-    let s = &report.stats;
-    assert_eq!(s.workers.recoveries, 2, "FlagOnly→TwoStage→Exact exactly");
-    // Bytes were scanned at all three tiers, and the attribution sums.
-    assert!(
-        s.workers.tier_bytes.iter().all(|&b| b > 0),
-        "{:?}",
-        s.workers.tier_bytes
-    );
-    assert_eq!(s.scanned_bytes(), s.admitted_bytes);
+    assert_eq!(report.stats.scanned_bytes(), report.stats.admitted_bytes);
     (trajectory, report)
 }
 
-/// The degraded tiers over a two-stage matcher with a zero-shard
-/// verifier: the default cover leaves no oversized family here, so no
-/// window can open. The ladder must move exactly as it does over a
-/// windowing arena, and FlagOnly has nothing left unverified.
+/// The backlog that moves the windowing arena's ladder, over an arena
+/// with one rung: the worker never leaves Exact, and the stream is the
+/// exact engine's.
 #[test]
-fn ladder_over_a_verifier_less_arena_matches_the_windowing_one() {
+fn a_one_rung_arena_stays_exact_under_the_ladder_backlog() {
     let patterns = pattern_strings();
     let set = PatternSet::new(&patterns).unwrap();
     let arena = Arc::new(RulesetArena::build(&set, &TwoStageConfig::with_cores(1), 1).unwrap());
-    assert_eq!(
-        arena.two_stage().exact().shard_count(),
-        0,
-        "the cover must window nothing"
-    );
+    assert_eq!(arena.rungs(), [FidelityTier::Exact]);
     // One occurrence inside every segment, cycling through the set.
     let plants: Vec<(usize, &str)> = (0..40)
         .map(|i| (i * 97 + 20, patterns[i % patterns.len()].as_str()))
         .collect();
     let payload = flow_payload(7, 40 * 97, &plants);
 
-    let (windowing, windowing_report) = ladder_cycle(&shared_arena(), &payload);
     let (trajectory, report) = ladder_cycle(&arena, &payload);
-    assert_eq!(trajectory, windowing);
-    let (s, w) = (&report.stats.workers, &windowing_report.stats.workers);
-    assert_eq!(s.tier_bytes, w.tier_bytes);
-    assert_eq!(s.suspect_flags, 0, "no windowed family to leave unverified");
-    assert!(
-        w.suspect_flags > 0,
-        "the windowing arena's FlagOnly skips windows"
+    assert!(trajectory.iter().all(|&t| t == FidelityTier::Exact));
+    let s = &report.stats.workers;
+    assert_eq!((s.degrades, s.recoveries, s.state_rebuilds), (0, 0, 0));
+    assert_eq!(s.tier_bytes, [payload.len() as u64, 0]);
+    assert_eq!(
+        by_flow(&report.matches, LADDER_FLOW),
+        reference(&arena, &payload)
     );
-    let got = by_flow(&report.matches, LADDER_FLOW);
-    for m in &got {
-        assert_true_occurrence(&patterns, &payload, m);
-    }
-    // Every plant sits inside one segment, so none straddles a tier
-    // change: with nothing to verify, even FlagOnly finds them all.
-    assert_eq!(got, reference(&arena, &payload));
 }
 
 // ---------------------------------------------------------------------------
@@ -441,7 +454,7 @@ fn flag_only_tier_reports_only_true_matches_and_counts_suspects() {
     }
     let report = sim.finish();
     let s = report.stats;
-    assert!(s.workers.tier_bytes[2] > 0, "FlagOnly tier never engaged");
+    assert!(s.workers.tier_bytes[1] > 0, "FlagOnly tier never engaged");
     assert!(
         s.workers.suspect_flags > 0,
         "unverified windowed flags must be counted"
@@ -549,6 +562,47 @@ fn hot_swap_is_in_band_and_match_equivalent_to_cold_build() {
         .filter(|m| m.end > pre.len())
         .collect();
     assert_eq!(post_got, post_expect);
+}
+
+/// A swap rebuilds a live two-stage state at its offset; matches the old
+/// state found but still held behind its verify frontier are emitted,
+/// not dropped. Here `z` ends inside an open window's reach when the
+/// first segment ends, so it waits there when the swap lands.
+#[test]
+fn hot_swap_rebuild_emits_what_the_old_state_found() {
+    let mut patterns: Vec<String> = (0..10)
+        .map(|i| format!("alpha-family-{i:02}-zebra"))
+        .collect();
+    patterns.push("z".to_string());
+    let set = PatternSet::new(&patterns).unwrap();
+    let arena = Arc::new(RulesetArena::build(&set, &two_stage_config(), 1).unwrap());
+    assert_eq!(arena.exact_engine(), ExactEngine::TwoStage);
+    let mut first = b"xx alpha-q".to_vec();
+    first.extend_from_slice(&[b'-'; 30]);
+    first.push(b'z');
+    let second = b"zz alpha-family-04-zebra z";
+
+    let mut sim = ServiceSim::new(Arc::clone(&arena), ServiceConfig::with_workers(1)).unwrap();
+    let key = FlowKey(0x2A);
+    sim.offer(key, 0, &first, 1);
+    sim.hot_swap(&set, &two_stage_config()).unwrap();
+    sim.offer(key, first.len() as u64, second, 2);
+    let report = sim.finish();
+    assert_eq!(report.stats.workers.state_rebuilds, 1);
+
+    // The sharded engine over the same bytes, repositioned at the swap.
+    let mut want = Vec::new();
+    let mut state = arena.exact().flow_state();
+    let mut scratch = arena.exact().scratch();
+    arena
+        .exact()
+        .scan_chunk_into(&mut state, &first, &mut scratch, &mut want);
+    state.reset_at(first.len() as u64);
+    arena
+        .exact()
+        .scan_chunk_into(&mut state, second, &mut scratch, &mut want);
+    assert!(want.iter().any(|m| m.end == first.len()), "{want:?}");
+    assert_eq!(by_flow(&report.matches, key), want);
 }
 
 #[test]

@@ -139,6 +139,48 @@ fn clean_tls_traffic_stays_off_the_verifier() {
     );
 }
 
+/// A mid-stream reset (hole-skip, shed resync, protocol downgrade)
+/// keeps the matches a flow already found. Here the one-byte pattern
+/// `z` ends inside an open replay window's reach, so it waits behind
+/// the verify frontier when the chunk ends; the reset must not drop it.
+#[test]
+fn reset_at_keeps_matches_waiting_on_the_verify_frontier() {
+    use dpi_accel::core::FlowState;
+
+    let mut patterns: Vec<String> = (0..10)
+        .map(|i| format!("alpha-family-{i:02}-zebra"))
+        .collect();
+    patterns.push("z".to_string());
+    let set = PatternSet::new(&patterns).unwrap();
+    let config = ShardedConfig::with_cores(1).two_stage(ApproxConfig::with_budget(1));
+    let two = TwoStageMatcher::build(&set, &config).unwrap();
+    assert!(two.exact().shard_count() > 0, "the cover must window");
+    let exact = ShardedMatcher::build(&set, &config.exact).unwrap();
+
+    let mut first = b"xx alpha-q".to_vec();
+    first.extend_from_slice(&[b'-'; 30]);
+    first.push(b'z');
+    let second = b"zz alpha-family-04-zebra z";
+    let resume = 100;
+
+    let mut want = Vec::new();
+    let mut st = exact.flow_state();
+    let mut scratch = exact.scratch();
+    exact.scan_chunk_into(&mut st, &first, &mut scratch, &mut want);
+    st.reset_at(resume);
+    exact.scan_chunk_into(&mut st, second, &mut scratch, &mut want);
+    assert!(want.iter().any(|m| m.end == first.len()), "{want:?}");
+
+    let mut got = Vec::new();
+    let mut st = two.flow_state();
+    let mut scratch = two.scratch();
+    two.scan_chunk_into(&mut st, &first, &mut scratch, &mut got);
+    FlowState::reset_at(&mut st, resume);
+    two.scan_chunk_into(&mut st, second, &mut scratch, &mut got);
+    two.finish_flow(&mut st, &mut got);
+    assert_eq!(got, want);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
