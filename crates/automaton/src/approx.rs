@@ -16,10 +16,10 @@
 //! marking the ancestor accepting; operationally that is exactly an
 //! Aho-Corasick automaton over *truncated* patterns. The frontier is
 //! chosen greedily under a byte budget on the cover model's per-state
-//! estimate ([`PrefixCover::memory_bytes`]), deepening the prefixes
-//! that flag most often (profiled against a traffic sample when one is
-//! given), so the hottest benign prefixes get the deepest — least
-//! trigger-happy — states the budget can afford.
+//! estimate ([`PrefixCover::memory_bytes`]), deepening first the
+//! prefixes a uniform byte model expects to flag most often (the
+//! shallowest, and among them the ones with the fewest children), so
+//! the budget buys the largest drop in expected flags it can afford.
 //!
 //! # Soundness invariant
 //!
@@ -37,7 +37,7 @@
 //! use dpi_automaton::{ApproxConfig, ApproxState, PatternSet, PrefixCover};
 //!
 //! let set = PatternSet::new(["evil-payload", "another-sig"])?;
-//! let cover = PrefixCover::build(&set, &ApproxConfig::default(), None);
+//! let cover = PrefixCover::build(&set, &ApproxConfig::default());
 //! let mut state = ApproxState::fresh();
 //! let mut windows = Vec::new();
 //! cover.scan_flags(&mut state, b"clean traffic with evil-payload inside", &mut |f| {
@@ -200,9 +200,7 @@ impl Ord for Cand {
 /// frontier state costs its child count times the per-state arena
 /// estimate ([`ShardCostModel`]) and removes that state's expected flag
 /// traffic (its children flag strictly less often), so the refinement
-/// spends the budget where flags are — measured against a traffic
-/// sample when [`PrefixCover::build`] gets one, or a uniform byte model
-/// otherwise.
+/// spends the budget where a uniform byte model expects the flags.
 ///
 /// The struct itself carries only the *model*: the truncated
 /// [`PatternSet`], per-truncation window metadata, and a trie for the
@@ -226,79 +224,11 @@ impl PrefixCover {
     /// it the lookback a streaming caller must retain.
     pub const MAX_DEPTH: usize = 16;
 
-    /// Builds the cover at several candidate frontier depths and keeps
-    /// the one whose **measured** flag-rate/table-size trade is best,
-    /// returning the cover and the chosen depth, so the depth cap needs
-    /// no hand-tuning per ruleset scale: each candidate depth is built
-    /// for real, its modelled memory read off the finished cover and
-    /// its replay fraction measured over `sample` (windows merged as a
-    /// streaming verifier merges them), and the cost model scores them
-    /// as
-    ///
-    /// `cost(d) = max(1, mem(d) / budget)² × (1 + 16 × replay(d))`
-    ///
-    /// — a squared cache-cliff penalty, applied when an arena spills
-    /// past its per-core budget, times a replay
-    /// term weighting each replayed byte at ~16× a stage-1 byte (the
-    /// exact stage walks every shard per byte where stage 1 walks one
-    /// arena; 16 is the measured order of magnitude at 25k–100k rules,
-    /// and the ranking is insensitive to ±2× here because depth moves
-    /// the replay fraction by orders of magnitude). The sweep stops
-    /// early once a deeper frontier no longer grows the cover (the
-    /// budget or the rules' own depth is already the binding cap).
-    /// Candidate depths run from 2 to 6 — depth 1 is the degenerate
-    /// everything-flags cover, and beyond 6 the table size always
-    /// dominates at IDS rule-length distributions.
-    pub fn build_depth_tuned(
-        set: &PatternSet,
-        config: &ApproxConfig,
-        sample: &[u8],
-    ) -> (PrefixCover, usize) {
-        /// Modelled cost of one replayed byte relative to a stage-1 byte.
-        const REPLAY_COST: f64 = 16.0;
-        let mut best: Option<(PrefixCover, usize, f64)> = None;
-        let mut prev_memory = 0usize;
-        for depth in 2..=6 {
-            let cover = PrefixCover::build_at_depth(set, config, Some(sample), depth);
-            let memory = cover.memory_bytes();
-            if depth > 2 && memory == prev_memory {
-                break;
-            }
-            prev_memory = memory;
-            let replay = replay_profile(&cover, sample).replay_fraction();
-            let pressure = (memory as f64 / config.budget_bytes.max(1) as f64).max(1.0);
-            let cost = pressure * pressure * (1.0 + REPLAY_COST * replay);
-            // Strict improvement required: ties keep the shallower
-            // (smaller, faster-building) frontier.
-            let better = match &best {
-                Some((_, _, c)) => cost < *c,
-                None => true,
-            };
-            if better {
-                best = Some((cover, depth, cost));
-            }
-        }
-        let (cover, depth, _) = best.expect("depth 2 always builds a candidate");
-        (cover, depth)
-    }
-
     /// Builds the cover for `set` under `config`, refining truncations
-    /// up to [`PrefixCover::MAX_DEPTH`] bytes, optionally profiling
-    /// frontier refinement against a traffic `sample`.
-    pub fn build(set: &PatternSet, config: &ApproxConfig, sample: Option<&[u8]>) -> PrefixCover {
-        PrefixCover::build_at_depth(set, config, sample, PrefixCover::MAX_DEPTH)
-    }
-
-    /// [`PrefixCover::build`] with truncations capped at `max_depth`
-    /// bytes instead of [`PrefixCover::MAX_DEPTH`].
-    fn build_at_depth(
-        set: &PatternSet,
-        config: &ApproxConfig,
-        sample: Option<&[u8]>,
-        max_depth: usize,
-    ) -> PrefixCover {
+    /// up to [`PrefixCover::MAX_DEPTH`] bytes.
+    pub fn build(set: &PatternSet, config: &ApproxConfig) -> PrefixCover {
         let trie = Trie::build(set);
-        let hits = node_hits(&trie, set, sample, max_depth);
+        let hits = node_hits(&trie, set);
         let model = ShardCostModel::default();
         let bps = model.bytes_per_state.max(1);
 
@@ -319,7 +249,7 @@ impl PrefixCover {
         for &child in &root_children {
             included[child.index()] = true;
             cost += bps;
-            if let Some(cand) = refine_candidate(&trie, &hits, child, max_depth, bps) {
+            if let Some(cand) = refine_candidate(&trie, &hits, child, bps) {
                 heap.push(cand);
             }
         }
@@ -332,7 +262,7 @@ impl PrefixCover {
             cost += add;
             for &(_, child) in kids {
                 included[child.index()] = true;
-                if let Some(cand) = refine_candidate(&trie, &hits, child, max_depth, bps) {
+                if let Some(cand) = refine_candidate(&trie, &hits, child, bps) {
                     heap.push(cand);
                 }
             }
@@ -493,38 +423,19 @@ fn alphabet_rate(set: &PatternSet) -> f64 {
     }
 }
 
-/// Expected flag traffic per trie node: occurrences of the node's
-/// prefix in `sample` when given, else the uniform byte model
-/// `alphabet_rate^depth` scaled to a nominal 1 MiB of traffic.
-fn node_hits(trie: &Trie, set: &PatternSet, sample: Option<&[u8]>, max_depth: usize) -> Vec<f64> {
+/// Expected flag traffic per trie node under the uniform byte model:
+/// `alphabet_rate^depth`, scaled to a nominal 1 MiB of traffic.
+fn node_hits(trie: &Trie, set: &PatternSet) -> Vec<f64> {
+    let rate = alphabet_rate(set);
     let mut hits = vec![0f64; trie.len()];
-    match sample {
-        Some(sample) => {
-            for start in 0..sample.len() {
-                let mut node = StateId::START;
-                for &raw in sample.iter().skip(start).take(max_depth) {
-                    match trie.state(node).child(set.fold(raw)) {
-                        Some(next) => {
-                            node = next;
-                            hits[next.index()] += 1.0;
-                        }
-                        None => break,
-                    }
-                }
-            }
-        }
-        None => {
-            let rate = alphabet_rate(set);
-            for (id, state) in trie.iter() {
-                hits[id.index()] = (1 << 20) as f64 * rate.powi(i32::from(state.depth()));
-            }
-        }
+    for (id, state) in trie.iter() {
+        hits[id.index()] = (1 << 20) as f64 * rate.powi(i32::from(state.depth()));
     }
     hits
 }
 
 /// Refinement candidate for frontier node `node`, or `None` when the
-/// node cannot be refined (leaf, or at the depth cap).
+/// node cannot be refined (leaf, or at [`PrefixCover::MAX_DEPTH`]).
 ///
 /// Nodes where a pattern *terminates* are still refinable: the node
 /// stays an accepting truncation for that complete pattern (whose flag
@@ -534,82 +445,18 @@ fn node_hits(trie: &Trie, set: &PatternSet, sample: Option<&[u8]>, max_depth: us
 /// their shortest member — at Snort-like scale, where almost every
 /// 2-byte prefix is itself a rule, that pinned the flag rate to the
 /// depth-2 floor no matter the budget.
-fn refine_candidate(
-    trie: &Trie,
-    hits: &[f64],
-    node: StateId,
-    max_depth: usize,
-    bps: usize,
-) -> Option<Cand> {
+fn refine_candidate(trie: &Trie, hits: &[f64], node: StateId, bps: usize) -> Option<Cand> {
     let state = trie.state(node);
-    if state.children().is_empty() || usize::from(state.depth()) >= max_depth {
+    if state.children().is_empty() || usize::from(state.depth()) >= PrefixCover::MAX_DEPTH {
         return None;
     }
-    let child_hits: f64 = state
-        .children()
-        .iter()
-        .map(|&(_, c)| hits[c.index()])
-        .sum();
+    let child_hits: f64 = state.children().iter().map(|&(_, c)| hits[c.index()]).sum();
     let gain = (hits[node.index()] - child_hits).max(0.0);
     let cost = (state.children().len() * bps) as f64;
     Some(Cand {
         score: gain / cost,
         node,
     })
-}
-
-/// Measured cover behaviour on a traffic sample: replayed bytes under
-/// the streaming window-merge rule (overlapping or adjacent windows
-/// coalesce; each byte replays at most once).
-#[derive(Debug, Clone, Copy, Default)]
-struct ReplayProfile {
-    /// Bytes a verifier would replay, clipped to the sample.
-    replayed_bytes: u64,
-    /// Sample length scanned.
-    sample_bytes: u64,
-}
-
-impl ReplayProfile {
-    /// Replayed fraction of the sample, in `[0, 1]`.
-    fn replay_fraction(&self) -> f64 {
-        if self.sample_bytes == 0 {
-            0.0
-        } else {
-            self.replayed_bytes as f64 / self.sample_bytes as f64
-        }
-    }
-}
-
-/// Scans `sample` through `cover` and accounts the merged-window replay
-/// a two-stage verifier would perform.
-fn replay_profile(cover: &PrefixCover, sample: &[u8]) -> ReplayProfile {
-    let mut state = ApproxState::fresh();
-    let mut profile = ReplayProfile {
-        sample_bytes: sample.len() as u64,
-        ..ReplayProfile::default()
-    };
-    let mut start = 0u64; // current merged window
-    let mut window_end = 0u64;
-    let mut open = false;
-    cover.scan_flags(&mut state, sample, &mut |f| {
-        let w = f.window();
-        if !open || w.start > window_end {
-            if open {
-                let clipped = window_end.min(sample.len() as u64);
-                profile.replayed_bytes += clipped.saturating_sub(start);
-            }
-            start = w.start;
-            window_end = w.end;
-            open = true;
-        } else {
-            window_end = window_end.max(w.end);
-        }
-    });
-    if open {
-        let clipped = window_end.min(sample.len() as u64);
-        profile.replayed_bytes += clipped.saturating_sub(start);
-    }
-    profile
 }
 
 #[cfg(test)]
@@ -642,82 +489,30 @@ mod tests {
     fn prefix_cover_flags_every_occurrence() {
         let set = PatternSet::new(["he", "she", "his", "hers", "banana-split"]).unwrap();
         for budget in [1, 2_000, 16_000, 1 << 20] {
-            let cover = PrefixCover::build(&set, &ApproxConfig::with_budget(budget), None);
+            let cover = PrefixCover::build(&set, &ApproxConfig::with_budget(budget));
             assert_sound(&cover, &set, b"ushers banana-splitters say his hers");
         }
     }
 
     #[test]
-    fn depth_tuned_build_is_sound_and_in_range() {
-        let set = PatternSet::new(["alpha-signature", "alpaca", "beta-marker", "he"]).unwrap();
-        let hay = b"xx alpha-signature yy alpacas and he beta-markers";
-        // A flag-heavy sample (every pattern prefix present) so replay
-        // pressure is non-trivial, plus filler.
-        let sample: Vec<u8> = hay
-            .iter()
-            .copied()
-            .chain((0..2048u32).map(|i| b'a' + (i % 17) as u8))
-            .collect();
-        let config = ApproxConfig::default();
-        let (cover, depth) = PrefixCover::build_depth_tuned(&set, &config, &sample);
-        assert!((2..=6).contains(&depth), "chosen depth {depth}");
-        assert_sound(&cover, &set, hay);
-        // A budget large enough to keep every candidate resident makes
-        // the replay term the decider, so the chosen cover's measured
-        // replay is no worse than the shallowest candidate's.
-        let shallow = PrefixCover::build_at_depth(&set, &config, Some(&sample), 2);
-        assert!(
-            replay_profile(&cover, &sample).replayed_bytes
-                <= replay_profile(&shallow, &sample).replayed_bytes
-        );
-    }
-
-    #[test]
     fn truncation_merges_states_under_budget() {
         let set = PatternSet::new(["prefix-one", "prefix-two", "prefix-three"]).unwrap();
-        let tight = PrefixCover::build(&set, &ApproxConfig::with_budget(1), None);
+        let tight = PrefixCover::build(&set, &ApproxConfig::with_budget(1));
         // Minimum sound cover: one shared depth-1 truncation.
         assert_eq!(tight.patterns().len(), 1);
         assert_eq!(tight.patterns().pattern(PatternId(0)), b"p");
         assert_eq!(tight.forward(PatternId(0)), 11); // "prefix-three" minus "p"
-        let roomy = PrefixCover::build(&set, &ApproxConfig::default(), None);
+        let roomy = PrefixCover::build(&set, &ApproxConfig::default());
         // A 512 KiB budget keeps all three distinct full-depth.
         assert_eq!(roomy.patterns().len(), 3);
         assert!(roomy.memory_bytes() <= ApproxConfig::DEFAULT_BUDGET);
     }
 
     #[test]
-    fn sample_profiling_deepens_hot_prefixes() {
-        // 64 patterns share the hot "GET /x*" prefix; a tight budget
-        // cannot refine everything, and the sample should steer the
-        // refinement toward the prefix the traffic actually hits.
-        let patterns: Vec<String> = (0..64)
-            .map(|i| format!("GET /x{i:02}/private"))
-            .chain((0..64).map(|i| format!("zz-cold-{i:02}-suffix")))
-            .collect();
-        let set = PatternSet::new(&patterns).unwrap();
-        let sample: Vec<u8> = b"GET /index.html HTTP/1.1\r\nHost: a\r\n\r\n"
-            .iter()
-            .copied()
-            .cycle()
-            .take(1 << 14)
-            .collect();
-        let config = ApproxConfig::with_budget(3_000);
-        let blind = PrefixCover::build(&set, &config, None);
-        let profiled = PrefixCover::build(&set, &config, Some(&sample));
-        let blind_replay = replay_profile(&blind, &sample).replay_fraction();
-        let prof_replay = replay_profile(&profiled, &sample).replay_fraction();
-        assert!(
-            prof_replay <= blind_replay,
-            "profiled refinement must not replay more of its own sample: {prof_replay} vs {blind_replay}"
-        );
-    }
-
-    #[test]
     fn flags_are_chunking_invariant() {
         let set = PatternSet::new(["abcd", "cdef", "q"]).unwrap();
         let payload = b"xxabcdefqxxcdefabcd".to_vec();
-        let cover = PrefixCover::build(&set, &ApproxConfig::with_budget(2_200), None);
+        let cover = PrefixCover::build(&set, &ApproxConfig::with_budget(2_200));
         let mut whole = Vec::new();
         cover.scan_flags(&mut ApproxState::fresh(), &payload, &mut |f| whole.push(f));
         for cut in 0..payload.len() {
@@ -732,18 +527,7 @@ mod tests {
     #[test]
     fn nocase_covers_fold_input() {
         let set = PatternSet::new_nocase(["Attack-String"]).unwrap();
-        let cover = PrefixCover::build(&set, &ApproxConfig::default(), None);
+        let cover = PrefixCover::build(&set, &ApproxConfig::default());
         assert_sound(&cover, &set, b"zzATTACK-STRINGzz");
-    }
-
-    #[test]
-    fn replay_profile_merges_overlapping_windows() {
-        let set = PatternSet::new(["aaaa"]).unwrap();
-        let cover = PrefixCover::build(&set, &ApproxConfig::default(), None);
-        // 16 a's: 13 flags at 4..=16 whose 4-byte windows overlap into
-        // one merged run replaying the whole string once, not 13 × 4.
-        let profile = replay_profile(&cover, &[b'a'; 16]);
-        assert_eq!(profile.replayed_bytes, 16);
-        assert!(profile.replay_fraction() > 0.99);
     }
 }

@@ -1468,9 +1468,6 @@ fn two_stage() {
 
     const PAYLOAD: usize = 1 << 20;
     let tls = TrafficGenerator::new(0x715_0DD).tls_stream(PAYLOAD).payload;
-    // Profile sample from a *different* stream than the measured one, so
-    // profile-guided layers cannot overfit the benchmark input.
-    let sample = TrafficGenerator::new(0x5A3917E).tls_stream(1 << 16).payload;
 
     let emit = |id: &str, secs: f64| {
         dpi_bench::bench_json_row(&format!("two-stage/{id}"), secs * 1e9, PAYLOAD as u64);
@@ -1492,21 +1489,18 @@ fn two_stage() {
     let compiled = CompiledAutomaton::compile_with_prefilter(&reduced, anchors, pairs);
     let mono = CompiledMatcher::new(&compiled, &master);
 
-    // Stage 1's cover model gets a budget the size of a per-core L2
-    // (2 MiB on current server cores). The frontier depth is not
-    // hand-pinned per ruleset scale: the profiled build sweeps candidate
-    // depths, reads each cover's modelled size and measures its replay
-    // on the sample stream, and keeps the best cost-model pick (see
-    // `PrefixCover::build_depth_tuned`). Stage 2 is replay-only, so it
-    // wants few big shards (fewer automata walked per replayed byte),
-    // not cache-resident ones.
+    // The service's two-stage build, with `dpibench`'s arena config:
+    // stage 1's cover model gets a budget the size of a per-core L2
+    // (2 MiB on current server cores), and stage 2, replay-only, wants
+    // few big shards (fewer automata walked per replayed byte), not
+    // cache-resident ones. So the 25k rows time the automaton the
+    // `tls_25k` workload's Exact rung runs.
     let mut config = TwoStageConfig::with_cores(1);
     config.approx = dpi_automaton::ApproxConfig::with_budget(2 << 20);
     config.exact.budget_bytes = 8 << 20;
     let scaled = [25_000usize, 100_000].map(|rules| {
         let set = RulesetGenerator::new().generate(rules);
-        let two = TwoStageMatcher::build_with_profile(&set, &config, &sample)
-            .expect("generated set fits the shard plan");
+        let two = TwoStageMatcher::build(&set, &config).expect("generated set fits the shard plan");
         (rules, set, two)
     });
 
@@ -1574,7 +1568,6 @@ fn two_stage() {
             &format!("{tag}-pre-kib"),
             two.pre_memory_bytes() as f64 / 1024.0,
         );
-        value(&format!("{tag}-pre-depth"), two.pre_depth() as f64);
 
         // The speed is only admissible if the composition stays exact:
         // replay an infected stream through both engines.

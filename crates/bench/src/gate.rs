@@ -94,10 +94,12 @@ pub const GATES: &[(&str, Bound)] = &[
     ("sw-throughput-simd/6275-stack-clean-off", Ratio("sw-throughput-simd/6275-stack-clean-on", 0.85, INF)),
     // two-stage: 25k and 100k rules through the two-stage scanner must
     // keep (at least) the 6,275-rule monolith's per-core rate on clean
-    // TLS — two-stage time over monolith time at most 1.05. Measured
-    // 1.04x the monolith's rate on quiet hardware; the 5% allowance
-    // covers residual shared-runner jitter, and the 0.89x a broken fast
-    // path produces still fails by a wide margin.
+    // TLS — two-stage time over monolith time at most 1.05. Measured on
+    // the simd build over 10 interleaved runs on a shared 2-vCPU host:
+    // 0.80-0.95 at 25k and 0.83-0.99 at 100k (medians 0.81 and 0.84,
+    // ~1.2x the monolith's rate). The 5% allowance covers shared-runner
+    // jitter, and the 0.89x rate a broken fast path produces still
+    // fails by a wide margin.
     ("two-stage/monolith-6275-tls", Present),
     ("two-stage/rules25k-tls", Ratio("two-stage/monolith-6275-tls", 0.0, 1.05)),
     ("two-stage/rules25k-replay-ppm", Present),

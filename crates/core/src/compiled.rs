@@ -665,7 +665,7 @@ impl<'a> CompiledMatcher<'a> {
     /// set. The lanes it runs are the ones the automaton carries (see
     /// the module docs).
     pub fn new(automaton: &'a CompiledAutomaton, set: &'a PatternSet) -> Self {
-        Self::with_shared_fold(automaton, set, Self::fold_table(set), true)
+        Self::with_shared_fold(automaton, set, Self::fold_table(set))
     }
 
     /// `set`'s case-fold table, for callers that keep one to pass to
@@ -688,16 +688,13 @@ impl<'a> CompiledMatcher<'a> {
         automaton: &'a CompiledAutomaton,
         set: &'a PatternSet,
         fold: [u8; 256],
-        simd: bool,
     ) -> Self {
-        #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-        let _ = simd;
         CompiledMatcher {
             automaton,
             set,
             fold,
             #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-            simd: if simd { SimdToken::detect() } else { None },
+            simd: SimdToken::detect(),
         }
     }
 

@@ -117,6 +117,16 @@ pub trait FlowState {
     fn held_bytes(&self) -> usize {
         0
     }
+
+    /// Ends the flow's scan: appends to `out`, in canonical order, the
+    /// matches this state has found but not yet emitted (a two-stage
+    /// state's verified matches behind its merge frontier). The default
+    /// holds none. The state must be reset before it scans again. The
+    /// table's ingest paths call it on a flow they evict, before reusing
+    /// its slot.
+    fn finish(&mut self, out: &mut Vec<Match>) {
+        let _ = out;
+    }
 }
 
 impl FlowState for ScanState {
@@ -147,7 +157,8 @@ pub enum FlowLookup {
     /// The flow was absent and took a free slot (fresh state).
     New,
     /// The flow was absent and evicted this set's LRU resident (fresh
-    /// state; the victim's scanner context is lost).
+    /// state; the victim's scanner context is lost, after an ingest path
+    /// emitted the matches it still held — see [`FlowState::finish`]).
     Evicted(FlowKey),
 }
 
@@ -368,6 +379,8 @@ impl<S: FlowState + Clone> FlowTable<S> {
     /// Looks `key` up, inserting (and, if its set is full, evicting the
     /// set's LRU resident) on miss. Returns the flow's state — resumed on
     /// hit, fresh on miss — and what happened. O(ways), allocation-free.
+    /// Having no output, it discards the matches an evicted state still
+    /// holds ([`FlowState::finish`]); the ingest paths emit them.
     ///
     /// Advances the table's clock by one logical tick; ingest loops that
     /// know real packet times should call [`FlowTable::touch_at`]
@@ -383,16 +396,23 @@ impl<S: FlowState + Clone> FlowTable<S> {
     /// within a set can never run backwards). Tick-based and
     /// timestamp-based touches share one clock; a pipeline should pick
     /// one unit and stay with it, and pass the same unit to
-    /// [`FlowTable::evict_idle`].
+    /// [`FlowTable::evict_idle`]. Like [`FlowTable::touch`], it discards
+    /// the matches an evicted state still holds.
     pub fn touch_at(&mut self, key: FlowKey, now: u64) -> (&mut S, FlowLookup) {
-        let (index, outcome) = self.touch_slot(key, now);
+        let (index, outcome) = self.touch_slot(key, now, |_, _| {});
         (&mut self.slots[index].state, outcome)
     }
 
     /// [`FlowTable::touch_at`] returning the slot index instead of the
     /// state reference — lets ingest paths that also need `self.stats`
-    /// split the borrow.
-    fn touch_slot(&mut self, key: FlowKey, now: u64) -> (usize, FlowLookup) {
+    /// split the borrow. On eviction, `evicted` gets the victim's key and
+    /// state before the slot is reset.
+    fn touch_slot(
+        &mut self,
+        key: FlowKey,
+        now: u64,
+        evicted: impl FnOnce(FlowKey, &mut S),
+    ) -> (usize, FlowLookup) {
         self.tick = self.tick.max(now);
         let set = (key.hash() as usize) & (self.sets - 1);
         let base = set * self.ways;
@@ -424,7 +444,9 @@ impl<S: FlowState + Clone> FlowTable<S> {
                 // The victim's buffered reassembly bytes leave the table
                 // with it — keep the held-bytes gauge honest.
                 self.drop_held(victim);
-                (victim, FlowLookup::Evicted(self.slots[victim].key))
+                let victim_key = self.slots[victim].key;
+                evicted(victim_key, &mut self.slots[victim].state);
+                (victim, FlowLookup::Evicted(victim_key))
             }
         };
         let slot = &mut self.slots[index];
@@ -449,7 +471,9 @@ impl<S: FlowState + Clone> FlowTable<S> {
     }
 
     /// Removes `key` if resident (flow terminated — e.g. TCP FIN/RST),
-    /// returning whether it was. The slot's state is recycled.
+    /// returning whether it was. The slot's state is recycled; matches
+    /// it still holds are discarded unless the caller first takes them
+    /// with [`FlowState::finish`] (through [`FlowTable::get_mut`]).
     pub fn remove(&mut self, key: FlowKey) -> bool {
         let set = (key.hash() as usize) & (self.sets - 1);
         let base = set * self.ways;
@@ -478,7 +502,8 @@ impl<S: FlowState + Clone> FlowTable<S> {
     /// ingested with [`FlowTable::touch_at`] /
     /// [`FlowTable::ingest_batch_at`]. Lets ingest loops shed dead flows
     /// on their own schedule instead of waiting for collisions to force
-    /// them out.
+    /// them out. Having no output, it discards the matches a retired
+    /// state still holds ([`FlowState::finish`]).
     pub fn evict_idle(&mut self, max_idle: u64) -> usize {
         let deadline = self.tick.saturating_sub(max_idle);
         let mut evicted = 0usize;
@@ -506,7 +531,9 @@ impl<S: FlowState + Clone> FlowTable<S> {
     /// The packet-batch ingest path: routes every packet to its flow's
     /// state (inserting/evicting as needed) and runs `scan` on it,
     /// collecting matches tagged with their flow into `out` (cleared
-    /// first, in packet order; within a packet, canonical order).
+    /// first, in packet order; within a packet, canonical order). A
+    /// flow evicted to make room first appends what its state still
+    /// holds ([`FlowState::finish`]), tagged with its own key.
     ///
     /// `scan` receives the flow's state, the packet payload, and a match
     /// buffer to **append** to — pass the matcher's resumable entry point
@@ -548,13 +575,12 @@ impl<S: FlowState + Clone> FlowTable<S> {
         out.clear();
         let mut scratch = std::mem::take(&mut self.scratch);
         for (packet, time) in packets {
-            let (state, _) = self.touch_at(packet.key, time);
+            let (index, _) = self.touch_slot(packet.key, time, |victim, state| {
+                finish_into(victim, state, &mut scratch, out)
+            });
             scratch.clear();
-            scan(state, packet.payload, &mut scratch);
-            out.extend(scratch.iter().map(|&m| FlowMatch {
-                key: packet.key,
-                matched: m,
-            }));
+            scan(&mut self.slots[index].state, packet.payload, &mut scratch);
+            tag_into(packet.key, &scratch, out);
         }
         self.scratch = scratch;
     }
@@ -579,7 +605,8 @@ impl<S: FlowState + Clone> FlowTable<StreamFlow<S>> {
     /// tolerating reordering, retransmission, overlap and loss under the
     /// per-flow budget (see the [`reassembly`](crate::reassembly) module
     /// docs). Matches land in `out` (cleared first) tagged with their
-    /// flow; reassembly counters aggregate into
+    /// flow, an evicted flow's held matches as in
+    /// [`FlowTable::ingest_batch`]; reassembly counters aggregate into
     /// [`FlowTableStats::reassembly`].
     ///
     /// `scan` receives the flow's **scanner** state (the `S` inside the
@@ -647,7 +674,9 @@ impl<S: FlowState + Clone> FlowTable<StreamFlow<S>> {
         out.clear();
         let mut scratch = std::mem::take(&mut self.scratch);
         for (segment, time) in segments {
-            let (index, _) = self.touch_slot(segment.key, time);
+            let (index, _) = self.touch_slot(segment.key, time, |victim, state| {
+                finish_into(victim, state, &mut scratch, out)
+            });
             scratch.clear();
             let (slots, stats) = (&mut self.slots, &mut self.stats);
             slots[index].state.ingest(
@@ -657,10 +686,7 @@ impl<S: FlowState + Clone> FlowTable<StreamFlow<S>> {
                 &mut scratch,
                 &mut stats.reassembly,
             );
-            out.extend(scratch.iter().map(|&m| FlowMatch {
-                key: segment.key,
-                matched: m,
-            }));
+            tag_into(segment.key, &scratch, out);
         }
         self.scratch = scratch;
     }
@@ -692,8 +718,10 @@ impl<S: FlowState + Clone> FlowTable<StreamFlow<S>> {
         mut scan: impl FnMut(&mut S, &[u8], &mut Vec<Match>),
         out: &mut Vec<FlowMatch>,
     ) -> FlowLookup {
-        let (index, outcome) = self.touch_slot(segment.key, time);
         let mut scratch = std::mem::take(&mut self.scratch);
+        let (index, outcome) = self.touch_slot(segment.key, time, |victim, state| {
+            finish_into(victim, state, &mut scratch, out)
+        });
         scratch.clear();
         let (slots, stats) = (&mut self.slots, &mut self.stats);
         if resync {
@@ -714,10 +742,7 @@ impl<S: FlowState + Clone> FlowTable<StreamFlow<S>> {
             &mut scratch,
             &mut stats.reassembly,
         );
-        out.extend(scratch.iter().map(|&m| FlowMatch {
-            key: segment.key,
-            matched: m,
-        }));
+        tag_into(segment.key, &scratch, out);
         self.scratch = scratch;
         outcome
     }
@@ -737,10 +762,7 @@ impl<S: FlowState + Clone> FlowTable<StreamFlow<S>> {
         for slot in slots.iter_mut().filter(|s| s.occupied) {
             scratch.clear();
             slot.state.flush(&mut scan, &mut scratch, &mut stats.reassembly);
-            out.extend(scratch.iter().map(|&m| FlowMatch {
-                key: slot.key,
-                matched: m,
-            }));
+            tag_into(slot.key, &scratch, out);
         }
         self.scratch = scratch;
     }
@@ -755,6 +777,24 @@ impl<S: FlowState + Clone> FlowTable<StreamFlow<S>> {
             .map(|s| s.state.held_bytes())
             .sum()
     }
+}
+
+/// Appends `matches` to `out`, each tagged with flow `key`.
+fn tag_into(key: FlowKey, matches: &[Match], out: &mut Vec<FlowMatch>) {
+    out.extend(matches.iter().map(|&m| FlowMatch { key, matched: m }));
+}
+
+/// Appends what evicted flow `key`'s state still holds
+/// ([`FlowState::finish`]) to `out`, through `scratch`.
+fn finish_into<S: FlowState>(
+    key: FlowKey,
+    state: &mut S,
+    scratch: &mut Vec<Match>,
+    out: &mut Vec<FlowMatch>,
+) {
+    scratch.clear();
+    state.finish(scratch);
+    tag_into(key, scratch, out);
 }
 
 #[cfg(test)]

@@ -1111,6 +1111,10 @@ impl<S: FlowState> FlowState for ProtoFlow<S> {
         // inner state contributes to the table's bytes_held gauge.
         self.scan.held_bytes()
     }
+
+    fn finish(&mut self, out: &mut Vec<Match>) {
+        self.scan.finish(out);
+    }
 }
 
 /// Accept mask over [`PatternId`]s: bit `i % 64` of word `i / 64` is set
@@ -1183,8 +1187,7 @@ impl ScopedRuleset {
         out: &mut Vec<Match>,
     ) {
         let mask = self.mask(lane);
-        let matcher =
-            CompiledMatcher::with_shared_fold(&self.automaton, &self.set, self.fold, true);
+        let matcher = CompiledMatcher::with_shared_fold(&self.automaton, &self.set, self.fold);
         matcher.for_each_match_chunk(state, chunk, |m| {
             let i = m.pattern.index();
             if mask.is_none_or(|bits| bits[i / 64] >> (i % 64) & 1 == 1) {

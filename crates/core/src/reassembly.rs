@@ -667,6 +667,10 @@ impl<S: FlowState> FlowState for StreamFlow<S> {
     fn held_bytes(&self) -> usize {
         self.seq.buffered_bytes()
     }
+
+    fn finish(&mut self, out: &mut Vec<Match>) {
+        self.scan.finish(out);
+    }
 }
 
 #[cfg(test)]

@@ -496,6 +496,12 @@ impl FlowState for TierScan {
             TierKind::Two(s) => FlowState::reset_at(s.as_mut(), offset),
         }
     }
+
+    fn finish(&mut self, out: &mut Vec<Match>) {
+        if let TierKind::Two(s) = &mut self.kind {
+            s.finish(out);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -870,11 +876,9 @@ impl WorkerCore {
             // merge watermark; drain them per flow.
             let mut tail = Vec::new();
             table.for_each_flow(|key, flow| {
-                if let TierKind::Two(state) = &mut flow.scan.scan.kind {
-                    tail.clear();
-                    sink.arena.two.finish_flow(state, &mut tail);
-                    matches.extend(tail.iter().map(|&m| FlowMatch { key, matched: m }));
-                }
+                tail.clear();
+                flow.finish(&mut tail);
+                matches.extend(tail.iter().map(|&m| FlowMatch { key, matched: m }));
             });
         });
     }
@@ -964,14 +968,16 @@ fn materialize(
 }
 
 /// The rare half of [`materialize`], kept out of line so the per-chunk
-/// check stays small in the scan loop. A replaced two-stage state first
-/// emits the matches it found and still holds behind its verify
-/// frontier ([`TwoStageMatcher::finish_flow`] reads no tables, so the
-/// new arena's matcher serves for the old state).
+/// check stays small in the scan loop. A replaced state first emits the
+/// matches it found and still holds ([`FlowState::finish`]).
 #[cold]
 fn rebuild(arena: &RulesetArena, scan: &mut TierScan, rebuilds: &mut u64, out: &mut Vec<Match>) {
     let at = scan.offset();
-    let kind = match arena.engine {
+    scan.finish(out);
+    if !matches!(scan.kind, TierKind::Fresh { .. }) {
+        *rebuilds += 1;
+    }
+    scan.kind = match arena.engine {
         ExactEngine::Sharded => {
             let mut state = arena.exact.flow_state();
             if at > 0 {
@@ -987,14 +993,6 @@ fn rebuild(arena: &RulesetArena, scan: &mut TierScan, rebuilds: &mut u64, out: &
             TierKind::Two(Box::new(state))
         }
     };
-    match std::mem::replace(&mut scan.kind, kind) {
-        TierKind::Fresh { .. } => {}
-        TierKind::Sharded(_) => *rebuilds += 1,
-        TierKind::Two(mut old) => {
-            arena.two.finish_flow(&mut old, out);
-            *rebuilds += 1;
-        }
-    }
     scan.generation = arena.generation;
 }
 

@@ -25,7 +25,8 @@
 //! Every shard is compiled with its own anchor analysis and, where its
 //! calm density allows, its own region pair rows, so every shard runs
 //! the lane stack its automaton measured worth carrying (see
-//! `crate::compiled`); the only lane switch is [`ShardedConfig::simd`].
+//! `crate::compiled`), on the SIMD kernels wherever the build and CPU
+//! support them.
 //!
 //! Two scan shapes:
 //!
@@ -94,12 +95,6 @@ pub struct ShardedConfig {
     /// so its anchor set is smaller than the master's and its skip lane
     /// skips strictly more of the same traffic.
     pub anchor_horizon: u8,
-    /// Run every shard's scan loops on the SIMD fast-lane kernels
-    /// (default on; see [`CompiledMatcher::with_simd`]). Inert — the
-    /// safe scalar lanes run — unless the crate was built with the
-    /// `simd` feature on x86_64 and the CPU supports SSSE3, so the
-    /// field exists (and round-trips) on every build.
-    pub simd: bool,
 }
 
 impl ShardedConfig {
@@ -117,7 +112,6 @@ impl ShardedConfig {
             max_shards: spec.max_shards,
             dtp: DtpConfig::PAPER,
             anchor_horizon: AnchorSet::DEFAULT_HORIZON,
-            simd: true,
         }
     }
 
@@ -295,10 +289,6 @@ pub struct ShardedMatcher {
     /// Case-fold table shared by every shard (all shards inherit the
     /// original set's case mode).
     fold: [u8; 256],
-    /// Request the SIMD fast-lane kernels in every per-shard matcher
-    /// (honored only when the build and CPU support them — see
-    /// [`CompiledMatcher::with_simd`]).
-    simd: bool,
 }
 
 impl ShardedMatcher {
@@ -336,7 +326,6 @@ impl ShardedMatcher {
             shards,
             strategy,
             fold: CompiledMatcher::fold_table(set),
-            simd: config.simd,
         })
     }
 
@@ -345,12 +334,11 @@ impl ShardedMatcher {
     /// verifier when no cover entry can open a replay window, so no
     /// idle copy of the ruleset is compiled. `set` supplies only the
     /// case folding.
-    pub(crate) fn empty(set: &PatternSet, config: &ShardedConfig) -> ShardedMatcher {
+    pub(crate) fn empty(set: &PatternSet) -> ShardedMatcher {
         ShardedMatcher {
             shards: Vec::new(),
             strategy: SplitStrategy::Prefix,
             fold: CompiledMatcher::fold_table(set),
-            simd: config.simd,
         }
     }
 
@@ -508,12 +496,8 @@ impl ShardedMatcher {
             if !lane_in_mask(i, mask) {
                 continue;
             }
-            let matcher = CompiledMatcher::with_shared_fold(
-                &shard.automaton,
-                &shard.set,
-                self.fold,
-                self.simd,
-            );
+            let matcher =
+                CompiledMatcher::with_shared_fold(&shard.automaton, &shard.set, self.fold);
             matcher.for_each_match_chunk(flow, chunk, |m| {
                 buf.push(Match {
                     end: m.end,
@@ -539,12 +523,7 @@ impl ShardedMatcher {
     ) {
         let shard = &self.shards[lane];
         let flow = &mut state.per_shard[lane];
-        let matcher = CompiledMatcher::with_shared_fold(
-            &shard.automaton,
-            &shard.set,
-            self.fold,
-            self.simd,
-        );
+        let matcher = CompiledMatcher::with_shared_fold(&shard.automaton, &shard.set, self.fold);
         matcher.for_each_match_chunk(flow, chunk, |m| {
             out.push(Match {
                 end: m.end,
@@ -584,12 +563,7 @@ impl ShardedMatcher {
     /// global as matches stream out.
     fn scan_one(&self, shard: &Shard, payload: &[u8], buf: &mut Vec<Match>) {
         buf.clear();
-        let matcher = CompiledMatcher::with_shared_fold(
-            &shard.automaton,
-            &shard.set,
-            self.fold,
-            self.simd,
-        );
+        let matcher = CompiledMatcher::with_shared_fold(&shard.automaton, &shard.set, self.fold);
         matcher.for_each_match(payload, |m| {
             buf.push(Match {
                 end: m.end,
@@ -617,13 +591,8 @@ impl MultiMatcher for ShardedMatcher {
     /// accepting shard wins.
     fn is_match(&self, haystack: &[u8]) -> bool {
         self.shards.iter().any(|shard| {
-            CompiledMatcher::with_shared_fold(
-                &shard.automaton,
-                &shard.set,
-                self.fold,
-                self.simd,
-            )
-            .is_match(haystack)
+            CompiledMatcher::with_shared_fold(&shard.automaton, &shard.set, self.fold)
+                .is_match(haystack)
         })
     }
 }
@@ -827,7 +796,7 @@ mod tests {
     #[test]
     fn empty_matcher_scans_every_shape_to_nothing() {
         let set = PatternSet::new(["he", "she"]).unwrap();
-        let empty = ShardedMatcher::empty(&set, &ShardedConfig::with_cores(2));
+        let empty = ShardedMatcher::empty(&set);
         assert_eq!(empty.shard_count(), 0);
         assert_eq!(empty.memory_bytes(), 0);
         assert!(empty.shard_of().is_empty());

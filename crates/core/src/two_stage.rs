@@ -803,12 +803,14 @@ impl TwoStageState {
 }
 
 /// Two-stage states slot directly into a [`FlowTable`](crate::FlowTable):
-/// slot reuse resets everything in place (no reallocation beyond
-/// clearing the ring and queues), and a reassembly hole-skip
-/// (`FlowReassembler::skip_to`), a shed-resume resync or a protocol
-/// downgrade resumes the scan at the new offset with boundary-local
-/// loss — both stages history-masked, any suspended window abandoned
-/// (its bytes are gone), counters and already-found matches kept.
+/// an ingest path that evicts a flow first emits the matches its state
+/// still holds (`finish`), slot reuse then resets everything in place
+/// (no reallocation beyond clearing the ring and queues), and a
+/// reassembly hole-skip (`FlowReassembler::skip_to`), a shed-resume
+/// resync or a protocol downgrade resumes the scan at the new offset
+/// with boundary-local loss — both stages history-masked, any suspended
+/// window abandoned (its bytes are gone), counters and already-found
+/// matches kept.
 impl crate::flow::FlowState for TwoStageState {
     fn reset(&mut self) {
         self.reset_at(0);
@@ -833,6 +835,21 @@ impl crate::flow::FlowState for TwoStageState {
         vs.group_had_match = false;
         // Every lane was just reset to `offset` == the frontier.
         vs.group_mask = u64::MAX;
+    }
+
+    /// [`TwoStageMatcher::finish_flow`], which needs no table of the
+    /// matcher.
+    fn finish(&mut self, out: &mut Vec<Match>) {
+        // Residuals still in flight never completed: the stream ended
+        // inside them, so they are not occurrences.
+        self.carry.clear();
+        let vs = &mut self.vs;
+        if vs.group_open {
+            vs.close_group();
+        }
+        while let Some(m) = vs.pending.pop_front() {
+            push_canonical(out, m);
+        }
     }
 }
 
@@ -865,53 +882,23 @@ pub struct TwoStageMatcher {
     long_ids: Option<Vec<PatternId>>,
     max_back: u64,
     pre_memory: usize,
-    /// Truncation depth cap the cover was built at —
-    /// [`PrefixCover::MAX_DEPTH`] on sample-less builds, the cost-model
-    /// frontier pick ([`PrefixCover::build_depth_tuned`]) on profiled
-    /// ones.
-    pre_depth: usize,
 }
 
 impl TwoStageMatcher {
-    /// Builds both stages from one pattern set.
+    /// Builds both stages from one pattern set: stage 1 compiles
+    /// [`PrefixCover::build`] over the whole set under `config.approx`,
+    /// stage 2 is a [`ShardedMatcher`] over the oversized-family
+    /// patterns, planned under `config.exact`.
     ///
     /// # Errors
     ///
     /// Propagates [`ShardPlanError`] from the exact stage's shard
     /// planning; the approximate stage itself cannot fail.
     pub fn build(set: &PatternSet, config: &TwoStageConfig) -> Result<TwoStageMatcher, ShardPlanError> {
-        Self::build_inner(set, config, None)
-    }
-
-    /// [`TwoStageMatcher::build`] with the cover's refinement and depth
-    /// choice fed by `sample` ([`PrefixCover::build_depth_tuned`]). The
-    /// compiled stage-1 automaton and the verifier are built exactly as
-    /// [`TwoStageMatcher::build`] builds them.
-    pub fn build_with_profile(
-        set: &PatternSet,
-        config: &TwoStageConfig,
-        sample: &[u8],
-    ) -> Result<TwoStageMatcher, ShardPlanError> {
-        Self::build_inner(set, config, Some(sample))
-    }
-
-    fn build_inner(
-        set: &PatternSet,
-        config: &TwoStageConfig,
-        sample: Option<&[u8]>,
-    ) -> Result<TwoStageMatcher, ShardPlanError> {
         // Prefix cover over the FULL set. Complete truncations become
         // exact stage-1 emissions, so short patterns cost nothing extra
-        // here. With a traffic sample the builder walks the measured
-        // flag-rate/table-size frontier instead of taking the depth
-        // ceiling at face value.
-        let (prefix, pre_depth) = match sample {
-            Some(s) => PrefixCover::build_depth_tuned(set, &config.approx, s),
-            None => (
-                PrefixCover::build(set, &config.approx, None),
-                PrefixCover::MAX_DEPTH,
-            ),
-        };
+        // here.
+        let prefix = PrefixCover::build(set, &config.approx);
         // Family sizes: how many incompletely-covered source patterns
         // share each truncation. Small families are confirmed by direct
         // residual comparison at the flag; only large ones open windows.
@@ -1057,7 +1044,7 @@ impl TwoStageMatcher {
             .unwrap_or(0);
 
         let exact = match &verifier {
-            None => ShardedMatcher::empty(set, &config.exact),
+            None => ShardedMatcher::empty(set),
             Some(v) => ShardedMatcher::build(v, &config.exact)?,
         };
         // Patch the per-family ownership masks into the windowed kept
@@ -1093,7 +1080,6 @@ impl TwoStageMatcher {
             long_ids,
             max_back,
             pre_memory,
-            pre_depth,
         })
     }
 
@@ -1105,13 +1091,6 @@ impl TwoStageMatcher {
     /// model's estimate ([`PrefixCover::memory_bytes`]).
     pub fn pre_memory_bytes(&self) -> usize {
         self.pre_memory
-    }
-
-    /// Truncation depth cap the cover was built at:
-    /// [`PrefixCover::MAX_DEPTH`] for sample-less builds, the measured
-    /// flag-rate/table-size frontier pick for profiled ones.
-    pub fn pre_depth(&self) -> usize {
-        self.pre_depth
     }
 
     /// Uniform backward reach of stage-1 flags — the lookback every
@@ -1429,18 +1408,10 @@ impl TwoStageMatcher {
     /// Declares a flow finished: closes any suspended window for the
     /// false-positive accounting and emits the exact matches still
     /// waiting on the (now dead) verify frontier. No bytes are scanned;
-    /// the state's counters become final.
+    /// the state's counters become final. The same as the state's
+    /// [`FlowState::finish`](crate::FlowState::finish).
     pub fn finish_flow(&self, state: &mut TwoStageState, out: &mut Vec<Match>) {
-        // Residuals still in flight never completed: the stream ended
-        // inside them, so they are not occurrences.
-        state.carry.clear();
-        let vs = &mut state.vs;
-        if vs.group_open {
-            vs.close_group();
-        }
-        while let Some(m) = vs.pending.pop_front() {
-            push_canonical(out, m);
-        }
+        crate::flow::FlowState::finish(state, out);
     }
 
     /// Slides `chunk` into the lookback ring, keeping the last `cap`
@@ -1875,26 +1846,5 @@ mod tests {
         FlowState::reset(&mut state);
         assert_eq!(state.stats(), TwoStageStats::default());
         assert_eq!(state.offset(), 0);
-    }
-
-    #[test]
-    fn profiled_build_reports_tuned_depth() {
-        let set = PatternSet::new(["alpha-signature", "beta-marker", "gamma-probe"]).unwrap();
-        let sample: Vec<u8> = b"clean traffic with alpha-signature planted "
-            .iter()
-            .copied()
-            .cycle()
-            .take(4096)
-            .collect();
-        let two =
-            TwoStageMatcher::build_with_profile(&set, &TwoStageConfig::with_cores(1), &sample)
-                .unwrap();
-        assert!(
-            (2..=6).contains(&two.pre_depth()),
-            "depth {}",
-            two.pre_depth()
-        );
-        let found = two.find_all(b"zz alpha-signature beta-marker zz");
-        assert_eq!(found.len(), 2);
     }
 }

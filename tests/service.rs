@@ -564,12 +564,10 @@ fn hot_swap_is_in_band_and_match_equivalent_to_cold_build() {
     assert_eq!(post_got, post_expect);
 }
 
-/// A swap rebuilds a live two-stage state at its offset; matches the old
-/// state found but still held behind its verify frontier are emitted,
-/// not dropped. Here `z` ends inside an open window's reach when the
-/// first segment ends, so it waits there when the swap lands.
-#[test]
-fn hot_swap_rebuild_emits_what_the_old_state_found() {
+/// A two-stage arena, and a segment after which that arena's state
+/// holds a found match: `z` ends (at 41) inside an open window's reach
+/// when the segment ends, so it waits behind the verify frontier.
+fn held_match_fixture() -> (PatternSet, Arc<RulesetArena>, Vec<u8>) {
     let mut patterns: Vec<String> = (0..10)
         .map(|i| format!("alpha-family-{i:02}-zebra"))
         .collect();
@@ -580,6 +578,15 @@ fn hot_swap_rebuild_emits_what_the_old_state_found() {
     let mut first = b"xx alpha-q".to_vec();
     first.extend_from_slice(&[b'-'; 30]);
     first.push(b'z');
+    (set, arena, first)
+}
+
+/// A swap rebuilds a live two-stage state at its offset; matches the old
+/// state found but still held behind its verify frontier are emitted,
+/// not dropped.
+#[test]
+fn hot_swap_rebuild_emits_what_the_old_state_found() {
+    let (set, arena, first) = held_match_fixture();
     let second = b"zz alpha-family-04-zebra z";
 
     let mut sim = ServiceSim::new(Arc::clone(&arena), ServiceConfig::with_workers(1)).unwrap();
@@ -603,6 +610,28 @@ fn hot_swap_rebuild_emits_what_the_old_state_found() {
         .scan_chunk_into(&mut state, second, &mut scratch, &mut want);
     assert!(want.iter().any(|m| m.end == first.len()), "{want:?}");
     assert_eq!(by_flow(&report.matches, key), want);
+}
+
+/// Evicting a flow emits the matches its two-stage state found and still
+/// holds, tagged with the evicted key, before its slot is reused.
+#[test]
+fn evicting_a_flow_emits_what_its_state_found() {
+    let (_, arena, first) = held_match_fixture();
+    let mut config = ServiceConfig::with_workers(1);
+    config.flow_capacity = 1;
+    config.flow_ways = 1;
+    let mut sim = ServiceSim::new(Arc::clone(&arena), config).unwrap();
+    let (evicted, evictor) = (FlowKey(1), FlowKey(2));
+    let second = b"xx alpha-family-04-zebra xx";
+    sim.offer(evicted, 0, &first, 1);
+    sim.offer(evictor, 0, second, 2);
+    let report = sim.finish();
+    assert_eq!(report.stats.flows_resident, 1, "flow 2 must evict flow 1");
+
+    let want = reference(&arena, &first);
+    assert!(want.iter().any(|m| m.end == first.len()), "{want:?}");
+    assert_eq!(by_flow(&report.matches, evicted), want);
+    assert_eq!(by_flow(&report.matches, evictor), reference(&arena, second));
 }
 
 #[test]

@@ -17,7 +17,7 @@
 //!    so suspend/resume lands mid-skip at odd offsets.
 //! 3. **Horizon sweep** — anchor horizons 0, 1 and 2, and `nocase`
 //!    pattern sets (the fold must be applied before any vector probe).
-//! 4. **Sharded + reassembly** — `ShardedMatcher` with simd on/off,
+//! 4. **Sharded + reassembly** — `ShardedMatcher` planned for 1 and 3 cores,
 //!    and adversarial `SegmentProfile` schedules through a `FlowTable`.
 //! 5. **Table models** (feature `simd` only) — the shuffle tables and
 //!    the nibble-box danger cover are checked against the exact
@@ -378,9 +378,10 @@ fn nocase_conformance() {
     assert_matrix_conforms(&stacks, &set, &reference, &payload, &cuts, "nocase cut");
 }
 
-/// `ShardedMatcher` with simd on and off, streamed under ragged cuts:
-/// per-shard anchor sets each carry their own cover; the merge must
-/// stay byte-identical.
+/// `ShardedMatcher` streamed under ragged cuts, on the lanes the build
+/// carries: per-shard anchor sets each carry their own cover; the merge
+/// must stay byte-identical. (The scalar sharded path is the portable
+/// build's.)
 #[test]
 fn sharded_conformance() {
     let set = extract_preserving(&master_ruleset(), 300, 42);
@@ -388,24 +389,17 @@ fn sharded_conformance() {
     let packet = gen.infected_packet(8192, &set, 16);
     let reference = dtp_reference(&set, &packet.payload);
     for cores in [1usize, 3] {
-        for simd in [false, true] {
-            let mut config = ShardedConfig::with_cores(cores);
-            config.simd = simd;
-            let sharded = ShardedMatcher::build(&set, &config)
-                .expect("300 rules fit the default budget");
-            let cuts = gen.chop_points(&packet, &set, ChopProfile::Random { min: 3, max: 113 });
-            let segments = chop(&packet.payload, &cuts);
-            let mut scratch = sharded.scratch();
-            let mut flow = sharded.flow_state();
-            let mut got = Vec::new();
-            for seg in &segments {
-                sharded.scan_chunk_into(&mut flow, seg, &mut scratch, &mut got);
-            }
-            assert_eq!(
-                got, reference,
-                "sharded(cores={cores}, simd={simd}) diverged"
-            );
+        let sharded = ShardedMatcher::build(&set, &ShardedConfig::with_cores(cores))
+            .expect("300 rules fit the default budget");
+        let cuts = gen.chop_points(&packet, &set, ChopProfile::Random { min: 3, max: 113 });
+        let segments = chop(&packet.payload, &cuts);
+        let mut scratch = sharded.scratch();
+        let mut flow = sharded.flow_state();
+        let mut got = Vec::new();
+        for seg in &segments {
+            sharded.scan_chunk_into(&mut flow, seg, &mut scratch, &mut got);
         }
+        assert_eq!(got, reference, "sharded(cores={cores}) diverged");
     }
 }
 

@@ -139,14 +139,10 @@ fn clean_tls_traffic_stays_off_the_verifier() {
     );
 }
 
-/// A mid-stream reset (hole-skip, shed resync, protocol downgrade)
-/// keeps the matches a flow already found. Here the one-byte pattern
-/// `z` ends inside an open replay window's reach, so it waits behind
-/// the verify frontier when the chunk ends; the reset must not drop it.
-#[test]
-fn reset_at_keeps_matches_waiting_on_the_verify_frontier() {
-    use dpi_accel::core::FlowState;
-
+/// A windowing two-stage build, and a chunk at whose end its state
+/// holds a found match: the one-byte pattern `z` ends inside an open
+/// replay window's reach, so it waits behind the verify frontier.
+fn held_match_fixture() -> (PatternSet, TwoStageConfig, TwoStageMatcher, Vec<u8>) {
     let mut patterns: Vec<String> = (0..10)
         .map(|i| format!("alpha-family-{i:02}-zebra"))
         .collect();
@@ -155,11 +151,20 @@ fn reset_at_keeps_matches_waiting_on_the_verify_frontier() {
     let config = ShardedConfig::with_cores(1).two_stage(ApproxConfig::with_budget(1));
     let two = TwoStageMatcher::build(&set, &config).unwrap();
     assert!(two.exact().shard_count() > 0, "the cover must window");
-    let exact = ShardedMatcher::build(&set, &config.exact).unwrap();
-
     let mut first = b"xx alpha-q".to_vec();
     first.extend_from_slice(&[b'-'; 30]);
     first.push(b'z');
+    (set, config, two, first)
+}
+
+/// A mid-stream reset (hole-skip, shed resync, protocol downgrade)
+/// keeps the matches a flow already found.
+#[test]
+fn reset_at_keeps_matches_waiting_on_the_verify_frontier() {
+    use dpi_accel::core::FlowState;
+
+    let (set, config, two, first) = held_match_fixture();
+    let exact = ShardedMatcher::build(&set, &config.exact).unwrap();
     let second = b"zz alpha-family-04-zebra z";
     let resume = 100;
 
@@ -179,6 +184,48 @@ fn reset_at_keeps_matches_waiting_on_the_verify_frontier() {
     two.scan_chunk_into(&mut st, second, &mut scratch, &mut got);
     two.finish_flow(&mut st, &mut got);
     assert_eq!(got, want);
+}
+
+/// The flow table's packet and segment ingest paths emit what a flow's
+/// state still holds, tagged with its key, when they evict it.
+#[test]
+fn ingest_paths_emit_what_an_evicted_flow_held() {
+    use dpi_accel::core::reassembly::{ReassemblyConfig, StreamFlow};
+    use dpi_accel::core::{FlowKey, FlowMatch, FlowPacket, FlowSegment, FlowTable};
+
+    let (_, _, two, first) = held_match_fixture();
+    let want = two.find_all(&first);
+    assert!(want.iter().any(|m| m.end == first.len()), "{want:?}");
+    let (evicted, evictor) = (FlowKey(1), FlowKey(2));
+    let of = |out: &[FlowMatch]| -> Vec<Match> {
+        out.iter()
+            .filter(|m| m.key == evicted)
+            .map(|m| m.matched)
+            .collect()
+    };
+    let mut scratch = two.scratch();
+    let mut out = Vec::new();
+
+    let mut packets = FlowTable::with_ways(1, 1, two.flow_state());
+    packets.ingest_batch(
+        [(evicted, &first[..]), (evictor, b"--")].map(|(key, payload)| FlowPacket { key, payload }),
+        |st, chunk, out| two.scan_chunk_into(st, chunk, &mut scratch, out),
+        &mut out,
+    );
+    assert_eq!(of(&out), want, "packet ingest");
+
+    let template = StreamFlow::new(ReassemblyConfig::new(4096), two.flow_state());
+    let mut segments = FlowTable::with_ways(1, 1, template);
+    segments.ingest_segments(
+        [(evicted, &first[..]), (evictor, b"--")].map(|(key, payload)| FlowSegment {
+            key,
+            seq: 0,
+            payload,
+        }),
+        |st, chunk, out| two.scan_chunk_into(st, chunk, &mut scratch, out),
+        &mut out,
+    );
+    assert_eq!(of(&out), want, "segment ingest");
 }
 
 proptest! {
@@ -273,7 +320,7 @@ proptest! {
             hay.splice(pos..pos, p.iter().copied());
         }
         let exact = NaiveMatcher::new(&set).find_all(&hay);
-        let cover = PrefixCover::build(&set, &ApproxConfig::with_budget(budget), None);
+        let cover = PrefixCover::build(&set, &ApproxConfig::with_budget(budget));
         let mut windows: Vec<std::ops::Range<u64>> = Vec::new();
         let mut state = ApproxState::fresh();
         cover.scan_flags(&mut state, &hay, &mut |f| windows.push(f.window()));
@@ -310,7 +357,7 @@ proptest! {
         cuts.push(hay.len());
         cuts.sort_unstable();
         cuts.dedup();
-        let cover = PrefixCover::build(&set, &ApproxConfig::with_budget(budget), None);
+        let cover = PrefixCover::build(&set, &ApproxConfig::with_budget(budget));
         let mut whole = Vec::new();
         let mut state = ApproxState::fresh();
         cover.scan_flags(&mut state, &hay, &mut |f| whole.push((f.end, f.forward)));
