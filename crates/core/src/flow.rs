@@ -459,9 +459,10 @@ impl<S: FlowState + Clone> FlowTable<S> {
 
     /// Read-write access to `key`'s state if the flow is resident —
     /// without inserting, evicting, advancing the clock, or counting a
-    /// hit/miss. The service layer uses this to reposition a flow (e.g.
-    /// [`FlowState::reset_at`] after load-shedding) without perturbing
-    /// LRU order.
+    /// hit/miss, so LRU order stays as it was. A caller about to
+    /// [`remove`](FlowTable::remove) a flow takes its held matches
+    /// through it ([`FlowState::finish`]). The service repositions a
+    /// flow through [`FlowTable::ingest_segment_at`]'s `resync` instead.
     pub fn get_mut(&mut self, key: FlowKey) -> Option<&mut S> {
         let set = (key.hash() as usize) & (self.sets - 1);
         let base = set * self.ways;
@@ -672,34 +673,20 @@ impl<S: FlowState + Clone> FlowTable<StreamFlow<S>> {
         out: &mut Vec<FlowMatch>,
     ) {
         out.clear();
-        let mut scratch = std::mem::take(&mut self.scratch);
         for (segment, time) in segments {
-            let (index, _) = self.touch_slot(segment.key, time, |victim, state| {
-                finish_into(victim, state, &mut scratch, out)
-            });
-            scratch.clear();
-            let (slots, stats) = (&mut self.slots, &mut self.stats);
-            slots[index].state.ingest(
-                segment.seq,
-                segment.payload,
-                &mut scan,
-                &mut scratch,
-                &mut stats.reassembly,
-            );
-            tag_into(segment.key, &scratch, out);
+            self.ingest_segment_at(segment, time, false, &mut scan, out);
         }
-        self.scratch = scratch;
     }
 
     /// Single-segment ingest with mid-stream resync policy — the
-    /// building block the service runtime drives instead of
-    /// [`FlowTable::ingest_segments_at`], which hides the lookup
-    /// outcome it needs. Behaves like one iteration of that loop
-    /// (touch, reassemble, scan, tag matches — **appending** to `out`
-    /// rather than clearing it), plus the resync hook: when `resync` is
-    /// set, the flow first flushes any bytes it still buffers through
-    /// the scanner (admitted bytes are never silently discarded) and
-    /// is then repositioned to `segment.seq` via
+    /// building block of [`FlowTable::ingest_segments_at`], which runs
+    /// it once per segment with `resync` unset and hides the lookup
+    /// outcome the service runtime needs. It touches, reassembles,
+    /// scans and tags matches — **appending** to `out` rather than
+    /// clearing it. The resync hook: when `resync` is set, the flow
+    /// first flushes any bytes it still buffers through the scanner
+    /// (admitted bytes are never silently discarded) and is then
+    /// repositioned to `segment.seq` via
     /// [`FlowState::reset_at`] before ingest — the explicit resume
     /// point after the service shed the flow's intervening bytes, so
     /// the scanner restarts cleanly instead of mislabelling the shed

@@ -55,8 +55,8 @@
 //!
 //! | Tier | Engine | Fidelity | Exists |
 //! |------|--------|----------|--------|
-//! | [`Exact`](FidelityTier::Exact) | the sharded matcher (every shard per byte) on a one-shard plan; the two-stage matcher (one cover walk per byte, verifier shards only over flagged windows) on a multi-shard plan — see [`ExactEngine`] | exact: every occurrence of every pattern; both engines emit the same stream | always |
-//! | [`FlagOnly`](FidelityTier::FlagOnly) | the two-stage matcher's stage-1 sweep without window replay | reported matches all true; windowed-family occurrences missed but **counted** as [`suspect_flags`](crate::two_stage::TwoStageStats::suspect_flags) | only where `Exact` runs the two-stage engine over a verifier with shards |
+//! | [`Exact`](FidelityTier::Exact) | the sharded matcher (every shard per byte) on a one-shard plan; the two-stage matcher (one cover walk per byte, one verifier walk only over flagged windows) on a multi-shard plan — see [`ExactEngine`] | exact: every occurrence of every pattern; both engines emit the same stream | always |
+//! | [`FlagOnly`](FidelityTier::FlagOnly) | the two-stage matcher's stage-1 sweep without window replay | reported matches all true; windowed-family occurrences missed but **counted** as [`suspect_flags`](crate::two_stage::TwoStageStats::suspect_flags) | only where `Exact` runs the two-stage engine and its verifier exists |
 //!
 //! # Example
 //!
@@ -314,7 +314,7 @@ pub enum ExactEngine {
     /// [`ShardedMatcher`]: every byte through every shard.
     Sharded,
     /// [`TwoStageMatcher`]: every byte through one cover automaton, and
-    /// through the verifier's shards only inside flagged windows.
+    /// through the one verifier automaton only inside flagged windows.
     TwoStage,
 }
 
@@ -344,12 +344,12 @@ impl RulesetArena {
     /// The engine behind `Exact` is read from the plan, never timed:
     /// the sharded engine walks [`ShardedMatcher::shard_count`]
     /// automata per byte, the two-stage engine one cover automaton plus
-    /// verifier shards over flagged windows only. So the two-stage
-    /// engine serves when the plan has more than one shard; a tie keeps
-    /// the sharded engine, which pays no singles sweep and no confirm
-    /// step. [`FlagOnly`](FidelityTier::FlagOnly) exists only where it
-    /// skips walks `Exact` makes: over a two-stage `Exact` whose
-    /// verifier has shards.
+    /// its one verifier automaton over flagged windows only. So the
+    /// two-stage engine serves when the plan has more than one shard; a
+    /// tie keeps the sharded engine, which pays no singles sweep and no
+    /// confirm step. [`FlagOnly`](FidelityTier::FlagOnly) exists only
+    /// where it skips walks `Exact` makes: over a two-stage `Exact` whose
+    /// verifier exists.
     ///
     /// `generation` must be strictly greater than any arena this one
     /// will replace — per-flow scan states carry the generation they

@@ -19,8 +19,9 @@
 //! steered to it and drives their chunks through the shards on its own
 //! thread. [`ShardedConfig::cores`] only steps the planner's shard
 //! count. What a shard-per-core layout would gain is a projection from
-//! per-shard timings ([`ShardedMatcher::scan_shard_into`]; the `-percore`
-//! rows of `repro sharded-throughput`).
+//! per-shard timings ([`ShardedMatcher::scan_shard_into`]) plus the
+//! k-way merge it still pays (the `-percore` rows of
+//! `repro sharded-throughput`).
 //!
 //! Every shard is compiled with its own anchor analysis and, where its
 //! calm density allows, its own region pair rows, so every shard runs
@@ -33,8 +34,14 @@
 //! - [`ShardedMatcher::scan_into`] — one whole payload, the per-shard
 //!   matches merged back to global [`PatternId`]s in canonical
 //!   `(end, pattern)` order.
-//! - [`ShardedMatcher::scan_chunk_into`] — one chunk of a flow, resumed
-//!   from and suspended into the flow's [`ShardedScanState`].
+//! - [`ShardedMatcher::scan_chunk_into`] — one chunk of a flow through
+//!   every shard, resumed from and suspended into the flow's
+//!   [`ShardedScanState`].
+//!
+//! The split pays where every byte is scanned. The two-stage verifier
+//! (`crate::two_stage`) replays only flagged windows, so it compiles its
+//! patterns into one shard: each further shard would walk every
+//! replayed byte again.
 //!
 //! Equivalence with the monolithic [`CompiledMatcher`] — and through it
 //! with the reference [`DtpMatcher`](crate::DtpMatcher) and the full DFA
@@ -116,9 +123,12 @@ impl ShardedConfig {
     }
 
     /// Switches this exact-stage configuration into the two-stage scan
-    /// path: the returned [`TwoStageConfig`](crate::TwoStageConfig)
-    /// keeps every knob here for the verifier (stage 2) and puts an
-    /// approximate pre-classifier with the given budget in front of it.
+    /// path: the returned [`TwoStageConfig`](crate::TwoStageConfig) puts
+    /// an approximate pre-classifier with the given budget in front of
+    /// the exact stage. Both stages compile with the DTP and anchor
+    /// settings here; the verifier is one automaton whatever `cores` and
+    /// `max_shards` say (see
+    /// [`TwoStageConfig::exact`](crate::TwoStageConfig::exact)).
     /// Build with [`TwoStageMatcher::build`](crate::TwoStageMatcher::build);
     /// see `crate::two_stage` for the window-replay discipline.
     pub fn two_stage(
@@ -165,10 +175,11 @@ struct Shard {
 }
 
 /// Resumable per-flow state for a [`ShardedMatcher`]: one [`ScanState`]
-/// per shard (every shard automaton walks the flow independently, so
-/// each carries its own state and history registers across packet
-/// boundaries). Create with [`ShardedMatcher::flow_state`]; sized and
-/// valid only for the matcher that created it.
+/// per shard. Every chunk walks every shard automaton, so the registers
+/// advance in lockstep, each carrying its own automaton state and
+/// history across packet boundaries. Create with
+/// [`ShardedMatcher::flow_state`]; sized and valid only for the matcher
+/// that created it.
 ///
 /// At the paper's shard counts this is a handful of 16-byte registers
 /// per flow — small enough for a [`FlowTable`](crate::FlowTable) to hold
@@ -213,59 +224,14 @@ impl ShardedScanState {
     /// Aho-Corasick longest-suffix invariant, no occurrence of any
     /// pattern is in flight beyond what the two history registers can
     /// carry (≤ 2 bytes of progress). The two-stage scanner uses this to
-    /// end a window replay early — once past the flag with all shards at
-    /// rest, the remaining window can only contain occurrences that
+    /// end a window replay early — once past the flag with its verifier
+    /// at rest, the remaining window can only contain occurrences that
     /// start later, and those are covered by their own flags.
     pub fn at_rest(&self) -> bool {
         self.per_shard
             .iter()
             .all(|s| s.state == dpi_automaton::StateId::START)
     }
-
-    /// [`ShardedScanState::at_rest`] over the masked lanes only (see
-    /// [`lane_in_mask`] for the mask convention).
-    pub(crate) fn at_rest_masked(&self, mask: u64) -> bool {
-        self.per_shard
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| lane_in_mask(i, mask))
-            .all(|(_, s)| s.state == dpi_automaton::StateId::START)
-    }
-
-    /// Stream offset lane `lane` has consumed through. Lanes advance in
-    /// lockstep under [`ShardedMatcher::scan_chunk_into`] but diverge
-    /// under masked scanning, where each lane is its own resumable
-    /// stream cursor.
-    pub(crate) fn lane_offset(&self, lane: usize) -> u64 {
-        self.per_shard[lane].offset
-    }
-
-    /// [`ScanState::reset_at`] applied to one lane only — the join
-    /// primitive for masked window replay: the joining lane's history is
-    /// masked as of `offset` while every other lane keeps its in-flight
-    /// state untouched.
-    pub(crate) fn reset_lane_at(&mut self, lane: usize, offset: u64) {
-        self.per_shard[lane].reset_at(offset);
-    }
-
-    /// [`ShardedScanState::reset_at`] over the masked lanes only.
-    pub(crate) fn reset_lanes_at(&mut self, mask: u64, offset: u64) {
-        for (i, s) in self.per_shard.iter_mut().enumerate() {
-            if lane_in_mask(i, mask) {
-                s.reset_at(offset);
-            }
-        }
-    }
-}
-
-/// The masked-scan lane convention: bit `i` of a `u64` mask selects
-/// shard `i` for the first 64 shards; shards at index 64 and beyond are
-/// always selected (shard counts that large exceed what a single mask
-/// word can subset, and shard plans stay far below it — the merge
-/// fan-in is capped at 64 for the same reason).
-#[inline]
-pub(crate) fn lane_in_mask(lane: usize, mask: u64) -> bool {
-    lane >= 64 || mask & (1u64 << lane) != 0
 }
 
 /// Reusable per-scan buffers for [`ShardedMatcher::scan_into`] and
@@ -454,48 +420,19 @@ impl ShardedMatcher {
         scratch: &mut ShardedScratch,
         out: &mut Vec<Match>,
     ) {
-        self.scan_chunk_masked_into(state, chunk, scratch, out, u64::MAX);
-    }
-
-    /// [`ShardedMatcher::scan_chunk_into`] restricted to the shards
-    /// selected by `mask` (bit `i` selects shard `i`; shards at index
-    /// ≥ 64 always scan — see the merge fan-in cap). Unmasked lanes are
-    /// untouched: their registers keep whatever stream position and
-    /// in-flight state they held, so each lane is an independently
-    /// resumable cursor. The two-stage window replay uses this to route
-    /// a merged window only through the shards owning the flagged
-    /// family, joining lanes later via
-    /// [`ScanState::reset_at`]-style catch-up.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state` was created by a matcher with a different shard
-    /// count.
-    pub fn scan_chunk_masked_into(
-        &self,
-        state: &mut ShardedScanState,
-        chunk: &[u8],
-        scratch: &mut ShardedScratch,
-        out: &mut Vec<Match>,
-        mask: u64,
-    ) {
         assert_eq!(
             state.per_shard.len(),
             self.shards.len(),
             "flow state belongs to a matcher with a different shard count"
         );
         scratch.per_shard.resize_with(self.shards.len(), Vec::new);
-        for (i, ((shard, flow), buf)) in self
+        for ((shard, flow), buf) in self
             .shards
             .iter()
             .zip(state.per_shard.iter_mut())
             .zip(scratch.per_shard.iter_mut())
-            .enumerate()
         {
             buf.clear();
-            if !lane_in_mask(i, mask) {
-                continue;
-            }
             let matcher =
                 CompiledMatcher::with_shared_fold(&shard.automaton, &shard.set, self.fold);
             matcher.for_each_match_chunk(flow, chunk, |m| {
@@ -506,44 +443,6 @@ impl ShardedMatcher {
             });
         }
         merge_sorted_append(&scratch.per_shard, &mut scratch.cursors, out);
-    }
-
-    /// Resumable scan of exactly one lane — no always-on high lanes, no
-    /// merge: matches append with global ids in this lane's canonical
-    /// order. The catch-up primitive for masked window replay: a lane
-    /// joining an in-progress window scans its private gap
-    /// `[lane_offset, frontier)` alone while every other lane's cursor
-    /// stays put.
-    pub(crate) fn scan_lane_chunk_into(
-        &self,
-        state: &mut ShardedScanState,
-        lane: usize,
-        chunk: &[u8],
-        out: &mut Vec<Match>,
-    ) {
-        let shard = &self.shards[lane];
-        let flow = &mut state.per_shard[lane];
-        let matcher = CompiledMatcher::with_shared_fold(&shard.automaton, &shard.set, self.fold);
-        matcher.for_each_match_chunk(flow, chunk, |m| {
-            out.push(Match {
-                end: m.end,
-                pattern: shard.ids[m.pattern.index()],
-            });
-        });
-    }
-
-    /// For every pattern in the built set, the index of the shard that
-    /// owns it — the map the two-stage builder turns into per-family
-    /// shard masks for window replay subsetting.
-    pub fn shard_of(&self) -> Vec<u32> {
-        let total: usize = self.shards.iter().map(|s| s.ids.len()).sum();
-        let mut map = vec![0u32; total];
-        for (si, shard) in self.shards.iter().enumerate() {
-            for id in &shard.ids {
-                map[id.index()] = si as u32;
-            }
-        }
-        map
     }
 
     /// Scans `payload` with a single shard, reporting **global** pattern
@@ -799,7 +698,6 @@ mod tests {
         let empty = ShardedMatcher::empty(&set);
         assert_eq!(empty.shard_count(), 0);
         assert_eq!(empty.memory_bytes(), 0);
-        assert!(empty.shard_of().is_empty());
         assert!(empty.find_all(b"ushers").is_empty());
         assert!(!empty.is_match(b"ushers"));
         let mut state = empty.flow_state();

@@ -28,10 +28,12 @@
 //!    whose family is too large open *windows* — widened backward by
 //!    the cover's uniform lookback and forward by the longest pattern
 //!    the flag may witness, overlapping windows merged — that replay
-//!    through the exact [`ShardedMatcher`]. The verifier resumes its
-//!    [`ShardedScanState`] (and any in-flight residual comparison)
-//!    across window and chunk boundaries, so flows can suspend
-//!    mid-window and replay feeds every byte at most once.
+//!    through the exact verifier: one compiled automaton (a one-shard
+//!    [`ShardedMatcher`]), because a window reads only flagged bytes
+//!    and every extra automaton would walk each of them again. The
+//!    verifier resumes its [`ShardedScanState`] (and any in-flight
+//!    residual comparison) across window and chunk boundaries, so flows
+//!    can suspend mid-window and replay feeds every byte at most once.
 //!
 //! **Complete truncations are exact matches.** When the prefix cover
 //! keeps a pattern whole (its truncation *is* the pattern — always the
@@ -40,14 +42,14 @@
 //! stage-1 flag from it is not an approximation: it is the occurrence.
 //! Those flags emit directly and never open windows; only truncations
 //! with longer continuations (`forward > 0`) confirm or window. The
-//! replay verifier therefore holds just the big-family patterns, and
-//! has zero shards when no family is oversized: no window can open
-//! then, so nothing is compiled for replay. The scan is one fused pass
-//! — one compiled-automaton walk with the same anchor skip lane and
-//! pair rows as the monolithic engine, recording flags that are then
-//! processed in stream order against a single-byte direct-emit sweep
-//! of the gaps between them (vectorized 32 bytes per probe under the
-//! `simd` feature).
+//! replay verifier therefore holds just the big-family patterns, in
+//! one automaton, and has zero shards when no family is oversized: no
+//! window can open then, so nothing is compiled for replay. The scan
+//! is one fused pass — one compiled-automaton walk with the same anchor
+//! skip lane and pair rows as the monolithic engine, recording flags
+//! that are then processed in stream order against a single-byte
+//! direct-emit sweep of the gaps between them (vectorized 32 bytes per
+//! probe under the `simd` feature).
 //!
 //! Soundness is inherited from the cover (see
 //! [`dpi_automaton::Flag::window`]): every exact occurrence of an
@@ -83,21 +85,25 @@ use crate::compiled::{CompiledAutomaton, CompiledMatcher};
 use crate::sharded::{ShardedConfig, ShardedMatcher, ShardedScanState, ShardedScratch};
 
 /// Build-time configuration of a [`TwoStageMatcher`]: the pre-classifier
-/// budget plus the exact stage's full [`ShardedConfig`].
+/// budget plus the exact stage's [`ShardedConfig`].
 #[derive(Debug, Clone, Copy)]
 pub struct TwoStageConfig {
     /// Pre-classifier (stage 1) build knobs: the byte budget of the
     /// cover model (see [`ApproxConfig::budget_bytes`] for what it
     /// bounds).
     pub approx: ApproxConfig,
-    /// Exact verifier (stage 2) configuration; also supplies the DTP
-    /// and anchor settings the compiled pre-classifier reuses.
+    /// Exact-stage settings. Its DTP and anchor settings compile both
+    /// stages, and a pattern whose estimate exceeds its `budget_bytes`
+    /// fails the build. The verifier is always one automaton, so its
+    /// `cores` and `max_shards` plan only the sharded engine a
+    /// [`RulesetArena`](crate::RulesetArena) builds beside it.
     pub exact: ShardedConfig,
 }
 
 impl TwoStageConfig {
     /// Default approximate budget, and [`ShardedConfig::with_cores`] for
-    /// the verifier: its shard plan starts at `cores` shards.
+    /// the exact stage (see [`TwoStageConfig::exact`] for what the
+    /// two-stage build reads of it).
     pub fn with_cores(cores: usize) -> TwoStageConfig {
         TwoStageConfig {
             approx: ApproxConfig::default(),
@@ -120,13 +126,6 @@ struct FlagMeta {
     /// for direct confirmation and must open (or extend) a replay
     /// window.
     windowed: bool,
-    /// Verifier shards owning this truncation's oversized family (bit
-    /// `i` = shard `i`, [`crate::sharded::lane_in_mask`] convention):
-    /// the window a flag opens replays only through these lanes, so an
-    /// infected burst pays one small automaton per window instead of
-    /// every shard. `u64::MAX` (all lanes) until the builder patches
-    /// windowed entries with the real ownership masks.
-    mask: u64,
 }
 
 /// Largest truncation family confirmed by direct residual comparison;
@@ -257,14 +256,11 @@ pub struct TwoStageStats {
     /// across a chunk boundary whose residual then fails.
     pub fp_windows: u64,
     /// Stream bytes stage 2 read, of two kinds. *Replayed* bytes went
-    /// through the exact engine; each counts at most once per *lane
-    /// set*: masked window replay feeds only the shards owning the
-    /// flagged family, and a lane joining a window late re-reads the
-    /// gap bytes the group already covered — those catch-up bytes count
-    /// once per joining lane. *Compared* bytes are what in-place
-    /// confirms read after a flag: per flag the longest candidate
-    /// examination, plus the bytes a carried candidate reads in the
-    /// next chunk.
+    /// through the verifier automaton; each counts once, since merged
+    /// windows replay every stream byte at most once. *Compared* bytes
+    /// are what in-place confirms read after a flag: per flag the
+    /// longest candidate examination, plus the bytes a carried
+    /// candidate reads in the next chunk.
     pub verified_bytes: u64,
     /// Window-opening flags recorded but **not** verified — only the
     /// degraded flag-only scan path
@@ -332,7 +328,7 @@ struct VerifySide {
     /// when no window is open past the frontier).
     window_end: u64,
     /// Largest flag end in the active merged window — the point past
-    /// which the verifier may retire the window early once every shard
+    /// which the verifier may retire the window early once its
     /// automaton is back at rest.
     group_flag_end: u64,
     /// Last `min(max_back, pos)` stream bytes.
@@ -343,13 +339,6 @@ struct VerifySide {
     pending: VecDeque<Match>,
     group_open: bool,
     group_had_match: bool,
-    /// Lanes current at `verified_until`
-    /// ([`crate::sharded::lane_in_mask`] convention): feeds advance only
-    /// these, so a window replays through the shards owning its flagged
-    /// families. Invariant: a lane in the mask has its cursor exactly at
-    /// `verified_until`; any other lane's cursor is at or behind it
-    /// (stale until [`VerifySide::join_lanes`] catches it up).
-    group_mask: u64,
     stats: TwoStageStats,
 }
 
@@ -504,16 +493,12 @@ impl VerifySide {
     }
 
     /// Handles one window-opening flag: merge into the open group,
-    /// or close it (replaying its tail) and open a new one. `mask`
-    /// names the verifier lanes owning the flagged family — only those
-    /// replay the window; lanes the group is not already feeding join
-    /// via [`VerifySide::join_lanes`].
+    /// or close it (replaying its tail) and open a new one.
     fn on_window_flag(
         &mut self,
         ctx: &FeedCtx,
         end: u64,
         forward: u32,
-        mask: u64,
         scratch: &mut TwoStageScratch,
         out: &mut Vec<Match>,
     ) {
@@ -522,7 +507,6 @@ impl VerifySide {
         if self.group_open && ws <= self.window_end {
             self.window_end = self.window_end.max(we);
             self.group_flag_end = self.group_flag_end.max(end);
-            self.join_lanes(ctx, mask, ws, scratch, out);
             return;
         }
         if self.group_open {
@@ -540,112 +524,14 @@ impl VerifySide {
             // exact matches inside the gap are safe to emit: no future
             // verifier match can end at or before `ws`.
             self.flush_pending(ws, out);
-            self.verify.reset_lanes_at(mask, ws);
+            self.verify.reset_at(ws);
             self.verified_until = ws;
-            self.group_mask = mask;
-        } else {
-            // Contiguous with the frontier: keep the lanes already
-            // there and bring this family's lanes up to it.
-            self.join_lanes(ctx, mask, ws, scratch, out);
         }
         self.group_open = true;
         self.group_had_match = false;
         self.stats.windows += 1;
         self.window_end = we.max(self.verified_until);
         self.group_flag_end = end;
-    }
-
-    /// Brings lanes newly named by `mask` up to the verify frontier so
-    /// subsequent feeds advance them with the group. A joining lane's
-    /// own cursor `f` is its private frontier: it resumes at
-    /// `max(f, anchor)` where `anchor = min(ws, verified_until)` —
-    /// resetting (history-masking) only lanes strictly behind the
-    /// anchor — and scans its gap alone through
-    /// [`ShardedMatcher::scan_lane_chunk_into`].
-    ///
-    /// Soundness: any occurrence this lane owns ending at or before `f`
-    /// was already emitted (so starting at ≥ `f` cannot duplicate it),
-    /// and every reset point chosen while processing flags up to an
-    /// occurrence's own flag lies at or before that occurrence's start
-    /// (`ws' ≤ end' − max_back ≤ start`), so the lane's history is
-    /// always contiguous-valid from a point early enough to witness the
-    /// occurrences its joined windows cover. Catch-up matches end past
-    /// every previous chunk's emissions (their own flags fire in this
-    /// chunk), so appending stays canonical across calls;
-    /// [`push_canonical`] repairs the rare within-call inversion.
-    fn join_lanes(
-        &mut self,
-        ctx: &FeedCtx,
-        mask: u64,
-        ws: u64,
-        scratch: &mut TwoStageScratch,
-        out: &mut Vec<Match>,
-    ) {
-        let mut new = mask & !self.group_mask;
-        if new == 0 {
-            return;
-        }
-        self.group_mask |= new;
-        let until = self.verified_until;
-        let (chunk, base) = (ctx.chunk, ctx.base);
-        scratch.verif.clear();
-        let mut caught = 0u64;
-        {
-            let VerifySide { verify, ring, .. } = self;
-            while new != 0 {
-                let lane = new.trailing_zeros() as usize;
-                new &= new - 1;
-                if lane >= verify.shard_count() {
-                    break;
-                }
-                let anchor = ws.min(until);
-                let f = verify.lane_offset(lane);
-                if f < anchor {
-                    verify.reset_lane_at(lane, anchor);
-                }
-                let start = f.max(anchor);
-                if start >= until {
-                    continue;
-                }
-                caught += until - start;
-                if start < base {
-                    let ring_start = base - ring.len() as u64;
-                    debug_assert!(start >= ring_start, "lookback ring too short");
-                    let from = (start - ring_start) as usize;
-                    let to = (until.min(base) - ring_start) as usize;
-                    ctx.exact.scan_lane_chunk_into(
-                        verify,
-                        lane,
-                        &ring[from..to],
-                        &mut scratch.verif,
-                    );
-                }
-                if until > base {
-                    let from = (start.max(base) - base) as usize;
-                    let to = (until - base) as usize;
-                    ctx.exact.scan_lane_chunk_into(
-                        verify,
-                        lane,
-                        &chunk[from..to],
-                        &mut scratch.verif,
-                    );
-                }
-            }
-        }
-        if caught == 0 {
-            return;
-        }
-        self.stats.verified_bytes += caught;
-        // Each lane appended its own canonical run; restore one order
-        // (the remap below is monotone, so local order is global order).
-        scratch.verif.sort_unstable_by_key(|m| (m.end, m.pattern.index()));
-        if let Some(ids) = ctx.long_ids {
-            for m in scratch.verif.iter_mut() {
-                m.pattern = ids[m.pattern.index()];
-            }
-        }
-        self.group_had_match |= !scratch.verif.is_empty();
-        self.merge_due(until, &scratch.verif, out);
     }
 
     /// Feeds stream bytes `[self.verified_until, target)` to the exact
@@ -657,7 +543,7 @@ impl VerifySide {
     /// residual of any pattern sharing its truncation — often 100+
     /// bytes — but actually scanning that far is only necessary while an
     /// occurrence of the flagged family is in flight. Once the frontier
-    /// is ≥ 2 bytes past the window's last flag and every shard
+    /// is ≥ 2 bytes past the window's last flag and the verifier
     /// automaton is back at its start state ([`ShardedScanState::at_rest`];
     /// the 2-byte margin covers the DTP history registers), the
     /// Aho-Corasick longest-suffix invariant says nothing is in flight:
@@ -680,7 +566,6 @@ impl VerifySide {
         }
         scratch.verif.clear();
         let stop_after = self.group_flag_end.saturating_add(2);
-        let mask = self.group_mask;
         let mut cur = start;
         {
             let VerifySide { verify, ring, .. } = self;
@@ -691,27 +576,25 @@ impl VerifySide {
                     debug_assert!(cur >= ring_start, "lookback ring too short");
                     let from = (cur - ring_start) as usize;
                     let to = (next.min(base) - ring_start) as usize;
-                    ctx.exact.scan_chunk_masked_into(
+                    ctx.exact.scan_chunk_into(
                         verify,
                         &ring[from..to],
                         &mut scratch.sharded,
                         &mut scratch.verif,
-                        mask,
                     );
                 }
                 if next > base {
                     let from = (cur.max(base) - base) as usize;
                     let to = (next - base) as usize;
-                    ctx.exact.scan_chunk_masked_into(
+                    ctx.exact.scan_chunk_into(
                         verify,
                         &chunk[from..to],
                         &mut scratch.sharded,
                         &mut scratch.verif,
-                        mask,
                     );
                 }
                 cur = next;
-                if cur >= stop_after && cur < target && verify.at_rest_masked(mask) {
+                if cur >= stop_after && cur < target && verify.at_rest() {
                     break;
                 }
             }
@@ -833,8 +716,6 @@ impl crate::flow::FlowState for TwoStageState {
         // emit next. The next chunk or `finish_flow` emits them.
         vs.group_open = false;
         vs.group_had_match = false;
-        // Every lane was just reset to `offset` == the frontier.
-        vs.group_mask = u64::MAX;
     }
 
     /// [`TwoStageMatcher::finish_flow`], which needs no table of the
@@ -874,7 +755,8 @@ pub struct TwoStageScratch {
 pub struct TwoStageMatcher {
     pre: PreStage,
     /// Exact stage over the patterns only a window replay can settle:
-    /// the oversized-family ones (zero shards when there are none).
+    /// the oversized-family ones, in one shard (zero when there are
+    /// none).
     exact: ShardedMatcher,
     /// Maps the exact stage's local pattern ids back to ids in the
     /// original set; `None` when the exact stage holds the full set or
@@ -887,13 +769,14 @@ pub struct TwoStageMatcher {
 impl TwoStageMatcher {
     /// Builds both stages from one pattern set: stage 1 compiles
     /// [`PrefixCover::build`] over the whole set under `config.approx`,
-    /// stage 2 is a [`ShardedMatcher`] over the oversized-family
-    /// patterns, planned under `config.exact`.
+    /// stage 2 compiles the oversized-family patterns into one
+    /// automaton, a one-shard [`ShardedMatcher`].
     ///
     /// # Errors
     ///
-    /// Propagates [`ShardPlanError`] from the exact stage's shard
-    /// planning; the approximate stage itself cannot fail.
+    /// [`ShardPlanError::PatternExceedsBudget`] when a verifier
+    /// pattern's estimate alone exceeds `config.exact.budget_bytes`;
+    /// the approximate stage itself cannot fail.
     pub fn build(set: &PatternSet, config: &TwoStageConfig) -> Result<TwoStageMatcher, ShardPlanError> {
         // Prefix cover over the FULL set. Complete truncations become
         // exact stage-1 emissions, so short patterns cost nothing extra
@@ -922,7 +805,6 @@ impl TwoStageMatcher {
                 // Small incomplete families are confirmed directly at
                 // the flag; only oversized ones open windows.
                 windowed: f > 0 && fam as usize > CONFIRM_MAX_FAMILY,
-                mask: u64::MAX,
             })
             .collect();
         // Per-truncation confirm families (pid + residual), and the
@@ -943,25 +825,11 @@ impl TwoStageMatcher {
                 verif_bytes.push(bytes);
             }
         }
-        // Window-replay shard subsetting bookkeeping: every member of an
-        // oversized family as `(cover id, exact-stage local id)`, plus
-        // each kept cover pattern's cover id — enough to patch the real
-        // per-family ownership masks into the kept meta once the exact
-        // stage's shard plan exists. The verifier's local id for a
-        // windowed pattern is its position in `verif_ids` when the
-        // verifier is the subset, or its global id when the subset is
-        // the full set.
-        let full = verif_ids.len() == set.len();
-        let windowed_local: Vec<(u32, u32)> = verif_ids
-            .iter()
-            .enumerate()
-            .map(|(i, &pid)| (trunc_of[pid.index()], if full { pid.0 } else { i as u32 }))
-            .collect();
         let (verifier, long_ids) = if verif_ids.is_empty() {
             // Every flag settles in place, so no window can open: the
             // verifier gets zero shards.
             (None, None)
-        } else if full {
+        } else if verif_ids.len() == set.len() {
             (Some(set.clone()), None)
         } else {
             let sub = if set.is_case_insensitive() {
@@ -979,7 +847,6 @@ impl TwoStageMatcher {
         let mut singles = Box::new([u32::MAX; 256]);
         let mut kept_bytes: Vec<&[u8]> = Vec::new();
         let mut kept_meta: Vec<FlagMeta> = Vec::new();
-        let mut kept_cid: Vec<u32> = Vec::new();
         let mut confirm = ConfirmTable {
             off: vec![0],
             entries: Vec::new(),
@@ -1014,7 +881,6 @@ impl TwoStageMatcher {
                 confirm.off.push(confirm.entries.len() as u32);
                 kept_bytes.push(t);
                 kept_meta.push(m);
-                kept_cid.push(cid as u32);
             }
         }
         // Compile the kept cover through the exact pipeline — same
@@ -1043,30 +909,20 @@ impl TwoStageMatcher {
             .max()
             .unwrap_or(0);
 
+        // One automaton: windows replay only flagged bytes, and every
+        // shard would add a walk to each of them. Planning still runs the
+        // budget feasibility check, so an over-budget pattern fails here.
         let exact = match &verifier {
             None => ShardedMatcher::empty(set),
-            Some(v) => ShardedMatcher::build(v, &config.exact)?,
+            Some(v) => ShardedMatcher::build(
+                v,
+                &ShardedConfig {
+                    cores: 1,
+                    max_shards: 1,
+                    ..config.exact
+                },
+            )?,
         };
-        // Patch the per-family ownership masks into the windowed kept
-        // meta now that the verifier's shard plan exists: a window
-        // replays only through the shards owning its flagged family.
-        // Shards at index ≥ 64 contribute no bit — those lanes always
-        // scan (see the mask convention in `crate::sharded`).
-        if !windowed_local.is_empty() {
-            let shard_of = exact.shard_of();
-            let mut mask_of = vec![0u64; cover_len.len()];
-            for &(cid, local) in &windowed_local {
-                let s = shard_of[local as usize];
-                if s < 64 {
-                    mask_of[cid as usize] |= 1u64 << s;
-                }
-            }
-            for (m, &cid) in kept_meta.iter_mut().zip(&kept_cid) {
-                if m.windowed {
-                    m.mask = mask_of[cid as usize];
-                }
-            }
-        }
         let pre_memory = automaton.as_deref().map_or(0, |(a, _)| a.memory_bytes()) + 256 * 4;
         Ok(TwoStageMatcher {
             pre: PreStage {
@@ -1100,9 +956,9 @@ impl TwoStageMatcher {
     }
 
     /// The exact verifier windows replay through: the patterns of
-    /// oversized truncation families. It has zero shards (and 0 bytes)
-    /// when no family is oversized, since then every flag settles in
-    /// place.
+    /// oversized truncation families, compiled into one shard. It has
+    /// zero shards (and 0 bytes) when no family is oversized, since then
+    /// every flag settles in place.
     pub fn exact(&self) -> &ShardedMatcher {
         &self.exact
     }
@@ -1122,8 +978,6 @@ impl TwoStageMatcher {
                 pending: VecDeque::new(),
                 group_open: false,
                 group_had_match: false,
-                // Every lane starts at offset 0 == the frontier.
-                group_mask: u64::MAX,
                 stats: TwoStageStats::default(),
             },
         }
@@ -1316,7 +1170,7 @@ impl TwoStageMatcher {
                 if flag_only {
                     vs.stats.suspect_flags += 1;
                 } else {
-                    vs.on_window_flag(&ctx, end, fm.forward, fm.mask, scratch, out);
+                    vs.on_window_flag(&ctx, end, fm.forward, scratch, out);
                 }
             }
             // Confirm the flag's residual family in place.
@@ -1679,9 +1533,9 @@ mod tests {
 
     /// Ten-plus-member families under a 1-byte cover budget: both
     /// families exceed [`CONFIRM_MAX_FAMILY`], so their flags open real
-    /// replay windows, and a small per-shard arena budget spreads the
-    /// verifier across shards — the masked-replay configuration.
-    fn build_masked() -> (PatternSet, TwoStageMatcher, ShardedMatcher) {
+    /// replay windows. The exact config's small budget would plan the
+    /// sharded engine into several shards; the verifier stays one.
+    fn build_two_families() -> (PatternSet, TwoStageMatcher, ShardedMatcher) {
         let patterns: Vec<String> = (0..10)
             .flat_map(|i| {
                 [
@@ -1698,36 +1552,17 @@ mod tests {
             exact: exact_cfg,
         };
         let two = TwoStageMatcher::build(&set, &config).unwrap();
+        assert_eq!(two.exact().shard_count(), 1);
         let exact = ShardedMatcher::build(&set, &ShardedConfig::with_cores(1)).unwrap();
         (set, two, exact)
     }
 
     #[test]
-    fn windowed_flags_carry_real_shard_masks() {
-        let (_, two, _) = build_masked();
-        assert!(two.exact().shard_count() > 1, "need a multi-shard verifier");
-        let masks: Vec<u64> = two
-            .pre
-            .meta
-            .iter()
-            .filter(|m| m.windowed)
-            .map(|m| m.mask)
-            .collect();
-        assert!(masks.len() >= 2, "both families must window");
-        let all = (1u64 << two.exact().shard_count().min(64)) - 1;
-        assert!(
-            masks.iter().any(|&m| m != u64::MAX && m.count_ones() < all.count_ones()),
-            "at least one family must subset the shards: {masks:?}"
-        );
-    }
-
-    #[test]
-    fn masked_multi_shard_replay_equals_single_stage_across_cuts() {
-        let (_, two, exact) = build_masked();
+    fn two_family_windows_equal_single_stage_across_cuts() {
+        let (_, two, exact) = build_two_families();
         // Adjacent occurrences of different families force merged
-        // windows whose second family's lanes join the open group; the
-        // truncated decoys open windows that verify empty on some
-        // lanes.
+        // windows that span both families; the truncated decoys open
+        // windows that verify empty.
         let hay = b"alpha-family-03-signature beta-family-07-markeralpha-family-09-signature \
                     alpha-family beta-xx alpha-family-00-signaturebeta-family-00-marker end"
             .to_vec();
@@ -1746,8 +1581,8 @@ mod tests {
     }
 
     #[test]
-    fn masked_replay_single_byte_chunks_stay_exact() {
-        let (_, two, exact) = build_masked();
+    fn two_family_windows_in_single_byte_chunks_stay_exact() {
+        let (_, two, exact) = build_two_families();
         let hay = b"xbeta-family-05-markeralpha-family-05-signature beta-family-09-marker".to_vec();
         let whole = exact.find_all(&hay);
         assert!(!whole.is_empty());
@@ -1764,7 +1599,7 @@ mod tests {
 
     #[test]
     fn flag_only_scan_is_sound_and_counts_suspects() {
-        let (set, two, exact) = build_masked();
+        let (set, two, exact) = build_two_families();
         let hay = b"qq alpha-family-03-signature and beta-family-07-marker qq".to_vec();
         let whole = exact.find_all(&hay);
         assert!(whole.len() >= 2, "planted family occurrences must match");
@@ -1795,7 +1630,7 @@ mod tests {
 
     #[test]
     fn flag_only_retires_a_window_suspended_by_a_full_chunk() {
-        let (_, two, exact) = build_masked();
+        let (_, two, exact) = build_two_families();
         let hay = b"alpha-family-03-signature tail bytes".to_vec();
         // Cut inside the occurrence: the full-fidelity chunk suspends
         // mid-window, then the degraded tier takes over.

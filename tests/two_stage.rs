@@ -65,11 +65,13 @@ fn two_stage_equals_single_stage_across_every_chop_profile() {
         let two = TwoStageMatcher::build(&set, config).unwrap();
         // The verifier exists only for windows: the default cover
         // settles every flag in place, so nothing is compiled for
-        // replay; the degenerate cover must window, so it keeps one.
+        // replay; the degenerate cover must window, so it keeps one
+        // automaton, whatever shard count the exact config plans.
         if config.approx.budget_bytes == 1 {
-            assert!(
-                two.exact().shard_count() > 0,
-                "a windowing cover needs a verifier"
+            assert_eq!(
+                two.exact().shard_count(),
+                1,
+                "a windowing cover replays through one verifier automaton"
             );
         } else {
             assert_eq!(two.exact().shard_count(), 0, "idle verifier compiled");
