@@ -80,7 +80,7 @@
 use std::collections::{BTreeSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use dpi_automaton::{Match, PatternSet, ShardPlanError};
@@ -655,7 +655,10 @@ fn add_reassembly(
 // Worker core (shared by the simulator and the threaded runtime)
 // ---------------------------------------------------------------------------
 
-/// One unit of work on a worker queue.
+/// One unit of work on a worker queue. A segment carries only its
+/// payload's length: the bytes ride, in item order, in the queue's
+/// [`Blocks`], and the worker reads them back with
+/// [`Blocks::take`] before it processes the item.
 enum Item {
     /// A flow segment. `resync` marks the first segment of a flow
     /// readmitted after shedding.
@@ -664,7 +667,7 @@ enum Item {
         seq: u64,
         time: u64,
         resync: bool,
-        payload: Box<[u8]>,
+        len: usize,
     },
     /// Install a new ruleset generation.
     Swap(Arc<RulesetArena>),
@@ -677,9 +680,106 @@ enum Item {
 impl Item {
     fn payload_len(&self) -> usize {
         match self {
-            Item::Segment { payload, .. } => payload.len(),
+            Item::Segment { len, .. } => *len,
             _ => 0,
         }
+    }
+}
+
+/// Bytes per payload block: below glibc's default 128 KiB mmap
+/// threshold, so blocks come from the heap. A buffer at or above the
+/// threshold is mapped, and freeing one raises glibc's dynamic threshold
+/// to its size; a multi-MiB slab freed per run left the worker's match
+/// log growing by copies instead of remaps (ARCHITECTURE Stage 4).
+const BLOCK: usize = 64 * 1024;
+
+/// A queue's payload bytes, in item order, in [`BLOCK`]-byte blocks, so
+/// handing a segment to a worker costs a copy and, in steady state, no
+/// allocation. Both ends find a payload's place by one rule:
+///
+/// - [`push`](Self::push) opens a new block only when the payload does
+///   not fit in the last block's spare capacity; a block never
+///   reallocates, and a payload longer than `BLOCK` gets a block of its
+///   own length;
+/// - [`take`](Self::take) moves to the next block when `offset + len`
+///   exceeds the current block's filled length.
+///
+/// A zero-length payload occupies no block. A block read to its end goes
+/// to `free` (cleared, its capacity kept; an over-long block is freed
+/// instead), and `push` refills free blocks before it allocates.
+///
+/// *Memory bound.* A block opens only when the payload does not fit in
+/// the block before it, so any two consecutive blocks hold more than
+/// `BLOCK` bytes between them, and only the front block holds bytes
+/// already read. A queue holding `q` unread payload bytes therefore has
+/// at most `2 × ⌈q / BLOCK⌉ + 1` blocks in flight, and `free` holds at
+/// most the peak number in flight.
+#[derive(Default)]
+struct Blocks {
+    /// Blocks in item order; `push` fills the last, `take` reads the
+    /// first from `read`.
+    filled: VecDeque<Vec<u8>>,
+    read: usize,
+    free: Vec<Vec<u8>>,
+}
+
+impl Blocks {
+    /// Appends `payload` behind every queued payload.
+    fn push(&mut self, payload: &[u8]) {
+        if payload.is_empty() {
+            return;
+        }
+        let fits = self
+            .filled
+            .back()
+            .is_some_and(|block| block.capacity() - block.len() >= payload.len());
+        if !fits {
+            let reused = if payload.len() <= BLOCK {
+                self.free.pop()
+            } else {
+                None
+            };
+            let block = reused.unwrap_or_else(|| Vec::with_capacity(payload.len().max(BLOCK)));
+            self.filled.push_back(block);
+        }
+        self.filled
+            .back_mut()
+            .expect("a block was opened above")
+            .extend_from_slice(payload);
+    }
+
+    /// The next `len` payload bytes, moving the read cursor past them.
+    fn take(&mut self, len: usize) -> &[u8] {
+        if len == 0 {
+            return &[];
+        }
+        if self.read + len > self.filled[0].len() {
+            let drained = self.filled.pop_front().expect("indexed above");
+            self.recycle(drained);
+            self.read = 0;
+        }
+        let start = self.read;
+        self.read += len;
+        &self.filled[0][start..self.read]
+    }
+
+    fn recycle(&mut self, mut block: Vec<u8>) {
+        if block.capacity() == BLOCK {
+            block.clear();
+            self.free.push(block);
+        }
+    }
+
+    /// The consumer's half of a swap: hands every block this side holds,
+    /// all read, to `producer`'s free list, then takes `producer`'s
+    /// filled blocks to read from their start.
+    fn take_from(&mut self, producer: &mut Blocks) {
+        while let Some(block) = self.filled.pop_front() {
+            self.recycle(block);
+        }
+        producer.free.append(&mut self.free);
+        std::mem::swap(&mut self.filled, &mut producer.filled);
+        self.read = 0;
     }
 }
 
@@ -764,15 +864,17 @@ impl WorkerCore {
         }
     }
 
-    fn process(&mut self, item: Item) {
+    /// Works one item; `payload` is a segment's bytes, read from its
+    /// queue's [`Blocks`] before the call, and empty for other items.
+    fn process(&mut self, item: Item, payload: &[u8]) {
         match item {
             Item::Segment {
                 key,
                 seq,
                 time,
                 resync,
-                payload,
-            } => self.ingest(key, seq, time, resync, &payload),
+                ..
+            } => self.ingest(key, seq, time, resync, payload),
             Item::Swap(arena) => self.install(arena),
             // `ServiceSim` intercepts Panic and runs `recover` itself;
             // the threaded runtime lets this panic unwind into the
@@ -1244,7 +1346,7 @@ pub struct ServiceSim {
     config: ServiceConfig,
     arena: Arc<RulesetArena>,
     workers: Vec<WorkerCore>,
-    queues: Vec<VecDeque<Item>>,
+    queues: Vec<SimQueue>,
     stalled: Vec<u32>,
     steer: Steer,
     plan: FaultPlan,
@@ -1252,6 +1354,14 @@ pub struct ServiceSim {
     offered_index: u64,
     skew: i64,
     build_failure_armed: bool,
+}
+
+/// One simulated worker queue: its items and, beside them, their
+/// payload bytes.
+#[derive(Default)]
+struct SimQueue {
+    items: VecDeque<Item>,
+    blocks: Blocks,
 }
 
 impl ServiceSim {
@@ -1272,7 +1382,7 @@ impl ServiceSim {
             .collect::<Result<Vec<_>, _>>()?;
         Ok(ServiceSim {
             steer: Steer::new(&config),
-            queues: (0..config.workers).map(|_| VecDeque::new()).collect(),
+            queues: (0..config.workers).map(|_| SimQueue::default()).collect(),
             stalled: vec![0; config.workers],
             workers,
             arena,
@@ -1319,7 +1429,7 @@ impl ServiceSim {
             match kind {
                 FaultKind::WorkerPanic(w) => {
                     let w = w % self.queues.len();
-                    self.queues[w].push_back(Item::Panic);
+                    self.queues[w].items.push_back(Item::Panic);
                 }
                 FaultKind::SlowWorker(w, steps) => {
                     let w = w % self.stalled.len();
@@ -1332,16 +1442,18 @@ impl ServiceSim {
         self.offered_index += 1;
         let time = (time as i64).saturating_add(self.skew).max(0) as u64;
         let worker = self.steer.worker_of(key);
-        let depth = self.queues[worker].len();
+        let queue = &mut self.queues[worker];
+        let depth = queue.items.len();
         match self.steer.offer(worker, key, payload.len(), depth) {
             Some(resync) => {
-                self.queues[worker].push_back(Item::Segment {
+                queue.items.push_back(Item::Segment {
                     key,
                     seq,
                     time,
                     resync,
-                    payload: payload.into(),
+                    len: payload.len(),
                 });
+                queue.blocks.push(payload);
                 true
             }
             None => false,
@@ -1356,23 +1468,25 @@ impl ServiceSim {
                 self.stalled[w] -= 1;
                 continue;
             }
-            let depth = self.queues[w].len();
+            let queue = &mut self.queues[w];
+            let depth = queue.items.len();
             if depth == 0 {
                 self.workers[w].observe_queue(0);
                 continue;
             }
             self.workers[w].observe_queue(depth);
             for _ in 0..self.config.batch {
-                let Some(item) = self.queues[w].pop_front() else {
+                let Some(item) = queue.items.pop_front() else {
                     break;
                 };
+                let payload = queue.blocks.take(item.payload_len());
                 if matches!(item, Item::Panic) {
                     // The simulator models the unwind: the item is lost
                     // and recovery runs, exactly as the threaded
                     // runtime's catch_unwind path.
                     self.workers[w].recover();
                 } else {
-                    self.workers[w].process(item);
+                    self.workers[w].process(item, payload);
                 }
             }
         }
@@ -1380,7 +1494,8 @@ impl ServiceSim {
 
     /// Steps until every queue is empty and every stall has elapsed.
     pub fn pump(&mut self) {
-        while self.queues.iter().any(|q| !q.is_empty()) || self.stalled.iter().any(|&s| s > 0) {
+        while self.queues.iter().any(|q| !q.items.is_empty()) || self.stalled.iter().any(|&s| s > 0)
+        {
             self.step();
         }
     }
@@ -1414,7 +1529,7 @@ impl ServiceSim {
                 for queue in &mut self.queues {
                     // Control-plane item: bypasses the shed gate's
                     // packet capacity.
-                    queue.push_back(Item::Swap(Arc::clone(&arena)));
+                    queue.items.push_back(Item::Swap(Arc::clone(&arena)));
                 }
                 self.steer.swaps += 1;
                 Ok(generation)
@@ -1483,7 +1598,10 @@ impl ServiceReport {
 
 /// Log₂-bucketed nanosecond histogram: 64 buckets, constant-time
 /// record, quantiles answered at bucket granularity (≤ 2× relative
-/// error) — cheap enough to stamp every packet.
+/// error). The threaded runtime records every admitted segment, not a
+/// sample: a share of segments served within a deadline (`dpibench`'s
+/// `paced_within_1ms_pct`) counts segments, so each one needs its own
+/// enqueue-to-scan time.
 #[derive(Debug, Clone)]
 pub struct LatencyHistogram {
     buckets: [u64; 64],
@@ -1552,23 +1670,32 @@ type Stamped = Vec<(Item, Instant)>;
 
 struct InboxState {
     items: Stamped,
+    /// The items' payload bytes, and the blocks the worker handed back.
+    blocks: Blocks,
     /// The worker found the inbox empty and is parked on `ready`.
     asleep: bool,
     closed: bool,
 }
 
-/// One worker's swap inbox. The producer appends under a lock the
-/// worker holds only for a `Vec` swap, so it is uncontended in
-/// practice, and it signals the condvar only when the worker has
-/// parked: one sleep costs exactly one wake, and a busy worker costs
-/// the producer no syscall. The worker takes the whole inbox at once,
-/// handing back its drained spare, so both buffers are recycled and
-/// the steady state allocates nothing. `pending` counts items from
-/// push until the worker has finished them — including items already
-/// swapped out — and is the lock-free depth the shed gate and the
-/// ladder read. It is a gauge that publishes no data (items travel
-/// under the mutex), so `Relaxed` suffices. The producer never blocks:
-/// capacity pressure is resolved by the shed gate *before* push.
+/// One worker's swap inbox. The producer appends an item and copies its
+/// payload into the inbox's [`Blocks`] under a lock the worker holds
+/// only to swap both out, so it is uncontended in practice, and it
+/// signals the condvar only when the worker has parked: one sleep costs
+/// exactly one wake, and a busy worker costs the producer no syscall.
+/// The worker takes the whole inbox at once: it hands back its drained
+/// item `Vec` and every block it has read, and the producer refills
+/// those. In steady state neither thread allocates or frees anything
+/// per segment. A block is in flight from when the producer opens it
+/// until the worker hands it back: each side's filled blocks obey the
+/// bound [`Blocks`] states, and since the producer allocates only when
+/// no handed-back block is free, its free list never holds more than
+/// the peak number in flight.
+/// `pending` counts items from push until the worker has finished them
+/// — including items already swapped out — and is the lock-free depth
+/// the shed gate and the ladder read. It is a gauge that publishes no
+/// data (items travel under the mutex), so `Relaxed` suffices. The
+/// producer never blocks: capacity pressure is resolved by the shed
+/// gate *before* push.
 struct Inbox {
     pending: AtomicUsize,
     state: Mutex<InboxState>,
@@ -1581,6 +1708,7 @@ impl Inbox {
             pending: AtomicUsize::new(0),
             state: Mutex::new(InboxState {
                 items: Vec::new(),
+                blocks: Blocks::default(),
                 asleep: false,
                 closed: false,
             }),
@@ -1588,8 +1716,9 @@ impl Inbox {
         }
     }
 
-    /// Both sides hold the lock only to push, swap or set a flag, none
-    /// of which can panic, so a poisoned lock is a bug.
+    /// Both sides hold the lock only to push (copying the payload into a
+    /// block), swap or set a flag, none of which can panic, so a
+    /// poisoned lock is a bug.
     fn lock(&self) -> MutexGuard<'_, InboxState> {
         self.state.lock().expect("inbox lock poisoned")
     }
@@ -1599,11 +1728,13 @@ impl Inbox {
         self.pending.load(Ordering::Relaxed)
     }
 
-    fn push(&self, item: Item) {
+    /// Queues `item` with its payload bytes (empty for a control item).
+    fn push(&self, item: Item, payload: &[u8]) {
         self.pending.fetch_add(1, Ordering::Relaxed);
         let stamped = (item, Instant::now());
         let mut state = self.lock();
         state.items.push(stamped);
+        state.blocks.push(payload);
         if state.asleep {
             state.asleep = false;
             drop(state);
@@ -1611,20 +1742,27 @@ impl Inbox {
         }
     }
 
+    /// Runs from `Service`'s drop, which must not panic; setting the
+    /// flag is valid whatever a panic left behind.
     fn close(&self) {
-        self.lock().closed = true;
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .closed = true;
         self.ready.notify_all();
     }
 
     /// Blocks until the inbox holds an item (or is closed), then swaps
-    /// every queued item into `spare`, which must be empty. Returns
-    /// `false` once the inbox is closed and drained.
-    fn take_all(&self, spare: &mut Stamped) -> bool {
+    /// every queued item into `spare`, which must be empty, and every
+    /// queued payload into `blocks`, whose read blocks go back to the
+    /// producer. Returns `false` once the inbox is closed and drained.
+    fn take_all(&self, spare: &mut Stamped, blocks: &mut Blocks) -> bool {
         debug_assert!(spare.is_empty());
         let mut state = self.lock();
         loop {
             if !state.items.is_empty() {
                 std::mem::swap(&mut state.items, spare);
+                blocks.take_from(&mut state.blocks);
                 return true;
             }
             if state.closed {
@@ -1648,18 +1786,21 @@ impl Inbox {
 fn run_worker(inbox: &Inbox, mut core: WorkerCore, batch: usize) -> (WorkerCore, LatencyHistogram) {
     let mut latency = LatencyHistogram::new();
     let mut taken = Vec::new();
-    while inbox.take_all(&mut taken) {
+    let mut blocks = Blocks::default();
+    while inbox.take_all(&mut taken, &mut blocks) {
         let mut left = taken.len();
         let mut items = taken.drain(..);
         while left > 0 {
             let chunk = left.min(batch);
             core.observe_queue(inbox.depth());
             for (item, enqueued) in items.by_ref().take(chunk) {
-                let lost = item.payload_len() as u64;
+                // Read before the scan, so a panicking item's bytes are
+                // behind the cursor whatever the scan left undone.
+                let payload = blocks.take(item.payload_len());
                 let is_segment = matches!(item, Item::Segment { .. });
-                let outcome = catch_unwind(AssertUnwindSafe(|| core.process(item)));
+                let outcome = catch_unwind(AssertUnwindSafe(|| core.process(item, payload)));
                 if outcome.is_err() {
-                    core.stats.panic_lost_bytes += lost;
+                    core.stats.panic_lost_bytes += payload.len() as u64;
                     core.recover();
                 } else if is_segment {
                     latency.record(enqueued.elapsed().as_nanos() as u64);
@@ -1683,6 +1824,10 @@ fn run_worker(inbox: &Inbox, mut core: WorkerCore, batch: usize) -> (WorkerCore,
 /// Per-packet wall-clock latency (enqueue → scan complete) is recorded
 /// in a per-worker [`LatencyHistogram`] and merged into the final
 /// [`ServiceReport`].
+///
+/// Dropping a `Service` stops it as [`shutdown`](Service::shutdown)
+/// does, without the report: every inbox closes, and the drop waits
+/// while each worker finishes its queued items and flushes its flows.
 pub struct Service {
     config: ServiceConfig,
     arena: Arc<RulesetArena>,
@@ -1728,13 +1873,14 @@ impl Service {
         let depth = self.inboxes[worker].depth();
         match self.steer.offer(worker, key, payload.len(), depth) {
             Some(resync) => {
-                self.inboxes[worker].push(Item::Segment {
+                let item = Item::Segment {
                     key,
                     seq,
                     time,
                     resync,
-                    payload: payload.into(),
-                });
+                    len: payload.len(),
+                };
+                self.inboxes[worker].push(item, payload);
                 true
             }
             None => false,
@@ -1774,7 +1920,7 @@ impl Service {
     pub fn install_arena(&mut self, arena: Arc<RulesetArena>) {
         self.arena = Arc::clone(&arena);
         for inbox in &self.inboxes {
-            inbox.push(Item::Swap(Arc::clone(&arena)));
+            inbox.push(Item::Swap(Arc::clone(&arena)), &[]);
         }
         self.steer.swaps += 1;
     }
@@ -1786,12 +1932,10 @@ impl Service {
 
     /// Closes every inbox, joins every worker (each flushes its flows
     /// first), and returns the final report.
-    pub fn shutdown(self) -> ServiceReport {
-        for inbox in &self.inboxes {
-            inbox.close();
-        }
+    pub fn shutdown(mut self) -> ServiceReport {
+        self.close_inboxes();
         let mut report = ServiceReport::open(&self.steer);
-        for handle in self.handles {
+        for handle in std::mem::take(&mut self.handles) {
             let (mut core, latency) = handle
                 .join()
                 .expect("worker threads catch their own panics");
@@ -1799,6 +1943,24 @@ impl Service {
             report.latency.merge(&latency);
         }
         report
+    }
+
+    fn close_inboxes(&self) {
+        for inbox in &self.inboxes {
+            inbox.close();
+        }
+    }
+}
+
+impl Drop for Service {
+    fn drop(&mut self) {
+        self.close_inboxes();
+        for handle in self.handles.drain(..) {
+            // Ignored: a worker that panicked outside its per-item guard
+            // has nothing left to hand back, and a panic here would
+            // abort a caller that is already unwinding.
+            let _ = handle.join();
+        }
     }
 }
 
@@ -1986,7 +2148,7 @@ mod tests {
         assert!(service.offer(key, 0, b"xx attack", 1));
         // Inject a real panic through the queue, then keep feeding the
         // same flow: the worker must survive and resync.
-        service.inboxes[0].push(Item::Panic);
+        service.inboxes[0].push(Item::Panic, &[]);
         assert!(service.offer(key, 9, b"-sig yy attack-sig", 2));
         let report = service.shutdown();
         assert_eq!(report.stats.workers.panics, 1);
@@ -2061,14 +2223,14 @@ mod tests {
     fn inbox_depth_counts_items_until_the_worker_finishes_them() {
         let inbox = Inbox::new();
         for _ in 0..3 {
-            inbox.push(Item::Panic);
+            inbox.push(Item::Panic, &[]);
         }
         assert_eq!(inbox.depth(), 3);
-        let mut taken = Vec::new();
-        assert!(inbox.take_all(&mut taken));
+        let (mut taken, mut blocks) = (Vec::new(), Blocks::default());
+        assert!(inbox.take_all(&mut taken, &mut blocks));
         assert_eq!(taken.len(), 3);
         assert_eq!(inbox.depth(), 3, "swapped-out items are still pending");
-        inbox.push(Item::Panic);
+        inbox.push(Item::Panic, &[]);
         assert_eq!(inbox.depth(), 4);
         inbox.finished(2);
         assert_eq!(inbox.depth(), 2);
@@ -2076,12 +2238,136 @@ mod tests {
         // Items pushed before close still reach the worker.
         taken.clear();
         inbox.close();
-        assert!(inbox.take_all(&mut taken));
+        assert!(inbox.take_all(&mut taken, &mut blocks));
         assert_eq!(taken.len(), 1);
         inbox.finished(1);
         assert_eq!(inbox.depth(), 0);
         taken.clear();
-        assert!(!inbox.take_all(&mut taken), "closed and drained");
+        assert!(
+            !inbox.take_all(&mut taken, &mut blocks),
+            "closed and drained"
+        );
+    }
+
+    /// A segment item of `len` bytes.
+    fn segment(len: usize) -> Item {
+        Item::Segment {
+            key: FlowKey(len as u128),
+            seq: 0,
+            time: 0,
+            resync: false,
+            len,
+        }
+    }
+
+    /// Pushes one payload per length, each filled with its own byte
+    /// pattern, and returns the payloads in push order.
+    fn push_burst(inbox: &Inbox, lens: &[usize], salt: usize) -> Vec<Vec<u8>> {
+        lens.iter()
+            .enumerate()
+            .map(|(i, &len)| {
+                let payload: Vec<u8> = (0..len).map(|j| (j * 7 + i * 31 + salt) as u8).collect();
+                inbox.push(segment(len), &payload);
+                payload
+            })
+            .collect()
+    }
+
+    /// Takes the inbox and reads every taken item's payload back.
+    fn take_burst(inbox: &Inbox, taken: &mut Stamped, blocks: &mut Blocks) -> Vec<Vec<u8>> {
+        assert!(inbox.take_all(taken, blocks));
+        let read = taken
+            .drain(..)
+            .map(|(item, _)| blocks.take(item.payload_len()).to_vec())
+            .collect();
+        inbox.finished(inbox.depth());
+        read
+    }
+
+    #[test]
+    fn blocks_read_back_in_item_order_across_a_take_and_recycle() {
+        // Empty, short, an exact block fill (BLOCK - 1 then 1), a
+        // full-block payload, and payloads over one block and several.
+        let lens = [0, 1, 127, BLOCK - 1, 1, BLOCK, 0, BLOCK + 1, 200_000, 5, 0];
+        let inbox = Inbox::new();
+        let (mut taken, mut blocks) = (Vec::new(), Blocks::default());
+        for salt in 0..3 {
+            let sent = push_burst(&inbox, &lens, salt);
+            assert_eq!(take_burst(&inbox, &mut taken, &mut blocks), sent);
+        }
+        // Control items between payloads read back as empty and leave
+        // the cursor where it was.
+        inbox.push(segment(3), b"abc");
+        inbox.push(Item::Panic, &[]);
+        inbox.push(segment(2), b"de");
+        let read = take_burst(&inbox, &mut taken, &mut blocks);
+        assert_eq!(read, [b"abc".to_vec(), Vec::new(), b"de".to_vec()]);
+    }
+
+    #[test]
+    fn a_third_equal_burst_allocates_no_new_block() {
+        // About five blocks a burst, with payloads that leave a block's
+        // tail unfilled.
+        let lens: Vec<usize> = (0..2_000).map(|i| [128, 1_448, 40][i % 3]).collect();
+        let inbox = Inbox::new();
+        let (mut taken, mut blocks) = (Vec::new(), Blocks::default());
+        let mut seen = std::collections::HashSet::new();
+        for burst in 0..3 {
+            let sent = push_burst(&inbox, &lens, burst);
+            assert!(inbox.take_all(&mut taken, &mut blocks));
+            let ptrs: Vec<*const u8> = blocks.filled.iter().map(|b| b.as_ptr()).collect();
+            assert!(ptrs.len() > 2, "{} blocks", ptrs.len());
+            if burst < 2 {
+                seen.extend(ptrs);
+            } else {
+                // Every block is alive, in flight or free, so a new
+                // allocation could not reuse one of these addresses.
+                assert!(
+                    ptrs.iter().all(|p| seen.contains(p)),
+                    "the third burst allocated"
+                );
+            }
+            for ((item, _), want) in taken.drain(..).zip(&sent) {
+                assert_eq!(blocks.take(item.payload_len()), &want[..]);
+            }
+            inbox.finished(lens.len());
+        }
+    }
+
+    #[test]
+    fn a_sim_queue_under_overload_stays_within_the_block_bound() {
+        let mut config = ServiceConfig::with_workers(1);
+        config.queue_cap = 32;
+        config.batch = 2;
+        let plan = FaultPlan::new(vec![(0, FaultKind::SlowWorker(0, 10))]);
+        let mut sim = ServiceSim::with_faults(arena(), config, plan).unwrap();
+        // Sizes that leave most of a block's spare capacity unused, the
+        // worst case for the bound, with some short payloads between.
+        let sizes = [40_000, 30_000, 100, 33_000, 64];
+        let (mut flow, mut peak) = (0u128, 0usize);
+        let mut check = |sim: &ServiceSim| {
+            let queue = &sim.queues[0];
+            let unread: usize = queue.items.iter().map(Item::payload_len).sum();
+            let in_flight = queue.blocks.filled.len();
+            assert!(
+                in_flight <= 2 * unread.div_ceil(BLOCK) + 1,
+                "{in_flight} blocks hold {unread} unread bytes"
+            );
+            peak = peak.max(in_flight);
+            assert!(queue.blocks.free.len() <= peak);
+        };
+        for round in 0..60 {
+            for _ in 0..4 {
+                flow += 1;
+                let payload = vec![b'x'; sizes[flow as usize % sizes.len()]];
+                sim.offer(FlowKey(flow), 0, &payload, round);
+                check(&sim);
+            }
+            sim.step();
+            check(&sim);
+            assert!(!sim.queues[0].items.is_empty(), "the overload must last");
+        }
+        assert!(sim.stats().shed_packets > 0);
     }
 
     #[test]
@@ -2198,7 +2484,7 @@ mod tests {
                     next += 1;
                 }
                 if rng.next().is_multiple_of(8) {
-                    service.inboxes[(rng.next() % 2) as usize].push(Item::Panic);
+                    service.inboxes[(rng.next() % 2) as usize].push(Item::Panic, &[]);
                     panics += 1;
                 }
                 std::thread::sleep(std::time::Duration::from_micros(rng.next() % 201));

@@ -899,6 +899,127 @@ fn threaded_service_is_match_equivalent_and_measures_latency() {
     }
 }
 
+/// The threaded handoff carries payloads of every awkward length — empty,
+/// one byte, an exact 64 KiB block fill, one byte past it, several
+/// blocks' worth — through repeated takes and block reuse, and a
+/// mid-stream swap, and reports what the simulator reports.
+#[test]
+fn threaded_handoff_over_ragged_lengths_equals_the_simulator() {
+    const LENS: [usize; 7] = [0, 1, 127, 65_535, 65_536, 65_537, 200_000];
+    let arena = shared_arena();
+    let patterns = pattern_strings();
+    let mut config = ServiceConfig::with_workers(2);
+    config.queue_cap = 4096;
+    // Pin the Exact tier on both drivers: the ladder reads a
+    // timing-dependent depth on threads.
+    config.ladder.high_water = config.queue_cap + 1;
+
+    // Each flow sends the lengths twice, rotated differently per flow and
+    // per round, with an occurrence planted across every segment end
+    // that leaves room for one.
+    let flows = 8usize;
+    let lens = |f: usize| -> Vec<usize> {
+        (0..2 * LENS.len())
+            .map(|i| LENS[(i + f * (1 + i / LENS.len())) % LENS.len()])
+            .collect()
+    };
+    let payloads: Vec<Vec<u8>> = (0..flows)
+        .map(|f| {
+            let total: usize = lens(f).iter().sum();
+            let (mut end, mut free_from, mut plants) = (0usize, 0usize, Vec::new());
+            for (i, len) in lens(f).into_iter().enumerate() {
+                end += len;
+                let pat = patterns[(f + i) % patterns.len()].as_str();
+                if end >= free_from + 10 && end - 10 + pat.len() <= total {
+                    plants.push((end - 10, pat));
+                    free_from = end - 10 + pat.len();
+                }
+            }
+            flow_payload(f as u64 + 90, total, &plants)
+        })
+        .collect();
+    let key = |f: usize| FlowKey(0xB10C_0000 + f as u128);
+    // `(flow, seq, len)`, round-robin across flows segment by segment.
+    let mut schedule = Vec::new();
+    let mut seqs = vec![0usize; flows];
+    for s in 0..2 * LENS.len() {
+        for (f, seq) in seqs.iter_mut().enumerate() {
+            let len = lens(f)[s];
+            schedule.push((f, *seq, len));
+            *seq += len;
+        }
+    }
+    let bytes = |&(f, seq, len): &(usize, usize, usize)| &payloads[f][seq..seq + len];
+    let swap_at = schedule.len() / 2;
+    let set = PatternSet::new(pattern_strings()).unwrap();
+
+    let mut service = Service::start(Arc::clone(&arena), config).unwrap();
+    let mut rng = SplitMix(0xB10C);
+    let mut next = 0usize;
+    while next < schedule.len() {
+        // Bursts with pauses, so each worker takes its inbox many times
+        // and refills the blocks it handed back.
+        for _ in 0..1 + rng.next() % 6 {
+            if next == swap_at {
+                let arena2 = RulesetArena::build(&set, &two_stage_config(), 2).unwrap();
+                service.install_arena(Arc::new(arena2));
+            }
+            if let Some(seg) = schedule.get(next) {
+                assert!(service.offer(key(seg.0), seg.1 as u64, bytes(seg), next as u64));
+                next += 1;
+            }
+        }
+        std::thread::sleep(std::time::Duration::from_micros(rng.next() % 300));
+    }
+    let threaded = service.shutdown();
+
+    let mut sim = ServiceSim::new(Arc::clone(&arena), config).unwrap();
+    for (i, seg) in schedule.iter().enumerate() {
+        if i == swap_at {
+            assert_eq!(sim.hot_swap(&set, &two_stage_config()).unwrap(), 2);
+        }
+        sim.offer(key(seg.0), seg.1 as u64, bytes(seg), i as u64);
+    }
+    let simulated = sim.finish();
+
+    let rows = |report: &ServiceReport| {
+        let mut rows: Vec<_> = report
+            .matches
+            .iter()
+            .map(|m| (m.key.0, m.matched.pattern.index(), m.matched.end))
+            .collect();
+        rows.sort_unstable();
+        rows
+    };
+    assert!(!simulated.matches.is_empty());
+    assert_eq!(rows(&threaded), rows(&simulated));
+    let s = threaded.stats;
+    assert_eq!(s.shed_packets, 0);
+    assert_eq!(s.offered_packets, s.admitted_packets + s.shed_packets);
+    assert_eq!(s.offered_bytes, s.admitted_bytes + s.shed_bytes);
+    assert_eq!(
+        s.scanned_bytes()
+            + s.reassembly.dup_bytes
+            + s.workers.panic_lost_bytes
+            + s.reassembly.evicted_bytes,
+        s.admitted_bytes
+    );
+    assert_eq!(threaded.latency.count(), s.admitted_packets);
+    assert_eq!(s.workers.swaps, 2);
+}
+
+/// A service dropped without `shutdown` still stops its workers, which
+/// release everything they hold, the arena included.
+#[test]
+fn dropping_a_service_stops_its_workers() {
+    let set = PatternSet::new(pattern_strings()).unwrap();
+    let arena = Arc::new(RulesetArena::build(&set, &TwoStageConfig::with_cores(1), 1).unwrap());
+    let mut service = Service::start(Arc::clone(&arena), ServiceConfig::with_workers(2)).unwrap();
+    assert!(service.offer(FlowKey(1), 0, b"xx alpha-family-01-signature", 1));
+    drop(service);
+    assert_eq!(Arc::strong_count(&arena), 1);
+}
+
 // ---------------------------------------------------------------------------
 // 9. Property: any seeded fault plan preserves the robustness contract.
 // ---------------------------------------------------------------------------
